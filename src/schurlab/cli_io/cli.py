@@ -22,7 +22,7 @@ import sys
 
 from ..detrep import build_detrep, double_six
 from ..errors import ClaimError, PreconditionError
-from ..exact_math import Field, Matrix, vec_canonical
+from ..exact_math import Field, vec_canonical
 from ..families import EXAMPLES, sorted_points
 from ..hulek_monad import (MonadData, biflex_reports, orthogonality_report,
                            select_compatible_form, validate_monad)
@@ -46,7 +46,6 @@ class Run:
         self.input_doc: dict = {}
         self.claims: list[dict] = []
         self.artifacts: dict = {}
-        self.forced_exit: int | None = None
 
     def add(self, claim_id: str, result, witness=None) -> str:
         status = result if isinstance(result, str) else (PASS if result else FAIL)
@@ -65,6 +64,14 @@ def _locus_witness(locus: ZeroLocus) -> dict:
     return out
 
 
+def _support_claim(run: Run, claim_id: str, locus: ZeroLocus, expected) -> None:
+    if locus.fully_resolved and locus.zero_dimensional:
+        run.add(claim_id, sorted_points(locus.points) == sorted_points(expected),
+                _locus_witness(locus))
+    else:
+        run.add(claim_id, UNRESOLVED, _locus_witness(locus))
+
+
 def _orthogonality_claims(run: Run, monad: MonadData, points, claim_id: str,
                           partial: bool) -> None:
     if not points:
@@ -79,12 +86,12 @@ def _orthogonality_claims(run: Run, monad: MonadData, points, claim_id: str,
     run.add(claim_id, all(r.passed for r in reports), witness)
 
 
-def _biflex_claims(run: Run, monad: MonadData, curve, locus: ZeroLocus,
-                   claim_id: str, partial: bool) -> None:
-    if not locus.points:
+def _biflex_claims(run: Run, monad: MonadData, points, claim_id: str,
+                   partial: bool) -> None:
+    if not points:
         run.add(claim_id, UNRESOLVED, {"reason": "no resolved jumping points"})
         return
-    reports = biflex_reports(monad, curve, locus)
+    reports = biflex_reports(monad, points)
     witness = {"points": [{"point": ser_vec(r.point), "corank": r.corank,
                            "multiplicity": r.multiplicity, "node": r.is_node,
                            "tangent_orders": r.tangent_orders,
@@ -95,9 +102,8 @@ def _biflex_claims(run: Run, monad: MonadData, curve, locus: ZeroLocus,
     run.add(claim_id, all(r.passed for r in reports), witness)
 
 
-def _monad_core_claims(run: Run, monad: MonadData) -> tuple:
-    """Shared tail: exactness probes, curve by both routes.  Returns the
-    curve so callers can go on to support-level claims."""
+def _monad_core_claims(run: Run, monad: MonadData) -> None:
+    """Shared tail: exactness probes, curve by both routes."""
     report = validate_monad(monad, seed=run.seed)
     run.add("monad-exactness",
             PROBED if report.valid else FAIL,
@@ -109,7 +115,7 @@ def _monad_core_claims(run: Run, monad: MonadData) -> tuple:
     run.add("curve-degree", curve.degree == expected,
             {"degree": curve.degree, "expected": expected})
     run.add("curve-route-agreement", monad.jlsk_via_form().proportional(curve))
-    return curve
+    run.artifacts["curve"] = curve.serialize()
 
 
 def cmd_cubic(run: Run, doc: dict) -> None:
@@ -120,45 +126,15 @@ def cmd_cubic(run: Run, doc: dict) -> None:
         raise PreconditionError("cubic input needs a list of exactly six points")
     points = [tuple(parse_vector(field, p, 3)) for p in raw]
 
-    for i in range(6):
-        for j in range(i + 1, 6):
-            if Matrix.from_rows(field, [points[i], points[j]]).rank() < 2:
-                raise PreconditionError(f"points {i} and {j} coincide")
-            for k in range(j + 1, 6):
-                if Matrix.from_rows(field,
-                                    [points[i], points[j], points[k]]).det().is_zero():
-                    raise PreconditionError(f"points {i}, {j}, {k} are collinear")
-    conic_rows = [[p[0] * p[0], p[0] * p[1], p[0] * p[2],
-                   p[1] * p[1], p[1] * p[2], p[2] * p[2]] for p in points]
-    if Matrix.from_rows(field, conic_rows).det().is_zero():
-        raise PreconditionError(
-            "the six points lie on a conic; the blown-up surface is not a "
-            "smooth cubic and the construction does not apply")
-    run.add("hexad-admissible", True, {"points": ser_points(points)})
-    canonical = [vec_canonical(p) for p in points]
-
     rep = build_detrep(field, points)
+    run.add("hexad-admissible", True, {"points": ser_points(points)})
     run.artifacts["surface"] = rep.surface.serialize()
     run.add("grid-minors-span-cubics", rep.minors_span_cubics())
     run.add("surface-pullback-vanishes", rep.pullback_vanishes())
 
-    rec = rep.recover_points()
-    if rec.fully_resolved and rec.zero_dimensional:
-        run.add("base-points-recovered",
-                sorted_points(rec.points) == sorted_points(canonical),
-                _locus_witness(rec))
-    else:
-        run.add("base-points-recovered", UNRESOLVED, _locus_witness(rec))
+    _support_claim(run, "base-points-recovered", rep.recover_points(), rep.points)
 
-    try:
-        ds = double_six(rep)
-    except PreconditionError as exc:
-        run.add("double-six-admissible", FAIL, {"reason": str(exc)})
-        run.artifacts["note"] = ("the six points lie on a conic, so the twelve "
-                                 "lines do not separate into two sextuples; "
-                                 "rerun with a hexad off every conic")
-        run.forced_exit = 2
-        return
+    ds = double_six(rep)
     run.add("double-six-admissible", True)
     run.add("lines-on-surface", ds.verify_on_surface())
     run.add("lines-distinct", ds.verify_distinct())
@@ -178,20 +154,14 @@ def cmd_cubic(run: Run, doc: dict) -> None:
 
     monad = induced_monad(rep)
     run.add("monad-compatibility", monad.compatibility_ok())
-    curve = _monad_core_claims(run, monad)
-    run.artifacts["curve"] = curve.serialize()
+    _monad_core_claims(run, monad)
 
     locus = monad.jumping_points()
-    if locus.fully_resolved and locus.zero_dimensional:
-        run.add("support-is-hexad",
-                sorted_points(locus.points) == sorted_points(canonical),
-                _locus_witness(locus))
-    else:
-        run.add("support-is-hexad", UNRESOLVED, _locus_witness(locus))
+    _support_claim(run, "support-is-hexad", locus, rep.points)
     partial = not locus.fully_resolved
     _orthogonality_claims(run, monad, locus.points,
                           "orthogonality-at-jumping-points", partial)
-    _biflex_claims(run, monad, curve, locus, "singularity-at-support", partial)
+    _biflex_claims(run, monad, locus.points, "singularity-at-support", partial)
 
 
 def cmd_logbundle(run: Run, doc: dict) -> None:
@@ -208,8 +178,7 @@ def cmd_logbundle(run: Run, doc: dict) -> None:
             {"dims": list(lb.dims), "n": n, "d": lb.d})
     run.add("pairing-form-unique", True, {"form": lb.monad.form.serialize()})
     run.add("monad-compatibility", lb.monad.compatibility_ok())
-    curve = _monad_core_claims(run, lb.monad)
-    run.artifacts["curve"] = curve.serialize()
+    _monad_core_claims(run, lb.monad)
 
     reports = arrangement_jump_check(lb)
     run.add("dual-points-jump",
@@ -222,24 +191,19 @@ def cmd_logbundle(run: Run, doc: dict) -> None:
     duals = [vec_canonical(f) for f in lb.forms]
     if lb.d == 3:
         locus = lb.monad.jumping_points()
-        if locus.fully_resolved and locus.zero_dimensional:
-            run.add("support-is-dual-points",
-                    sorted_points(locus.points) == sorted_points(duals),
-                    _locus_witness(locus))
-        else:
-            run.add("support-is-dual-points", UNRESOLVED, _locus_witness(locus))
+        _support_claim(run, "support-is-dual-points", locus, duals)
         partial = not locus.fully_resolved
         _orthogonality_claims(run, lb.monad, locus.points,
                               "orthogonality-at-jumping-points", partial)
-        _biflex_claims(run, lb.monad, curve, locus,
+        _biflex_claims(run, lb.monad, locus.points,
                        "singularity-at-support", partial)
     else:
-        # For d >= 4 the support is probed at the dual points only; full
-        # resolution of the jumping scheme is not attempted.
+        # For d >= 4 the jumping locus is computed for the exactness probes
+        # but not claimed: its unresolved forms come from one coprime pair of
+        # minors only.  The support is probed at the dual points instead.
         _orthogonality_claims(run, lb.monad, duals,
                               "orthogonality-at-dual-points", True)
-        synthetic = ZeroLocus(True, None, duals, [])
-        _biflex_claims(run, lb.monad, curve, synthetic,
+        _biflex_claims(run, lb.monad, duals,
                        "singularity-at-dual-points", True)
 
 
@@ -268,8 +232,7 @@ def cmd_monad(run: Run, doc: dict) -> None:
     compat = run.add("monad-compatibility", monad.compatibility_ok())
     if compat == FAIL:
         return
-    curve = _monad_core_claims(run, monad)
-    run.artifacts["curve"] = curve.serialize()
+    _monad_core_claims(run, monad)
 
     locus = monad.jumping_points()
     run.add("support-resolution",
@@ -278,7 +241,7 @@ def cmd_monad(run: Run, doc: dict) -> None:
     partial = not locus.fully_resolved
     _orthogonality_claims(run, monad, locus.points,
                           "orthogonality-at-jumping-points", partial)
-    _biflex_claims(run, monad, curve, locus, "singularity-at-support", partial)
+    _biflex_claims(run, monad, locus.points, "singularity-at-support", partial)
 
 
 def cmd_example(run: Run, name: str | None) -> None:
@@ -367,10 +330,4 @@ def main(argv=None) -> int:
 
     if error is not None:
         return 2 if error["kind"] == "precondition" else 3
-    if run.forced_exit is not None:
-        return run.forced_exit
     return exit_code_for(run.claims)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

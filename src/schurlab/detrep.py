@@ -154,22 +154,30 @@ class DetRep:
         return poly_det(grid).is_zero()
 
 
+def _check_hexad(field: Field, pts) -> None:
+    """The six points are distinct (a zero vector counts as coinciding), no
+    three are collinear and not all six lie on a conic."""
+    for i in range(6):
+        for j in range(i + 1, 6):
+            if Matrix(field, [pts[i], pts[j]]).rank() < 2:
+                raise PreconditionError(f"points {i} and {j} coincide")
+            for k in range(j + 1, 6):
+                if Matrix(field, [pts[i], pts[j], pts[k]]).det().is_zero():
+                    raise PreconditionError(f"points {i}, {j}, {k} are collinear")
+    if evaluation_matrix(field, pts, 2).det().is_zero():
+        raise PreconditionError(
+            "the six points lie on a conic; the blown-up surface is not a "
+            "smooth cubic and the construction does not apply")
+
+
 def build_detrep(field: Field, points) -> DetRep:
-    pts = []
-    for p in points:
-        p = tuple(field.coerce(c) for c in p)
-        if len(p) != 3 or all(c.is_zero() for c in p):
-            raise PreconditionError("plane points need three coordinates, not all zero")
-        pts.append(vec_canonical(p))
-    if len(pts) != 6:
-        raise PreconditionError("exactly six points required")
-    for i, j in combinations(range(6), 2):
-        if pts[i] == pts[j]:
-            raise PreconditionError("the six points must be distinct")
-    for i, j, k in combinations(range(6), 3):
-        m = Matrix(field, [list(pts[i]), list(pts[j]), list(pts[k])])
-        if m.det().is_zero():
-            raise PreconditionError("three of the points are collinear")
+    """The determinantal data of an admissible hexad; the one place a hexad
+    is checked for admissibility."""
+    pts = [tuple(field.coerce(c) for c in p) for p in points]
+    if len(pts) != 6 or any(len(p) != 3 for p in pts):
+        raise PreconditionError("exactly six plane points with three coordinates required")
+    _check_hexad(field, pts)
+    pts = [vec_canonical(p) for p in pts]
 
     ev = evaluation_matrix(field, pts, 3)
     kern = ev.kernel_basis()
@@ -232,19 +240,7 @@ class DoubleSix:
                    for i, j in combinations(range(len(lines)), 2))
 
     def verify_double_six(self) -> bool:
-        """Within each sextuple the lines are disjoint; across sextuples lines
-        meet exactly when their indices differ."""
-        for i, j in combinations(range(6), 2):
-            if self.a_lines[i].incident(self.a_lines[j]):
-                return False
-            if self.b_lines[i].incident(self.b_lines[j]):
-                return False
-        for i in range(6):
-            for j in range(6):
-                meets = self.a_lines[i].incident(self.b_lines[j])
-                if meets != (i != j):
-                    return False
-        return True
+        return is_double_six(self.a_lines, self.b_lines)
 
     def verify_c_incidences(self) -> bool:
         """c_ij meets a_k and b_k exactly for k in {i, j}; two c-lines meet
@@ -263,10 +259,17 @@ class DoubleSix:
         return True
 
 
+def is_double_six(first, second) -> bool:
+    """Within each sextuple the lines are disjoint; across sextuples lines
+    meet exactly when their indices differ."""
+    for i, j in combinations(range(6), 2):
+        if first[i].incident(first[j]) or second[i].incident(second[j]):
+            return False
+    return all(first[i].incident(second[j]) == (i != j)
+               for i in range(6) for j in range(6))
+
+
 def double_six(rep: DetRep) -> DoubleSix:
-    conic_ev = evaluation_matrix(rep.field, rep.points, 2)
-    if conic_ev.rank() < 6:
-        raise PreconditionError("the six points lie on a common conic")
     a = [rep.a_line(k) for k in range(6)]
     b = [rep.b_line(k) for k in range(6)]
     c = {(i, j): rep.c_line(i, j) for i, j in combinations(range(6), 2)}

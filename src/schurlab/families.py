@@ -38,15 +38,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .detrep import build_detrep, line_on_hypersurface
+from .detrep import build_detrep, is_double_six, line_on_hypersurface
 from .errors import ClaimError, PreconditionError
 from .exact_math import (QQ, Field, Matrix, ProjSubspace, SymForm,
                          vec_canonical)
 from .hulek_monad import (MonadData, middle_rank_at, select_compatible_form,
                           validate_monad)
 from .logbundle import build_logbundle
-from .polyring import (HomPoly, LinFormsMatrix, monomials, multivariate_gcd,
-                       resolved_common_zeros, solve_pair)
+from .polyring import HomPoly, monomials, multivariate_gcd, solve_pair
 from .schurform import orthogonal_form_for_pairs, schur_pair
 
 
@@ -150,30 +149,14 @@ def _gram_form(field: Field) -> SymForm:
 def _pair_by_disjointness(first, second):
     pairing = []
     for a in first:
-        partners = [j for j, b in enumerate(second) if a.meet(b).is_empty()]
+        partners = [j for j, b in enumerate(second) if not a.incident(b)]
         if len(partners) != 1:
             raise ClaimError(
                 f"line has {len(partners)} disjoint partners, expected 1")
-    for a in first:
-        j = next(j for j, b in enumerate(second) if a.meet(b).is_empty())
-        pairing.append(j)
+        pairing.append(partners[0])
     if sorted(pairing) != list(range(len(second))):
         raise ClaimError("disjointness does not induce a bijection")
     return pairing
-
-
-def _double_six_incidence(first, second) -> bool:
-    for i, j in combinations(range(6), 2):
-        if not first[i].meet(first[j]).is_empty():
-            return False
-        if not second[i].meet(second[j]).is_empty():
-            return False
-    for i in range(6):
-        for j in range(6):
-            met = not first[i].meet(second[j]).is_empty()
-            if met != (i != j):
-                return False
-    return True
 
 
 def _cross_join_line(a1, b2, a2, b1) -> ProjSubspace:
@@ -280,7 +263,7 @@ def clebsch_instance() -> FamilyInstance:
 
     pairing = _pair_by_disjointness(first, second)
     second = [second[j] for j in pairing]
-    if not _double_six_incidence(first, second):
+    if not is_double_six(first, second):
         raise ClaimError("paired orbits do not form a double six")
     checks["double_six_incidence"] = True
 
@@ -583,8 +566,10 @@ def hulsbergen_shape(field: Field, forms, relations=None,
         rows.append([coeffs[n - 1, k]] * (n - 1))
         maps.append(Matrix.from_rows(field, rows))
 
+    form = select_compatible_form(field, maps, seed=seed)
+    monad = MonadData(maps, form)
     checks = {}
-    minors = LinFormsMatrix.from_coefficient_matrices(maps).signed_maximal_minors()
+    minors = monad.signed_minors()
     big = [_complement_product(forms, j) for j in range(n)]
     ratios = []
     minors_ok = True
@@ -612,8 +597,6 @@ def hulsbergen_shape(field: Field, forms, relations=None,
         sigma_ok = sigma_ok and total.is_zero()
     checks["cleared_equations_vanish_on_image"] = sigma_ok
 
-    form = select_compatible_form(field, maps, seed=seed)
-    monad = MonadData(maps, form)
     report = validate_monad(monad, seed=seed)
     checks["monad_valid"] = report.valid
 
@@ -752,7 +735,7 @@ def schwarzenberger_detect(conic: HomPoly | None = None, points=None,
     monad = bundle.monad
 
     checks = {}
-    loc = resolved_common_zeros(monad.signed_minors())
+    loc = monad.jumping_points()
     checks["jumping_scheme_positive_dimensional"] = not loc.zero_dimensional
     checks["common_factor_is_conic"] = (
         loc.common_factor is not None

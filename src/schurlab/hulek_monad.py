@@ -30,9 +30,13 @@ from .polyring import (HomPoly, LinFormsMatrix, ZeroLocus, LocalSingularity,
 
 class MonadData:
     """Three n x (n-1) matrices over one field plus a nondegenerate symmetric
-    form on the n-dimensional middle space."""
+    form on the n-dimensional middle space.
 
-    __slots__ = ("field", "n", "maps", "form")
+    The grid, its signed minors, the second-kind curve and the jumping locus
+    are each built once per instance and shared by every caller; treat them
+    as read-only."""
+
+    __slots__ = ("field", "n", "maps", "form", "_derived")
 
     def __init__(self, maps, form: SymForm):
         if len(maps) != 3:
@@ -53,10 +57,17 @@ class MonadData:
         self.n = n
         self.maps = list(maps)
         self.form = form
+        self._derived = {}
+
+    def _once(self, key: str, build):
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
     def a_V(self) -> LinFormsMatrix:
         """n x (n-1) grid of linear forms in the dual-plane coordinates."""
-        return LinFormsMatrix.from_coefficient_matrices(self.maps)
+        return self._once(
+            "a_V", lambda: LinFormsMatrix.from_coefficient_matrices(self.maps))
 
     def a_M(self) -> LinFormsMatrix:
         """3 x (n-1) grid of linear forms in n middle-space covector variables."""
@@ -74,7 +85,8 @@ class MonadData:
         """The n signed maximal minors of a(z); they span the left kernel of
         a(z) wherever the rank is n-1, and their common zeros are the jumping
         points."""
-        return self.a_V().signed_maximal_minors()
+        return self._once("signed_minors",
+                          lambda: self.a_V().signed_maximal_minors())
 
     def compatibility_ok(self) -> bool:
         """Each A_i^T B A_j symmetric, i < j (i = j is automatic)."""
@@ -111,6 +123,9 @@ class MonadData:
     def jlsk_curve(self) -> HomPoly:
         """Curve of jumping lines of the second kind: det of the s-grid,
         degree 2n-2, canonical."""
+        return self._once("jlsk_curve", self._build_jlsk_curve)
+
+    def _build_jlsk_curve(self) -> HomPoly:
         det = poly_det(self.s_grid())
         if det.is_zero():
             raise ClaimError("second-kind jumping curve degenerated to zero")
@@ -131,7 +146,8 @@ class MonadData:
         return acc.canonical()
 
     def jumping_points(self) -> ZeroLocus:
-        return resolved_common_zeros(self.signed_minors())
+        return self._once("jumping_points",
+                          lambda: resolved_common_zeros(self.signed_minors()))
 
     def rank_at(self, z) -> int:
         z = tuple(self.field.coerce(c) for c in z)
@@ -222,18 +238,14 @@ class BiflexReport:
         return True
 
 
-def biflex_reports(monad: MonadData, curve: HomPoly | None = None,
-                   locus: ZeroLocus | None = None) -> list[BiflexReport]:
-    """Local behaviour of the second-kind curve at every resolved jumping
-    point: multiplicity at least the rank-drop bound; at splitting one, an
-    honest node whose resolved branch tangents meet the curve with order at
-    least four."""
-    if curve is None:
-        curve = monad.jlsk_curve()
-    if locus is None:
-        locus = monad.jumping_points()
+def biflex_reports(monad: MonadData, points) -> list[BiflexReport]:
+    """Local behaviour of the second-kind curve at the given jumping points:
+    multiplicity at least the rank-drop bound; at splitting one, an honest
+    node whose resolved branch tangents meet the curve with order at least
+    four."""
+    curve = monad.jlsk_curve()
     out = []
-    for z in locus.points:
+    for z in points:
         corank = monad.corank_at(z)
         ls = local_singularity(curve, z)
         orders = [line_intersection_order(curve, line, z)

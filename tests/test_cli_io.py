@@ -1,14 +1,23 @@
 """Certificate documents and the command line driver, run in process."""
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from schurlab import detrep, hulek_monad
 from schurlab.cli_io import (FAIL, PASS, PROBED, SCHEMA, UNRESOLVED,
                              canonical_json, claim, exit_code_for,
                              instance_digest, main, overall_status,
                              parse_field, parse_symmetric)
 from schurlab.errors import PreconditionError
 from schurlab.exact_math import QQ
+from schurlab.polyring import LinFormsMatrix
+
+ROOT = Path(__file__).resolve().parents[1]
 
 HEXAD = {"field": {"type": "rational"},
          "points": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"],
@@ -188,3 +197,51 @@ def write_doc(tmp_path):
     path.write_text(json.dumps({"field": {"type": "rational"},
                                 "maps": TRIANGLE_MAPS}))
     return path
+
+
+def test_readme_monad_document(tmp_path, capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("### monad", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    path = tmp_path / "monad.json"
+    path.write_text(block)
+    code, _ = run(["monad", "--in", str(path)], capsys)
+    assert code == 0
+
+
+def test_python_dash_m_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "schurlab", "example", "--name", "n2"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "overall: pass" in proc.stdout
+
+
+def _count_calls(monkeypatch, calls, owner, name):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_cubic_resolves_each_locus_once(tmp_path, monkeypatch, capsys):
+    # once for the base points, once for the jumping points
+    calls = []
+    for module in (detrep, hulek_monad):
+        _count_calls(monkeypatch, calls, module, "resolved_common_zeros")
+    code, _ = run(["cubic", "--in", write(tmp_path, "h.json", HEXAD)], capsys)
+    assert code == 0
+    assert len(calls) == 2
+
+
+def test_logbundle_computes_signed_minors_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    _count_calls(monkeypatch, calls, LinFormsMatrix, "signed_maximal_minors")
+    code, _ = run(["logbundle", "--in",
+                   write(tmp_path, "l.json", SIX_LINES)], capsys)
+    assert code == 0
+    assert len(calls) == 1

@@ -76,7 +76,7 @@ def test_second_projection_contracts_b_lines(std_rep):
 
 
 def test_coconic_hexad_rejected():
-    with pytest.raises(ClaimError):
+    with pytest.raises(PreconditionError, match="conic"):
         build_detrep(QQ, COCONIC)
 
 

@@ -1,0 +1,65 @@
+"""Structured certificates compared byte for byte with committed goldens.
+
+The goldens in ``tests/golden/`` pin the exact ``--format structured``
+output of each case, rejected inputs included.  After an intended change of
+output, regenerate them with ``PYTHONPATH=src python3 tests/test_golden.py``
+and review the diff.
+"""
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from schurlab.cli_io import main
+from test_cli_io import HEXAD, SIX_LINES, TRIANGLE_MAPS
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _hexad(points):
+    return {"field": {"type": "rational"}, "points": points}
+
+
+# case name -> (command arguments, input document or None)
+CASES = {
+    "cubic_hexad": (["cubic"], HEXAD),
+    "logbundle_six_lines": (["logbundle"], SIX_LINES),
+    "monad_triangle_selected_form": (
+        ["monad"], {"field": {"type": "rational"}, "maps": TRIANGLE_MAPS}),
+    "example_n2": (["example", "--name", "n2"], None),
+    "example_triangle": (["example", "--name", "triangle"], None),
+    "example_hulsbergen4": (["example", "--name", "hulsbergen4"], None),
+    "cubic_coincident_rejected": (["cubic"], _hexad(
+        [[1, 2, 3], [2, 4, 6], [0, 0, 1], [1, 1, 1], [1, 0, 0], [1, 4, 9]])),
+    "cubic_collinear_rejected": (["cubic"], _hexad(
+        [[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 1, 1], [1, 2, 3], [1, 4, 9]])),
+    "cubic_coconic_rejected": (["cubic"], _hexad(
+        [[1, 0, 0], [1, 1, 1], [1, 2, 4], [1, 3, 9], [1, 4, 16], [0, 0, 1]])),
+}
+
+
+def certificate(name: str, workdir: Path) -> bytes:
+    argv, doc = CASES[name]
+    argv = list(argv)
+    if doc is not None:
+        path = workdir / f"{name}.in.json"
+        path.write_text(json.dumps(doc))
+        argv += ["--in", str(path)]
+    out = workdir / f"{name}.cert.json"
+    main(argv + ["--format", "structured", "--out", str(out)])
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_certificate_matches_golden(name, tmp_path):
+    assert certificate(name, tmp_path) == (GOLDEN / f"{name}.json").read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            (GOLDEN / f"{case}.json").write_bytes(certificate(case, Path(tmp)))
+            print(f"wrote {case}", file=sys.stderr)

@@ -83,7 +83,7 @@ def test_orthogonality_refused_off_support(triangle):
 
 
 def test_biflex_over_rationals_leaves_tangents_open(triangle):
-    reports = biflex_reports(triangle)
+    reports = biflex_reports(triangle, triangle.jumping_points().points)
     assert len(reports) == 3
     for r in reports:
         assert r.multiplicity == 2 and r.is_node
@@ -96,7 +96,7 @@ def test_biflex_over_gauss_field_resolves_order_four():
     fi = Field(-1)
     maps = triangle_maps(fi)
     monad = MonadData(maps, select_compatible_form(fi, maps))
-    for r in biflex_reports(monad):
+    for r in biflex_reports(monad, monad.jumping_points().points):
         assert r.is_node and r.unresolved_tangents == 0
         assert r.tangent_orders == [4, 4]
         assert r.passed
