@@ -72,34 +72,41 @@ def _support_claim(run: Run, claim_id: str, locus: ZeroLocus, expected) -> None:
         run.add(claim_id, UNRESOLVED, _locus_witness(locus))
 
 
-def _orthogonality_claims(run: Run, monad: MonadData, points, claim_id: str,
-                          partial: bool) -> None:
+def _point_claims(run: Run, monad: MonadData, points, orthogonality_id: str,
+                  singularity_id: str, partial: bool) -> None:
+    """Orthogonality, then local singularity, at the given jumping points."""
     if not points:
-        run.add(claim_id, UNRESOLVED, {"reason": "no resolved jumping points"})
+        for claim_id in (orthogonality_id, singularity_id):
+            run.add(claim_id, UNRESOLVED, {"reason": "no resolved jumping points"})
         return
+    coverage = {"coverage": "resolved points only"} if partial else {}
     reports = [orthogonality_report(monad, z) for z in points]
-    witness = {"points": [{"point": ser_vec(r.point), "corank": r.corank,
-                           "contained": r.contained, "equality": r.equality}
-                          for r in reports]}
-    if partial:
-        witness["coverage"] = "resolved points only"
-    run.add(claim_id, all(r.passed for r in reports), witness)
-
-
-def _biflex_claims(run: Run, monad: MonadData, points, claim_id: str,
-                   partial: bool) -> None:
-    if not points:
-        run.add(claim_id, UNRESOLVED, {"reason": "no resolved jumping points"})
-        return
+    run.add(orthogonality_id, all(r.passed for r in reports),
+            {"points": [{"point": ser_vec(r.point), "corank": r.corank,
+                         "contained": r.contained, "equality": r.equality}
+                        for r in reports], **coverage})
     reports = biflex_reports(monad, points)
-    witness = {"points": [{"point": ser_vec(r.point), "corank": r.corank,
-                           "multiplicity": r.multiplicity, "node": r.is_node,
-                           "tangent_orders": r.tangent_orders,
-                           "unresolved_tangents": r.unresolved_tangents}
-                          for r in reports]}
-    if partial:
-        witness["coverage"] = "resolved points only"
-    run.add(claim_id, all(r.passed for r in reports), witness)
+    run.add(singularity_id, all(r.passed for r in reports),
+            {"points": [{"point": ser_vec(r.point), "corank": r.corank,
+                         "multiplicity": r.multiplicity, "node": r.is_node,
+                         "tangent_orders": r.tangent_orders,
+                         "unresolved_tangents": r.unresolved_tangents}
+                        for r in reports], **coverage})
+
+
+def _jumping_locus_claims(run: Run, monad: MonadData, support_id: str,
+                          expected=None) -> None:
+    """The support claim for the monad's jumping locus (against the expected
+    points, or only whether it resolves), then the point claims at its
+    resolved points."""
+    locus = monad.jumping_points()
+    if expected is None:
+        run.add(support_id, PASS if locus.fully_resolved else UNRESOLVED,
+                _locus_witness(locus))
+    else:
+        _support_claim(run, support_id, locus, expected)
+    _point_claims(run, monad, locus.points, "orthogonality-at-jumping-points",
+                  "singularity-at-support", not locus.fully_resolved)
 
 
 def _monad_core_claims(run: Run, monad: MonadData) -> None:
@@ -155,13 +162,7 @@ def cmd_cubic(run: Run, doc: dict) -> None:
     monad = induced_monad(rep)
     run.add("monad-compatibility", monad.compatibility_ok())
     _monad_core_claims(run, monad)
-
-    locus = monad.jumping_points()
-    _support_claim(run, "support-is-hexad", locus, rep.points)
-    partial = not locus.fully_resolved
-    _orthogonality_claims(run, monad, locus.points,
-                          "orthogonality-at-jumping-points", partial)
-    _biflex_claims(run, monad, locus.points, "singularity-at-support", partial)
+    _jumping_locus_claims(run, monad, "support-is-hexad", rep.points)
 
 
 def cmd_logbundle(run: Run, doc: dict) -> None:
@@ -190,21 +191,13 @@ def cmd_logbundle(run: Run, doc: dict) -> None:
 
     duals = [vec_canonical(f) for f in lb.forms]
     if lb.d == 3:
-        locus = lb.monad.jumping_points()
-        _support_claim(run, "support-is-dual-points", locus, duals)
-        partial = not locus.fully_resolved
-        _orthogonality_claims(run, lb.monad, locus.points,
-                              "orthogonality-at-jumping-points", partial)
-        _biflex_claims(run, lb.monad, locus.points,
-                       "singularity-at-support", partial)
+        _jumping_locus_claims(run, lb.monad, "support-is-dual-points", duals)
     else:
         # For d >= 4 the jumping locus is computed for the exactness probes
         # but not claimed: its unresolved forms come from one coprime pair of
         # minors only.  The support is probed at the dual points instead.
-        _orthogonality_claims(run, lb.monad, duals,
-                              "orthogonality-at-dual-points", True)
-        _biflex_claims(run, lb.monad, duals,
-                       "singularity-at-dual-points", True)
+        _point_claims(run, lb.monad, duals, "orthogonality-at-dual-points",
+                      "singularity-at-dual-points", True)
 
 
 def cmd_monad(run: Run, doc: dict) -> None:
@@ -233,15 +226,7 @@ def cmd_monad(run: Run, doc: dict) -> None:
     if compat == FAIL:
         return
     _monad_core_claims(run, monad)
-
-    locus = monad.jumping_points()
-    run.add("support-resolution",
-            PASS if locus.fully_resolved else UNRESOLVED,
-            _locus_witness(locus))
-    partial = not locus.fully_resolved
-    _orthogonality_claims(run, monad, locus.points,
-                          "orthogonality-at-jumping-points", partial)
-    _biflex_claims(run, monad, locus.points, "singularity-at-support", partial)
+    _jumping_locus_claims(run, monad, "support-resolution")
 
 
 def cmd_example(run: Run, name: str | None) -> None:

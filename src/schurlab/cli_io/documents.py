@@ -102,10 +102,6 @@ def parse_symmetric(field: Field, rows) -> SymForm:
     mat = parse_matrix(field, rows)
     if mat.rows != mat.cols:
         raise PreconditionError("form matrix must be square")
-    for i in range(mat.rows):
-        for j in range(i):
-            if mat[i, j] != mat[j, i]:
-                raise PreconditionError("form matrix is not symmetric")
     return SymForm(mat)
 
 

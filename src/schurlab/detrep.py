@@ -16,6 +16,7 @@ input points give the other fifteen lines.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -50,6 +51,10 @@ def line_on_hypersurface(form: HomPoly, line: ProjSubspace) -> bool:
 
 @dataclass
 class DetRep:
+    """The lines over the input points, the grid minors and the kernel-route
+    form (see schurform) are each built once per instance and shared by
+    every caller; treat them as read-only."""
+
     field: Field
     points: list[Point]
     cubics: list[HomPoly]            # reduced basis of the cubics through the points
@@ -57,6 +62,13 @@ class DetRep:
     target_grid: LinFormsMatrix      # 3 x 3, linear forms in the 4 target coordinates
     source_grid: LinFormsMatrix      # 3 x 4, linear forms in the 3 plane coordinates
     surface: HomPoly                 # det of target_grid, canonical
+    _derived: dict = dataclasses.field(default_factory=dict, compare=False,
+                                       repr=False)
+
+    def _once(self, key, build):
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
     def image_point(self, p) -> Point:
         """Image of a plane point under the cubic system."""
@@ -88,6 +100,9 @@ class DetRep:
 
     def a_line(self, k: int) -> ProjSubspace:
         """Line over input point k: right kernel of the 3 x 4 grid there."""
+        return self._once(("a_line", k), lambda: self._build_a_line(k))
+
+    def _build_a_line(self, k: int) -> ProjSubspace:
         kern = self.source_grid.evaluate(self.points[k]).kernel_basis()
         line = ProjSubspace(self.field, 3, [list(v) for v in kern])
         if line.dim != 1:
@@ -97,6 +112,9 @@ class DetRep:
     def b_line(self, k: int) -> ProjSubspace:
         """Partner line over input point k: contract the tensor with the left
         kernel of the 3 x 4 grid there and take the right kernel."""
+        return self._once(("b_line", k), lambda: self._build_b_line(k))
+
+    def _build_b_line(self, k: int) -> ProjSubspace:
         phi = self.source_grid.evaluate(self.points[k]).left_kernel_basis()
         if len(phi) != 1:
             raise ClaimError("left kernel over an input point is not a single point")
@@ -128,16 +146,19 @@ class DetRep:
             raise ClaimError("image of a joining line is not a line")
         return line
 
+    def grid_minors(self) -> list[HomPoly]:
+        """The four signed maximal minors of the 3 x 4 grid, plane cubics."""
+        return self._once("grid_minors",
+                          lambda: self.source_grid.transpose().signed_maximal_minors())
+
     def recover_points(self) -> ZeroLocus:
         """Common zeros of the signed maximal minors of the 3 x 4 grid."""
-        minors = self.source_grid.transpose().signed_maximal_minors()
-        return resolved_common_zeros(minors)
+        return resolved_common_zeros(self.grid_minors())
 
     def minors_span_cubics(self) -> bool:
         """The four signed maximal minors span the same space as the cubics."""
-        minors = self.source_grid.transpose().signed_maximal_minors()
         cub = [list(c.coefficient_vector()) for c in self.cubics]
-        mnr = [list(m.coefficient_vector()) for m in minors]
+        mnr = [list(m.coefficient_vector()) for m in self.grid_minors()]
         if Matrix(self.field, mnr).rank() != 4:
             return False
         return Matrix(self.field, cub + mnr).rank() == 4

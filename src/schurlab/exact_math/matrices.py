@@ -259,10 +259,6 @@ class Matrix:
             out.append(m if r % 2 == 0 else -m)
         return out
 
-    def stack(self, other: Matrix) -> Matrix:
-        assert self.cols == other.cols
-        return Matrix(self.field, list(self.data) + list(other.data))
-
     def serialize(self):
         return [[x.serialize() for x in row] for row in self.data]
 

@@ -36,16 +36,24 @@ def _rational_sqrt(f: Fraction):
     return None
 
 
+MAX_MODULUS = 10 ** 9
+"""Largest |s| accepted for Q(sqrt(s)); the squarefree test is trial division."""
+
+
 class Field:
     """Field context: Q when s is None, else Q(sqrt(s)) with s squarefree."""
 
-    __slots__ = ("s",)
+    __slots__ = ("s", "_zero", "_one")
 
     def __init__(self, s: int | None = None):
         if s is not None:
+            if isinstance(s, int) and abs(s) > MAX_MODULUS:
+                raise PreconditionError(f"extension modulus |s| must be at most {MAX_MODULUS}, got {s!r}")
             if not isinstance(s, int) or s in (0, 1) or not _is_squarefree(s):
                 raise PreconditionError(f"extension modulus must be squarefree and not 0/1, got {s!r}")
         self.s = s
+        self._zero = Scalar(Fraction(0), Fraction(0), self)
+        self._one = Scalar(Fraction(1), Fraction(0), self)
 
     @property
     def is_rational(self) -> bool:
@@ -60,11 +68,11 @@ class Field:
 
     @property
     def zero(self) -> Scalar:
-        return self.scalar(0)
+        return self._zero
 
     @property
     def one(self) -> Scalar:
-        return self.scalar(1)
+        return self._one
 
     def sqrt_gen(self) -> Scalar:
         if self.s is None:
@@ -83,19 +91,18 @@ class Field:
         if text.startswith("["):
             if self.s is None:
                 raise PreconditionError(f"quadratic literal {text!r} in a rational field")
-            if not text.endswith("]"):
-                raise PreconditionError(f"malformed scalar literal {text!r}")
-            parts = text[1:-1].split(",")
+            parts = text[1:-1].split(",") if text.endswith("]") else []
             if len(parts) != 2:
                 raise PreconditionError(f"malformed scalar literal {text!r}")
-            return self.scalar(Fraction(parts[0].strip()), Fraction(parts[1].strip()))
-        return self.scalar(Fraction(text))
+        else:
+            parts = [text]
+        try:
+            return self.scalar(*(Fraction(part.strip()) for part in parts))
+        except (ValueError, ZeroDivisionError):
+            raise PreconditionError(f"malformed scalar literal {text!r}") from None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Field) and self.s == other.s
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
 
     def __hash__(self) -> int:
         return hash(("Field", self.s))
@@ -236,10 +243,6 @@ class Scalar:
         if isinstance(other, (int, Fraction)):
             return self.v == 0 and self.u == other
         return NotImplemented
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
 
     def __hash__(self) -> int:
         if self.v == 0:

@@ -85,21 +85,26 @@ class ProjSubspace:
         eqs = self.annihilator_basis() + other.annihilator_basis()
         return ProjSubspace.from_equations(self.field, self.ambient, eqs)
 
+    def _stacked_rank(self, vectors) -> int:
+        """Rank of this (echelon, hence independent) basis stacked on vectors."""
+        return Matrix(self.field, self.basis + tuple(vectors)).rank()
+
     def incident(self, other: ProjSubspace) -> bool:
-        return not self.meet(other).is_empty()
+        """The cones meet in a nonzero vector: by the Grassmann formula,
+        exactly when the stacked cone bases have rank below the sum of their
+        sizes."""
+        self._require_same_space(other)
+        return self._stacked_rank(other.basis) < len(self.basis) + len(other.basis)
 
     def contains_vector(self, v) -> bool:
         v = tuple(self.field.coerce(x) for x in v)
         if vec_is_zero(v):
             return True
-        if not self.basis:
-            return False
-        m = Matrix(self.field, self.basis)
-        return Matrix(self.field, list(self.basis) + [v]).rank() == m.rank()
+        return self._stacked_rank([v]) == len(self.basis)
 
     def contains(self, other: ProjSubspace) -> bool:
         self._require_same_space(other)
-        return all(self.contains_vector(v) for v in other.basis)
+        return self._stacked_rank(other.basis) == len(self.basis)
 
     def polar(self, form: SymForm) -> ProjSubspace:
         """Span of {B(xi) : xi annihilates the cone}.  For nondegenerate B

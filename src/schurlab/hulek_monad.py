@@ -394,14 +394,6 @@ def validate_monad(monad: MonadData, seed: int = 0, samples: int = 25) -> MonadR
                        probes)
 
 
-def sigma_minors(monad: MonadData) -> list[HomPoly]:
-    """3 x 3 minors of the middle flattening; an empty list when the grid is
-    too narrow for any."""
-    if monad.n - 1 < 3:
-        return []
-    return monad.a_M().minors(3)
-
-
 def middle_rank_at(monad: MonadData, mu) -> int:
     mu = tuple(monad.field.coerce(c) for c in mu)
     return monad.a_M().evaluate(mu).rank()

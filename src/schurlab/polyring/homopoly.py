@@ -237,16 +237,6 @@ class HomPoly:
         assert not self.is_zero()
         return min(e[i] for e in self.coeffs)
 
-    def divide_monomial(self, exp) -> HomPoly:
-        exp = tuple(exp)
-        out = {}
-        for e, c in self.coeffs.items():
-            ne = tuple(a - b for a, b in zip(e, exp))
-            if any(x < 0 for x in ne):
-                raise PreconditionError("monomial does not divide every term")
-            out[ne] = c
-        return HomPoly(self.field, self.nvars, self.degree - sum(exp), out)
-
     def coefficient_vector(self, order=None):
         """Coefficients against the descending-lex monomial basis."""
         if order is None:
@@ -372,9 +362,6 @@ class LinFormsMatrix:
         return Matrix(self.field, [[self.entries[i][j].coeff(exp)
                                     for j in range(self.cols)] for i in range(self.rows)])
 
-    def coefficient_matrices(self) -> list[Matrix]:
-        return [self.coefficient_matrix(k) for k in range(self.nvars)]
-
     def evaluate(self, point) -> Matrix:
         return Matrix(self.field, [[p.evaluate(point) for p in row] for row in self.entries])
 
@@ -437,18 +424,26 @@ def _poly_det_direct(grid) -> HomPoly:
 
 
 def lagrange_coeffs(field, xs, ys):
-    """Coefficients (ascending) of the unique poly of degree < len(xs) through the data."""
-    n = len(xs)
-    rows = []
-    for x in xs:
-        x = field.coerce(x)
-        row = [field.one]
-        for _ in range(n - 1):
-            row.append(row[-1] * x)
-        rows.append(row)
-    sol = Matrix(field, rows).solve(ys)
-    assert sol is not None
-    return list(sol)
+    """Coefficients (ascending) of the unique poly of degree < len(xs) through
+    the data: Newton divided differences, then Horner's rule in the nested
+    form c0 + (x - x0)(c1 + (x - x1)(c2 + ...)).  O(n^2) field operations."""
+    xs = [field.coerce(x) for x in xs]
+    if len(set(xs)) != len(xs):
+        raise PreconditionError("interpolation nodes must be distinct")
+    newton = [field.coerce(y) for y in ys]
+    n = len(newton)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            newton[i] = (newton[i] - newton[i - 1]) / (xs[i] - xs[i - j])
+    out = []
+    for k in range(n - 1, -1, -1):
+        # out <- out * (x - xs[k]) + newton[k]
+        shifted = [field.zero] + out
+        for d, c in enumerate(out):
+            shifted[d] = shifted[d] - xs[k] * c
+        shifted[0] = shifted[0] + newton[k]
+        out = shifted
+    return out
 
 
 def interpolation_nodes(field, count):

@@ -35,7 +35,12 @@ def _unpack_sym(field, vec) -> SymForm:
 def schur_kernel_form(rep: DetRep) -> SymForm:
     """Kernel route.  Unknowns are the ten entries of a symmetric 4 x 4
     tensor; each of the nine equations pairs a 2 x 2 pattern of relation and
-    plane indices against the symmetrized wedge of the tensor slices."""
+    plane indices against the symmetrized wedge of the tensor slices.  Built
+    once per DetRep."""
+    return rep._once("schur_kernel_form", lambda: _build_kernel_form(rep))
+
+
+def _build_kernel_form(rep: DetRep) -> SymForm:
     field = rep.field
     g = rep.tensor
     rows = []

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from schurlab import detrep, hulek_monad
+from schurlab import detrep, hulek_monad, schurform
 from schurlab.cli_io import (FAIL, PASS, PROBED, SCHEMA, UNRESOLVED,
                              canonical_json, claim, exit_code_for,
                              instance_digest, main, overall_status,
@@ -100,6 +100,32 @@ def test_cubic_collinear_rejected(tmp_path, capsys):
     code, out = run(["cubic", "--in", write(tmp_path, "bad.json", bad)], capsys)
     assert code == 2
     assert "collinear" in out
+
+
+@pytest.mark.parametrize("literal", ["x", "1/0", "[1/0, 1]"])
+def test_cubic_malformed_scalar_literal(literal, tmp_path, capsys):
+    field = ({"type": "quadratic", "s": 5} if literal.startswith("[")
+             else {"type": "rational"})
+    bad = {"field": field, "points": [[literal, "0", "0"]] + HEXAD["points"][1:]}
+    target = tmp_path / "cert.json"
+    code = main(["cubic", "--in", write(tmp_path, "bad.json", bad),
+                 "--out", str(target), "--format", "structured"])
+    assert code == 2
+    error = json.loads(target.read_text())["error"]
+    assert error == {"kind": "precondition",
+                     "message": f"malformed scalar literal {literal!r}"}
+
+
+def test_oversized_extension_modulus_rejected_quickly(tmp_path):
+    # a 17-digit prime: trial division for squarefreeness would not finish
+    doc = dict(HEXAD, field={"type": "quadratic", "s": 100000000000000003})
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "schurlab", "cubic", "--in",
+         write(tmp_path, "big.json", doc)],
+        env=env, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert "at most" in proc.stdout
 
 
 def test_cubic_coconic_rejected(tmp_path, capsys):
@@ -236,6 +262,17 @@ def test_cubic_resolves_each_locus_once(tmp_path, monkeypatch, capsys):
     code, _ = run(["cubic", "--in", write(tmp_path, "h.json", HEXAD)], capsys)
     assert code == 0
     assert len(calls) == 2
+
+
+def test_cubic_builds_each_hexad_object_once(tmp_path, monkeypatch, capsys):
+    # signed minors: once for the 3 x 4 grid, once for the induced monad
+    minors, kernel_forms = [], []
+    _count_calls(monkeypatch, minors, LinFormsMatrix, "signed_maximal_minors")
+    _count_calls(monkeypatch, kernel_forms, schurform, "_build_kernel_form")
+    code, _ = run(["cubic", "--in", write(tmp_path, "h.json", HEXAD)], capsys)
+    assert code == 0
+    assert len(minors) == 2
+    assert len(kernel_forms) == 1
 
 
 def test_logbundle_computes_signed_minors_once(tmp_path, monkeypatch, capsys):

@@ -6,10 +6,15 @@ list of case indices that violated the property; the tests assert emptiness.
 import random
 from fractions import Fraction
 
-from schurlab.exact_math import (Matrix, ProjSubspace, QQ, SymForm,
+import pytest
+
+from schurlab.errors import PreconditionError
+from schurlab.exact_math import (Field, Matrix, ProjSubspace, QQ, SymForm,
                                  vec_canonical)
 from schurlab.hulek_monad import MonadData
-from schurlab.polyring import HomPoly
+from schurlab.polyring import HomPoly, lagrange_coeffs
+
+QSQRT5 = Field(5)
 
 CASES = 120
 
@@ -172,6 +177,83 @@ def compatibility_symmetry_suite(cases=CASES, seed=505):
         if monad.compatibility_ok() != probes_symmetric:
             bad.append(case)
     return bad
+
+
+def rand_element(rng, field, bound=6):
+    """A random element of Q or of Q(sqrt 5)."""
+    sqrt_part = rand_scalar(rng, bound).u if field is QSQRT5 else 0
+    return field.scalar(rand_scalar(rng, bound).u, sqrt_part)
+
+
+def interpolation_suite(cases=CASES, seed=606):
+    """lagrange_coeffs reproduces the data at every node, over Q and Q(sqrt 5),
+    with up to twenty distinct nodes."""
+    rng = random.Random(seed)
+    bad = []
+    for case in range(cases):
+        field = QSQRT5 if case % 2 else QQ
+        n = rng.randint(1, 20)
+        xs = []
+        while len(xs) < n:
+            x = rand_element(rng, field, 9)
+            if x not in xs:
+                xs.append(x)
+        ys = [rand_element(rng, field) for _ in range(n)]
+        coeffs = lagrange_coeffs(field, xs, ys)
+        ok = len(coeffs) == n
+        for x, y in zip(xs, ys):
+            value = field.zero
+            for c in reversed(coeffs):
+                value = value * x + c
+            ok = ok and value == y
+        if not ok:
+            bad.append(case)
+    return bad
+
+
+def rand_subspace(rng, field, shared=()):
+    """A random subspace of P^3 spanned by up to four small vectors (so
+    possibly empty or degenerate), plus any shared vectors."""
+    vectors = [tuple(rand_element(rng, field, 2) for _ in range(4))
+               for _ in range(rng.randint(0, 4))]
+    return ProjSubspace(field, 3, vectors + list(shared))
+
+
+def incidence_suite(cases=CASES, seed=707):
+    """incident, contains and contains_vector agree with the meet and with
+    the vector-by-vector definition, empty subspaces included."""
+    rng = random.Random(seed)
+    bad = []
+    for case in range(cases):
+        field = QSQRT5 if case % 4 == 3 else QQ
+        first = rand_subspace(rng, field)
+        shared = first.basis[:rng.randint(0, len(first.basis))]
+        second = rand_subspace(rng, field, shared)
+        meet = first.meet(second)
+        ok = first.incident(second) == second.incident(first) == (not meet.is_empty())
+        ok = ok and first.contains(second) == (meet == second)
+        ok = ok and first.contains(second) == all(
+            first.contains_vector(v) for v in second.basis)
+        for v in second.basis:
+            point = ProjSubspace(field, 3, [v])
+            ok = ok and first.contains_vector(v) == (first.meet(point) == point)
+        if not ok:
+            bad.append(case)
+    return bad
+
+
+def test_interpolation_reproduces_the_data():
+    assert interpolation_suite() == []
+
+
+def test_interpolation_rejects_repeated_nodes():
+    xs = [QQ.scalar(0), QQ.scalar(1), QQ.scalar(0)]
+    with pytest.raises(PreconditionError, match="distinct"):
+        lagrange_coeffs(QQ, xs, [QQ.one, QQ.zero, QQ.one])
+
+
+def test_incidence_by_rank_matches_meet():
+    assert incidence_suite() == []
 
 
 def test_contract_product_rule_and_commutation():
