@@ -6,8 +6,6 @@ Vectors are plain tuples of Scalars.
 """
 from __future__ import annotations
 
-from itertools import combinations
-
 from ..errors import PreconditionError
 from .scalars import Field, Scalar
 
@@ -234,30 +232,6 @@ class Matrix:
 
     def submatrix(self, row_idx, col_idx) -> Matrix:
         return Matrix(self.field, [[self.data[i][j] for j in col_idx] for i in row_idx])
-
-    def minors(self, size: int) -> list[Scalar]:
-        """All size x size minors, lexicographic over (row subset, col subset)."""
-        out = []
-        for ri in combinations(range(self.rows), size):
-            for ci in combinations(range(self.cols), size):
-                out.append(self.submatrix(ri, ci).det())
-        return out
-
-    def maximal_minors(self) -> list[Scalar]:
-        size = min(self.rows, self.cols)
-        return self.minors(size)
-
-    def signed_maximal_minors(self) -> list[Scalar]:
-        """For an n x (n-1) matrix: v_r = (-1)^r * det(delete row r).  The
-        resulting vector left-annihilates the matrix (Cramer signs)."""
-        if self.cols != self.rows - 1:
-            raise PreconditionError("signed maximal minors need an n x (n-1) matrix")
-        out = []
-        for r in range(self.rows):
-            rows = [i for i in range(self.rows) if i != r]
-            m = self.submatrix(rows, range(self.cols)).det()
-            out.append(m if r % 2 == 0 else -m)
-        return out
 
     def serialize(self):
         return [[x.serialize() for x in row] for row in self.data]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from ..errors import PreconditionError
+from ..errors import ClaimError, PreconditionError
 from ..exact_math import Field, Matrix, Scalar
 
 
@@ -382,9 +382,6 @@ class LinFormsMatrix:
                 out.append(self.submatrix(ri, ci).det())
         return out
 
-    def maximal_minors(self) -> list[HomPoly]:
-        return self.minors(min(self.rows, self.cols))
-
     def signed_maximal_minors(self) -> list[HomPoly]:
         """v_r = (-1)^r det(delete row r) for an n x (n-1) grid; v left-annihilates."""
         if self.cols != self.rows - 1:
@@ -497,6 +494,6 @@ def poly_det(grid) -> HomPoly:
         for j, c in enumerate(ci):
             if not c.is_zero():
                 if i + j > deg:
-                    raise AssertionError("interpolation produced degree overflow")
+                    raise ClaimError("interpolation produced degree overflow")
                 coeffs[(i, j, deg - i - j)] = c
     return HomPoly(field, 3, deg, coeffs)

@@ -1,17 +1,20 @@
-"""Univariate helpers over an exact Field: gcd, factoring, root extraction.
+"""Univariate helpers over an exact Field, and the one bridge to sympy.
 
-Polynomials are plain lists of Scalars, ascending by exponent.  Factoring is
-delegated to sympy (over the rationals, or over the quadratic extension via
-its algebraic-number support); everything coming back from sympy is converted
-to Scalars and re-checked in exact arithmetic here.
+Polynomials are plain lists of Scalars, ascending by exponent.  sympy does two
+things for the package, both in its own domains (QQ, or QQ<sqrt(s)> from
+``sympy_domain``): ``factor_univar`` factors over the field, and
+``zeros.multivariate_gcd`` takes the gcd of two forms.  Scalars cross the
+bridge by ``to_domain``/``from_domain``, never as sympy expressions, and
+every answer that comes back is re-checked in exact arithmetic.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import sympy
 
-from ..errors import PreconditionError
+from ..errors import ClaimError, PreconditionError
 from ..exact_math import Field, Scalar
 
 
@@ -62,56 +65,59 @@ def univar_gcd(field: Field, a, b) -> list[Scalar]:
     return monic(a)
 
 
-def scalar_to_sympy(c: Scalar):
-    u = sympy.Rational(c.u.numerator, c.u.denominator)
-    if c.field.is_rational or c.v == 0:
-        return u
-    v = sympy.Rational(c.v.numerator, c.v.denominator)
-    return u + v * sympy.sqrt(sympy.Integer(c.field.s))
+@lru_cache(maxsize=None)
+def sympy_domain(field: Field):
+    """sympy's domain for the field: QQ, or QQ<sqrt(s)> generated by sqrt(s).
 
-
-def scalar_from_sympy(field: Field, expr) -> Scalar:
-    expr = sympy.expand(expr)
+    An element of QQ<sqrt(s)> is a polynomial [v, u] in the generator modulo
+    its minimal polynomial; checking that modulus is x^2 - s proves the
+    generator is a square root of s, so u + v*sqrt(s) <-> [v, u] is a field
+    isomorphism."""
     if field.is_rational:
-        r = sympy.Rational(expr)
-        return field.scalar(Fraction(int(r.p), int(r.q)))
-    root = sympy.sqrt(sympy.Integer(field.s))
-    if field.s < 0:
-        conj = sympy.expand(expr.conjugate())
-    else:
-        conj = sympy.expand(expr.subs(root, -root))
-    u = sympy.Rational(sympy.expand((expr + conj) / 2))
-    v = sympy.Rational(sympy.expand((expr - conj) / (2 * root)))
-    return field.scalar(Fraction(int(u.p), int(u.q)), Fraction(int(v.p), int(v.q)))
+        return sympy.QQ
+    domain = sympy.QQ.algebraic_field(sympy.sqrt(field.s))
+    if domain.mod.to_list() != [1, 0, -field.s]:
+        raise ClaimError(f"sympy's generator of {domain} is not a square root of {field.s}")
+    return domain
+
+
+def _qq(f: Fraction):
+    return sympy.QQ(f.numerator, f.denominator)
+
+
+def _fraction(q) -> Fraction:
+    return Fraction(int(q.numerator), int(q.denominator))
+
+
+def to_domain(c: Scalar):
+    if c.field.is_rational:
+        return _qq(c.u)
+    return sympy_domain(c.field)([_qq(c.v), _qq(c.u)])
+
+
+def from_domain(field: Field, a) -> Scalar:
+    if field.is_rational:
+        return field.scalar(_fraction(a))
+    v, u = ([sympy.QQ.zero] * 2 + a.to_list())[-2:]
+    return field.scalar(_fraction(u), _fraction(v))
+
+
+_T = sympy.Symbol("t")
 
 
 def factor_univar(field: Field, coeffs) -> tuple[Scalar, list[tuple[list[Scalar], int]]]:
     """Factor into irreducibles over the field.  Returns (unit, [(factor, mult)]),
-    factors monic of degree >= 1.  The product is re-verified exactly."""
+    factors monic of degree >= 1, so the unit is the leading coefficient.
+    sympy factors; the product is re-verified exactly here."""
     coeffs = trim(coeffs)
     if not coeffs:
         raise PreconditionError("factoring the zero polynomial")
-    x = sympy.Symbol("x")
-    expr = sympy.expand(sum(scalar_to_sympy(c) * x ** i for i, c in enumerate(coeffs)))
-    if field.is_rational:
-        const, parts = sympy.factor_list(expr, x)
-    else:
-        const, parts = sympy.factor_list(
-            expr, x, extension=sympy.sqrt(sympy.Integer(field.s)))
-    unit = scalar_from_sympy(field, const)
-    factors: list[tuple[list[Scalar], int]] = []
-    for base, mult in parts:
-        mult = int(mult)
-        base = sympy.expand(base)
-        d = int(sympy.degree(base, x))
-        if d == 0:
-            unit = unit * scalar_from_sympy(field, base) ** mult
-            continue
-        fac = [scalar_from_sympy(field, base.coeff(x, i)) for i in range(d + 1)]
-        lead = fac[-1]
-        unit = unit * lead ** mult
-        factors.append(([c * lead.inverse() for c in fac], mult))
-    # exact re-check of the factorization
+    poly = sympy.Poly([to_domain(c) for c in reversed(coeffs)], _T,
+                      domain=sympy_domain(field))
+    _, parts = sympy.factor_list(poly)
+    factors = [(monic([from_domain(field, c) for c in reversed(base.rep.to_list())]),
+                int(mult)) for base, mult in parts]
+    unit = coeffs[-1]
     prod = [unit]
     for fac, mult in factors:
         for _ in range(mult):
@@ -120,7 +126,8 @@ def factor_univar(field: Field, coeffs) -> tuple[Scalar, list[tuple[list[Scalar]
                 for j, b in enumerate(fac):
                     new[i + j] = new[i + j] + a * b
             prod = new
-    assert trim(prod) == coeffs, "factorization failed exact re-check"
+    if prod != coeffs:
+        raise ClaimError("factorization failed exact re-check")
     factors.sort(key=lambda fm: (len(fm[0]), [c.serialize() for c in fm[0]]))
     return unit, factors
 
@@ -147,6 +154,6 @@ def roots_with_multiplicity(field: Field, coeffs):
                 roots.append(((-fac[1] - r) / two_a, mult))
                 continue
         unresolved.append((fac, mult))
-    for root, _ in roots:
-        assert eval_univar(coeffs, root).is_zero()
+    if not all(eval_univar(coeffs, root).is_zero() for root, _ in roots):
+        raise ClaimError("a root failed exact re-check")
     return roots, unresolved

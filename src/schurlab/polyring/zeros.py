@@ -1,65 +1,32 @@
 """Common zeros of systems of ternary forms, in exact arithmetic.
 
 Strategy: strip the multivariate gcd of the system (a positive-degree gcd
-means the locus has a curve part), then reduce the residual zero-dimensional
-system to coprime pairs.  A coprime pair is solved by shearing until both
-forms have constant leading coefficient in the last variable, eliminating it
-with a resultant (computed by evaluation and interpolation), factoring the
-resulting binary form, and taking gcds along the fibers.  Whatever the
-univariate factorizer cannot split over the field is reported back as a
-ternary form containing the missing points, never silently dropped.  Every
-point returned is re-verified against every generator.
+means the locus has a curve part; sympy computes each gcd in its polynomial
+ring over the field's domain, and the candidate must divide exactly), then
+reduce the residual zero-dimensional system to coprime pairs.  A coprime pair
+is solved by shearing until both forms have constant leading coefficient in
+the last variable, eliminating it with a resultant (computed by evaluation
+and interpolation), factoring the resulting binary form, and taking gcds
+along the fibers.  Whatever the univariate factorizer cannot split over the
+field is reported back as a ternary form containing the missing points, never
+silently dropped.  Every point returned is re-verified against every
+generator; a failed re-check or a broken invariant of the elimination raises
+ClaimError.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, count
 
-import sympy
+from sympy.polys.rings import PolyRing
 
-from ..errors import PreconditionError
+from ..errors import ClaimError, PreconditionError
 from ..exact_math import Field, Matrix, Scalar, vec_canonical
 from .homopoly import HomPoly, exact_div, interpolation_nodes, lagrange_coeffs, try_exact_div
-from .univar import (degree, roots_with_multiplicity, scalar_from_sympy,
-                     scalar_to_sympy, trim, univar_gcd)
+from .univar import (degree, from_domain, roots_with_multiplicity, sympy_domain,
+                     to_domain, trim, univar_gcd)
 
 Point = tuple[Scalar, ...]
-
-
-def _poly_to_sympy(p: HomPoly, syms):
-    terms = []
-    for exp, c in p.coeffs.items():
-        mono = sympy.Integer(1)
-        for s, e in zip(syms, exp):
-            if e:
-                mono *= s ** e
-        terms.append(scalar_to_sympy(c) * mono)
-    return sympy.expand(sympy.Add(*terms)) if terms else sympy.Integer(0)
-
-
-def _poly_from_sympy(field: Field, nvars: int, expr, syms) -> HomPoly:
-    expr = sympy.expand(expr)
-    if expr == 0:
-        return HomPoly.zero(field, nvars, 0)
-    terms = expr.args if expr.is_Add else (expr,)
-    bucket: dict[tuple[int, ...], object] = {}
-    for term in terms:
-        factors = term.args if term.is_Mul else (term,)
-        exp = [0] * nvars
-        scal = sympy.Integer(1)
-        for fct in factors:
-            base, e = fct.as_base_exp()
-            if base in syms:
-                exp[syms.index(base)] += int(e)
-            else:
-                scal = scal * fct
-        key = tuple(exp)
-        bucket[key] = bucket.get(key, sympy.Integer(0)) + scal
-    degs = {sum(k) for k in bucket}
-    assert len(degs) == 1, "expected a homogeneous result"
-    d = degs.pop()
-    return HomPoly(field, nvars, d,
-                   {k: scalar_from_sympy(field, v) for k, v in bucket.items()})
 
 
 def multivariate_gcd(f: HomPoly, g: HomPoly) -> HomPoly:
@@ -71,15 +38,13 @@ def multivariate_gcd(f: HomPoly, g: HomPoly) -> HomPoly:
         return g.canonical()
     if g.is_zero():
         return f.canonical()
-    syms = sympy.symbols(f"t0:{f.nvars}")
-    ef, eg = _poly_to_sympy(f, syms), _poly_to_sympy(g, syms)
-    if field.is_rational:
-        eh = sympy.gcd(ef, eg)
-    else:
-        eh = sympy.gcd(ef, eg, extension=sympy.sqrt(sympy.Integer(field.s)))
-    h = _poly_from_sympy(field, f.nvars, eh, syms).canonical()
-    assert try_exact_div(f, h) is not None, "gcd candidate does not divide"
-    assert try_exact_div(g, h) is not None, "gcd candidate does not divide"
+    ring = PolyRing([f"t{i}" for i in range(f.nvars)], sympy_domain(field))
+    fr, gr = (ring({e: to_domain(c) for e, c in p.coeffs.items()}) for p in (f, g))
+    terms = fr.gcd(gr).terms()
+    h = HomPoly(field, f.nvars, sum(terms[0][0]),
+                {e: from_domain(field, c) for e, c in terms}).canonical()
+    if try_exact_div(f, h) is None or try_exact_div(g, h) is None:
+        raise ClaimError("gcd candidate does not divide")
     return h
 
 
@@ -119,7 +84,7 @@ def _find_shear(f: HomPoly, g: HomPoly):
         pt = (field.scalar(c), field.scalar(cp), field.one)
         if not f.evaluate(pt).is_zero() and not g.evaluate(pt).is_zero():
             return (c, cp)
-    raise AssertionError("unreachable: no admissible shear found")
+    raise ClaimError("no admissible shear found")
 
 
 def _sylvester_det(field: Field, a, b) -> Scalar:
@@ -174,7 +139,8 @@ def solve_pair(f: HomPoly, g: HomPoly) -> PairSolution:
         b = gs.restrict_univar((t, field.one, None), 2)
         vals.append(_sylvester_det(field, a, b))
     rc = list(lagrange_coeffs(field, ts, vals))
-    assert trim(rc), "zero eliminant: the forms were not coprime"
+    if not trim(rc):
+        raise ClaimError("zero eliminant: the forms were not coprime")
 
     roots, unresolved_base = roots_with_multiplicity(field, rc)
     base_roots = [((r, field.one), m) for r, m in roots]
@@ -189,11 +155,13 @@ def solve_pair(f: HomPoly, g: HomPoly) -> PairSolution:
         hf = fs.restrict_univar((al, be, None), 2)
         hg = gs.restrict_univar((al, be, None), 2)
         h = univar_gcd(field, hf, hg)
-        assert degree(h) >= 1, "eliminant root with empty fiber"
+        if degree(h) < 1:
+            raise ClaimError("eliminant root with empty fiber")
         froots, funres = roots_with_multiplicity(field, h)
         for tau, _m in froots:
             p = (al + cs[0] * tau, be + cs[1] * tau, tau)
-            assert f.evaluate(p).is_zero() and g.evaluate(p).is_zero()
+            if not (f.evaluate(p).is_zero() and g.evaluate(p).is_zero()):
+                raise ClaimError("a fiber root is not on both forms")
             points.append(vec_canonical(p))
         for fac, _m in funres:
             du = len(fac) - 1
@@ -249,10 +217,12 @@ def _solve(gens: list[HomPoly]) -> tuple[list[Point], list[HomPoly]]:
         if cp not in seen:
             seen.add(cp)
             uniq.append(cp)
-    assert uniq, "empty generating system"
+    if not uniq:
+        raise ClaimError("empty generating system")
     uniq.sort(key=_gen_key)
     overall = gcd_many(uniq)
-    assert overall.degree == 0, "system is not zero-dimensional"
+    if overall.degree != 0:
+        raise ClaimError("system is not zero-dimensional")
 
     split = None
     for i, j in combinations(range(len(uniq)), 2):

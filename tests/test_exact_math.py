@@ -1,4 +1,5 @@
 """Exact scalars, matrices, symmetric forms, and projective subspaces."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from schurlab.errors import PreconditionError
 from schurlab.exact_math import (Field, Matrix, ProjSubspace, QQ, SymForm,
                                  vec_canonical)
+from schurlab.polyring import LinFormsMatrix
 
 
 def test_rational_arithmetic():
@@ -78,14 +80,16 @@ def test_matrix_inverse_and_solve():
 
 
 def test_signed_maximal_minors_left_kernel():
-    m = Matrix.from_rows(QQ, [[1, 2], [3, 4], [5, 6]])
-    s = m.signed_maximal_minors()
-    assert [x.serialize() for x in s] == ["-2/1", "4/1", "-2/1"]
-    for c in range(2):
-        total = QQ.zero
-        for r in range(3):
-            total = total + s[r] * m[r, c]
-        assert total.is_zero()
+    # the grid x*A + y*B + z*C of linear forms, with A = [[1, 2], [3, 4], [5, 6]]
+    grid = LinFormsMatrix.from_coefficient_matrices([Matrix.from_rows(QQ, rows) for rows in (
+        [[1, 2], [3, 4], [5, 6]], [[0, 1], [1, 0], [2, -1]], [[1, 1], [0, 3], [-2, 1]])])
+    s = grid.signed_maximal_minors()
+    assert [p.evaluate((1, 0, 0)).serialize() for p in s] == ["-2/1", "4/1", "-2/1"]
+    rng = random.Random(7)
+    for point in [(1, 0, 0)] + [tuple(rng.randint(-9, 9) for _ in range(3))
+                                for _ in range(5)]:
+        values = [p.evaluate(point) for p in s]
+        assert all(c.is_zero() for c in grid.evaluate(point).apply_left(values))
 
 
 def test_symform_apply_and_inverse():

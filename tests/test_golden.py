@@ -41,6 +41,8 @@ CASES = {
     "logbundle_six_lines": (["logbundle"], SIX_LINES),
     "monad_triangle_selected_form": (
         ["monad"], {"field": {"type": "rational"}, "maps": TRIANGLE_MAPS}),
+    "monad_triangle_gauss": (
+        ["monad"], {"field": {"type": "quadratic", "s": -1}, "maps": TRIANGLE_MAPS}),
     "example_n2": (["example", "--name", "n2"], None),
     "example_triangle": (["example", "--name", "triangle"], None),
     "example_hulsbergen4": (["example", "--name", "hulsbergen4"], None),
@@ -81,9 +83,9 @@ def test_certificate_matches_golden(name, tmp_path):
 
 def test_certificates_do_not_depend_on_asserts(tmp_path):
     # python -O strips assert statements; no verification may live in one.
-    # Both cases share one interpreter: compiling sympy for -O is most of
+    # The cases share one interpreter: compiling sympy for -O is most of
     # the cost.
-    names = ["cubic_hexad", "example_hulsbergen4"]
+    names = ["cubic_hexad", "example_hulsbergen4", "monad_triangle_gauss"]
     runs = [case_argv(name, tmp_path) for name in names]
     script = ("import json, sys\nfrom schurlab.cli_io import main\n"
               "for argv in json.loads(sys.argv[1]):\n    main(argv)\n")

@@ -1,14 +1,18 @@
-"""Dense homogeneous polynomials, determinants, and univariate helpers."""
+"""Dense homogeneous polynomials, determinants, univariate helpers, and the
+bridge to sympy."""
 from fractions import Fraction
 
 import pytest
+import sympy
+from sympy.polys.rings import PolyElement
 
-from schurlab.errors import PreconditionError
+from schurlab.errors import ClaimError, PreconditionError
 from schurlab.exact_math import Field, Matrix, QQ
 from schurlab.polyring import (HomPoly, LinFormsMatrix, exact_div,
                                factor_univar, monomials, multivariate_gcd,
                                poly_det, roots_with_multiplicity,
                                try_exact_div)
+from schurlab.polyring.univar import from_domain, to_domain
 
 
 def vars3(field=QQ):
@@ -108,6 +112,47 @@ def test_multivariate_gcd():
     b = (x + y) * (x - y)
     g = multivariate_gcd(a, b)
     assert g.proportional(x + y)
+
+
+def test_multivariate_gcd_over_extension():
+    f5 = Field(5)
+    x, y, z = vars3(f5)
+    common = x + y.scale(f5.sqrt_gen()) + z.scale(f5.scalar(2, -1))
+    a = common * (x * x - z * y.scale(f5.sqrt_gen()))
+    b = common * (x + y) * (y - z)
+    assert multivariate_gcd(a, b) == common.canonical()
+
+
+def test_factor_univar_over_sqrt_minus_three():
+    f3 = Field(-3)
+    # t^2 + 3 = (t - sqrt(-3))(t + sqrt(-3)); t^2 - 2 stays irreducible
+    unit, split = factor_univar(f3, [f3.scalar(6), f3.zero, f3.scalar(2)])
+    assert unit == 2
+    assert split == [([f3.scalar(0, -1), f3.one], 1), ([f3.scalar(0, 1), f3.one], 1)]
+    _unit, hard = factor_univar(f3, [f3.scalar(-2), f3.zero, f3.one])
+    assert hard == [([f3.scalar(-2), f3.zero, f3.one], 1)]
+
+
+def test_wrong_sympy_gcd_is_caught(monkeypatch):
+    x, y, _ = vars3()
+    real_gcd = PolyElement.gcd
+    # a homogeneous candidate one degree too high
+    monkeypatch.setattr(PolyElement, "gcd",
+                        lambda f, g: real_gcd(f, g) * f.ring.gens[0])
+    with pytest.raises(ClaimError, match="does not divide"):
+        multivariate_gcd((x + y) * (x * x + y * y), (x + y) * (x - y))
+
+
+def test_wrong_sympy_factorization_is_caught(monkeypatch):
+    real_factor_list = sympy.factor_list
+
+    def off_by_one(*args, **kwargs):
+        unit, parts = real_factor_list(*args, **kwargs)
+        (base, mult), *rest = parts
+        return unit, [(base + 1, mult)] + rest
+    monkeypatch.setattr(sympy, "factor_list", off_by_one)
+    with pytest.raises(ClaimError, match="re-check"):
+        factor_univar(QQ, [QQ.scalar(-1), QQ.zero, QQ.one])
 
 
 def test_lin_forms_matrix_evaluate():

@@ -12,7 +12,8 @@ from schurlab.errors import PreconditionError
 from schurlab.exact_math import (Field, Matrix, ProjSubspace, QQ, SymForm,
                                  vec_canonical)
 from schurlab.hulek_monad import MonadData
-from schurlab.polyring import HomPoly, lagrange_coeffs
+from schurlab.polyring import HomPoly, LinFormsMatrix, lagrange_coeffs
+from schurlab.polyring.univar import from_domain, to_domain
 
 QSQRT5 = Field(5)
 
@@ -92,15 +93,18 @@ def kernel_annihilation_suite(cases=CASES, seed=202):
         for v in m.left_kernel_basis():
             ok = ok and all(c.is_zero() for c in m.apply_left(v))
         if cols == rows - 1:
-            signed = m.signed_maximal_minors()
-            for c in range(cols):
-                total = QQ.zero
-                for r in range(rows):
-                    total = total + signed[r] * m[r, c]
-                ok = ok and total.is_zero()
-            rank_drop = m.rank() < cols
-            minors_vanish = all(x.is_zero() for x in m.maximal_minors())
-            ok = ok and (rank_drop == minors_vanish)
+            # a grid of linear forms that is m at (1, 0, 0) and drops rank
+            # at (0, 1, 0): its signed maximal minors left-annihilate it at
+            # every point, and they all vanish exactly where the rank drops
+            dropped = Matrix.from_cols(QQ, [m.col(j) for j in range(cols - 1)] + [m.col(0)])
+            grid = LinFormsMatrix.from_coefficient_matrices(
+                [m, dropped, rand_matrix(rng, rows, cols)])
+            signed = grid.signed_maximal_minors()
+            for point in [(1, 0, 0), (0, 1, 0), tuple(rng.randint(-4, 4) for _ in range(3))]:
+                at = grid.evaluate(point)
+                values = [p.evaluate(point) for p in signed]
+                ok = ok and all(c.is_zero() for c in at.apply_left(values))
+                ok = ok and (at.rank() < cols) == all(v.is_zero() for v in values)
         if not ok:
             bad.append(case)
     return bad
@@ -211,6 +215,21 @@ def interpolation_suite(cases=CASES, seed=606):
     return bad
 
 
+def domain_round_trip_suite(cases=CASES, seed=808):
+    """Scalars of Q, Q(sqrt 5), Q(sqrt -1) and Q(sqrt -3) come back from
+    sympy's domain unchanged."""
+    rng = random.Random(seed)
+    fields = [QQ, QSQRT5, Field(-1), Field(-3)]
+    bad = []
+    for case in range(cases):
+        field = fields[case % 4]
+        sqrt_part = 0 if field.is_rational else rand_scalar(rng, 50).u
+        c = field.scalar(rand_scalar(rng, 50).u, sqrt_part)
+        if from_domain(field, to_domain(c)) != c:
+            bad.append(case)
+    return bad
+
+
 def rand_subspace(rng, field, shared=()):
     """A random subspace of P^3 spanned by up to four small vectors (so
     possibly empty or degenerate), plus any shared vectors."""
@@ -250,6 +269,10 @@ def test_interpolation_rejects_repeated_nodes():
     xs = [QQ.scalar(0), QQ.scalar(1), QQ.scalar(0)]
     with pytest.raises(PreconditionError, match="distinct"):
         lagrange_coeffs(QQ, xs, [QQ.one, QQ.zero, QQ.one])
+
+
+def test_domain_round_trip():
+    assert domain_round_trip_suite() == []
 
 
 def test_incidence_by_rank_matches_meet():
