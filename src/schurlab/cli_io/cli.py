@@ -316,3 +316,7 @@ def main(argv=None) -> int:
     if error is not None:
         return 2 if error["kind"] == "precondition" else 3
     return exit_code_for(run.claims)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

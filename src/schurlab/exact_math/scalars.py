@@ -39,11 +39,57 @@ def _rational_sqrt(f: Fraction):
 MAX_MODULUS = 10 ** 9
 """Largest |s| accepted for Q(sqrt(s)); the squarefree test is trial division."""
 
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases: exact for every n below
+    3.18 * 10^23, far above the 61-bit primes it is asked about."""
+    if n < 2:
+        return False
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    d, e = n - 1, 0
+    while d % 2 == 0:
+        d, e = d // 2, e + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(e - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of the nonzero square a modulo the odd prime p (Tonelli-Shanks)."""
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q, e = q // 2, e + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, x = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (e - i - 1), p)
+        e, c, t, x = i, b * b % p, t * b * b % p, x * b % p
+    return x
+
 
 class Field:
     """Field context: Q when s is None, else Q(sqrt(s)) with s squarefree."""
 
-    __slots__ = ("s", "_zero", "_one")
+    __slots__ = ("s", "_zero", "_one", "_primes")
 
     def __init__(self, s: int | None = None):
         if s is not None:
@@ -54,6 +100,7 @@ class Field:
         self.s = s
         self._zero = Scalar(Fraction(0), Fraction(0), self)
         self._one = Scalar(Fraction(1), Fraction(0), self)
+        self._primes: list[tuple[int, int | None]] = []
 
     @property
     def is_rational(self) -> bool:
@@ -73,6 +120,24 @@ class Field:
     @property
     def one(self) -> Scalar:
         return self._one
+
+    def prime(self, k: int) -> tuple[int, int | None]:
+        """The k-th prime p of the descending sequence from 2^61 - 1 at which
+        the field reduces to F_p: every prime for Q; for Q(sqrt(s)) the
+        primes not dividing 2s at which s is a nonzero square.  Returned with
+        a square root r of s modulo p (None for Q), so sqrt(s) -> +r and -r
+        are the two reductions.  Chosen once per field, then reused."""
+        primes = self._primes
+        p = primes[-1][0] if primes else 2 ** 61 + 1
+        while len(primes) <= k:
+            p -= 2
+            if not _is_prime(p):
+                continue
+            if self.s is None:
+                primes.append((p, None))
+            elif self.s % p and pow(self.s % p, (p - 1) // 2, p) == 1:
+                primes.append((p, _sqrt_mod(self.s % p, p)))
+        return primes[k]
 
     def sqrt_gen(self) -> Scalar:
         if self.s is None:

@@ -263,7 +263,8 @@ def determinantal_degree(n1: int, n2: int, r: int) -> int:
     for i in range(n1 - r):
         num *= factorial(n2 + i) * factorial(i)
         den *= factorial(r + i) * factorial(n2 - r - i)
-    assert num % den == 0
+    if num % den:
+        raise ClaimError("determinantal degree is not an integer")
     return num // den
 
 

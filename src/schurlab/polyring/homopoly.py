@@ -15,6 +15,7 @@ from itertools import combinations
 
 from ..errors import ClaimError, PreconditionError
 from ..exact_math import Field, Matrix, Scalar
+from ..exact_math.matrices import clear_denominators, from_integral, integral_det
 
 
 @lru_cache(maxsize=None)
@@ -443,15 +444,13 @@ def lagrange_coeffs(field, xs, ys):
     return out
 
 
+def _node_ints(count):
+    """0, 1, -1, 2, -2, ... (count of them)."""
+    return [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(count)]
+
+
 def interpolation_nodes(field, count):
-    out = [field.zero]
-    k = 1
-    while len(out) < count:
-        out.append(field.scalar(k))
-        if len(out) < count:
-            out.append(field.scalar(-k))
-        k += 1
-    return out[:count]
+    return [field.scalar(k) for k in _node_ints(count)]
 
 
 def poly_det(grid) -> HomPoly:
@@ -459,7 +458,9 @@ def poly_det(grid) -> HomPoly:
     (all entries one ring).  Small sizes go by cofactors; larger ones by
     evaluate-and-interpolate, which is exact because the result is homogeneous
     of known degree: dehomogenize at x2=1, interpolate the bivariate values on
-    a grid, rehomogenize."""
+    a grid, rehomogenize.  Each row's coefficients are cleared to integers
+    once, so every grid value is an integral Bareiss determinant divided by
+    the product of the row multipliers."""
     n = len(grid)
     field = grid[0][0].field
     nv = grid[0][0].nvars
@@ -475,16 +476,35 @@ def poly_det(grid) -> HomPoly:
         if row_deg is None:
             return HomPoly.zero(field, nv, 0)
         deg += row_deg
-    assert nv == 3, "interpolated determinant implemented for 3 variables"
+    if nv != 3:
+        raise PreconditionError("interpolated determinant implemented for 3 variables")
     m = deg + 1
+    nodes = _node_ints(m)
     xs = interpolation_nodes(field, m)
+    # tables[i][j]: (e0, e1, integral coefficient) per monomial of row i cleared
+    scale = 1
+    tables = []
+    for row in grid:
+        mult, ints = clear_denominators(field, [c for p in row for c in p.coeffs.values()])
+        scale *= mult
+        cleared = iter(ints)
+        tables.append([[(e[0], e[1], next(cleared)) for e in p.coeffs] for p in row])
+    powers = {k: [k ** e for e in range(deg + 1)] for k in nodes}
+    s = field.s
+    if s is None:
+        def value(table, pa, pb):
+            return sum(c * pa[i] * pb[j] for i, j, c in table)
+    else:
+        def value(table, pa, pb):
+            return (sum(c[0] * pa[i] * pb[j] for i, j, c in table),
+                    sum(c[1] * pa[i] * pb[j] for i, j, c in table))
     # values[i][j] = det at (x0=xs[i], x1=xs[j], x2=1)
     per_x1 = []
-    for b in xs:
+    for b in nodes:
         col_polys = []
-        for a in xs:
-            mat = Matrix(field, [[p.evaluate((a, b, field.one)) for p in row] for row in grid])
-            col_polys.append(mat.det())
+        for a in nodes:
+            mat = [[value(t, powers[a], powers[b]) for t in row] for row in tables]
+            col_polys.append(from_integral(field, integral_det(mat, s), scale))
         per_x1.append(lagrange_coeffs(field, xs, col_polys))
     # per_x1[j][i] = coefficient of x0^i in det(x0, xs[j], 1)
     coeffs = {}

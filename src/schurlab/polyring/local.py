@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import PreconditionError
+from ..errors import ClaimError, PreconditionError
 from ..exact_math import Matrix, ProjSubspace, Scalar, vec_canonical
 from .homopoly import HomPoly
 from .univar import degree as univar_degree
@@ -55,7 +55,8 @@ def local_singularity(curve: HomPoly, point) -> LocalSingularity:
     for exp, c in moved.coeffs.items():
         j = d - exp[i0]
         layers.setdefault(j, {})[(exp[others[0]], exp[others[1]])] = c
-    assert 0 not in layers, "point is not on the curve after the chart change"
+    if 0 in layers:
+        raise ClaimError("point is not on the curve after the chart change")
     mult = min(layers)
     cone = HomPoly(field, 2, mult, layers[mult])
 
@@ -72,7 +73,8 @@ def local_singularity(curve: HomPoly, point) -> LocalSingularity:
         w[others[0]], w[others[1]] = u, v
         moved_dir = tuple(T.apply(w))
         lines.append(ProjSubspace(field, 2, [list(point), list(moved_dir)]))
-        assert lines[-1].dim == 1
+        if lines[-1].dim != 1:
+            raise ClaimError("tangent direction does not span a line with the point")
 
     is_node = False
     if mult == 2:
@@ -97,7 +99,8 @@ def line_intersection_order(curve: HomPoly, line: ProjSubspace, point) -> int:
         if Matrix(field, [list(point), list(b)]).rank() == 2:
             other = b
             break
-    assert other is not None
+    if other is None:
+        raise ClaimError("line basis has no vector independent of the point")
     targets = [HomPoly.linear_form(field, (point[a], other[a])) for a in range(3)]
     restricted = curve.substitute(targets)   # binary in (s, t), point at t=0
     if restricted.is_zero():

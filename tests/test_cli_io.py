@@ -244,6 +244,19 @@ def test_python_dash_m_entry_point():
     assert "overall: pass" in proc.stdout
 
 
+def test_python_dash_m_cli_module(tmp_path):
+    # runs like python -m schurlab: no runpy warning, the same certificate
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = tmp_path / "n2.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "schurlab.cli_io.cli", "example", "--name", "n2",
+         "--format", "structured", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert out.read_bytes() == (ROOT / "tests" / "golden" / "example_n2.json").read_bytes()
+
+
 def _count_calls(monkeypatch, calls, owner, name):
     original = getattr(owner, name)
 

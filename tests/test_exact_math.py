@@ -153,3 +153,168 @@ def test_empty_subspace():
 def test_vec_canonical_scaling():
     v = tuple(QQ.scalar(c) for c in (0, 3, 6))
     assert vec_canonical(v) == tuple(QQ.scalar(Fraction(c, 3)) for c in (0, 3, 6))
+
+
+# The reference the certified core is compared with: plain Gauss-Jordan and
+# Gaussian elimination over the field's own arithmetic, first-nonzero pivoting.
+def reference_rref(m: Matrix):
+    work = [list(r) for r in m.data]
+    pivots = []
+    prow = 0
+    for col in range(m.cols):
+        if prow >= m.rows:
+            break
+        sel = next((r for r in range(prow, m.rows) if not work[r][col].is_zero()), None)
+        if sel is None:
+            continue
+        work[prow], work[sel] = work[sel], work[prow]
+        inv = work[prow][col].inverse()
+        work[prow] = [inv * x for x in work[prow]]
+        for r in range(m.rows):
+            if r != prow and not work[r][col].is_zero():
+                c = work[r][col]
+                work[r] = [x - c * y for x, y in zip(work[r], work[prow])]
+        pivots.append(col)
+        prow += 1
+    return Matrix(m.field, work), tuple(pivots)
+
+
+def reference_det(m: Matrix):
+    work = [list(r) for r in m.data]
+    det = m.field.one
+    for col in range(m.rows):
+        sel = next((r for r in range(col, m.rows) if not work[r][col].is_zero()), None)
+        if sel is None:
+            return m.field.zero
+        if sel != col:
+            work[col], work[sel] = work[sel], work[col]
+            det = -det
+        piv = work[col][col]
+        det = det * piv
+        for r in range(col + 1, m.rows):
+            c = work[r][col] / piv
+            work[r] = [x - c * y for x, y in zip(work[r], work[col])]
+    return det
+
+
+def reference_kernel(m: Matrix, R, pivots):
+    out = []
+    for j in (j for j in range(m.cols) if j not in pivots):
+        v = [m.field.zero] * m.cols
+        v[j] = m.field.one
+        for i, pc in enumerate(pivots):
+            v[pc] = -R[i, j]
+        out.append(tuple(v))
+    return out
+
+
+def reference_solve(m: Matrix, b):
+    R, pivots = reference_rref(Matrix(m.field, [list(r) + [x] for r, x in zip(m.data, b)]))
+    if m.cols in pivots:
+        return None
+    x = [m.field.zero] * m.cols
+    for i, pc in enumerate(pivots):
+        x[pc] = R[i, m.cols]
+    return tuple(x)
+
+
+def reference_inverse(m: Matrix):
+    eye = Matrix.identity(m.field, m.rows).data
+    R, pivots = reference_rref(Matrix(m.field, [r + e for r, e in zip(m.data, eye)]))
+    if pivots[:m.rows] != tuple(range(m.rows)):
+        return None
+    return Matrix(m.field, [row[m.rows:] for row in R.data])
+
+
+def elimination_mismatches(m: Matrix, b=None) -> list[str]:
+    """Names of the operations on m whose answer differs from the reference."""
+    bad = []
+    R, pivots = reference_rref(m)
+    if m.rref() != (R, pivots):
+        bad.append("rref")
+    if m.rank() != len(pivots):
+        bad.append("rank")
+    if m.kernel_basis() != reference_kernel(m, R, pivots):
+        bad.append("kernel_basis")
+    if b is not None and m.solve(b) != reference_solve(m, b):
+        bad.append("solve")
+    if m.rows == m.cols:
+        if m.det() != reference_det(m):
+            bad.append("det")
+        expected = reference_inverse(m)
+        try:
+            got = m.inverse()
+        except PreconditionError:
+            got = None
+        if got != expected:
+            bad.append("inverse")
+    return bad
+
+
+P61 = 2 ** 61 - 1
+
+
+@pytest.mark.parametrize("rows", [
+    [], [[], []], [[0, 0], [0, 0]], [[P61]], [[P61, 1]], [[P61, 1], [1, 0]],
+    [[3 * P61, 6 * P61], [P61, 5 * P61]],
+    # rank 2 both ways, but the pivots are (0, 2) modulo 2^61 - 1 and (0, 1) over Q
+    [[1, 1, 0], [1, 1 + P61, 1]],
+    [[Fraction(1, P61), 1, 0], [0, Fraction(P61, 7), P61 * (P61 - 2)]],
+], ids=["empty", "no-columns", "zero", "p", "p-1", "p-1-square", "multiples-of-p",
+        "later-pivot-mod-p", "large-entries"])
+def test_core_agrees_with_reference_where_the_first_prime_misleads(rows):
+    m = Matrix.from_rows(QQ, rows)
+    assert elimination_mismatches(m, [QQ.scalar(k + 1) for k in range(m.rows)]) == []
+
+
+def test_reductions_of_sqrt_s_that_disagree_are_dropped():
+    # r - sqrt(5) vanishes under sqrt(5) -> r modulo the first prime but not
+    # under sqrt(5) -> -r, so that prime gives two pivot sets
+    f = Field(5)
+    p, r = f.prime(0)
+    x = f.scalar(r, -1)
+    m = Matrix.from_rows(f, [[x, 1], [x * x, x]])
+    assert m.rref()[1] == (0,)
+    assert elimination_mismatches(m, [f.one, f.one]) == []
+    assert elimination_mismatches(Matrix.from_rows(f, [[x, 1], [1, x]]), [f.one, x]) == []
+
+
+def test_wrong_reconstruction_is_never_returned(monkeypatch):
+    from schurlab.errors import ClaimError
+    from schurlab.exact_math import matrices
+    honest = matrices._reconstruct
+    calls = []
+
+    def off_by_one(residues, modulus):
+        calls.append(modulus)
+        got = honest(residues, modulus)
+        return None if got is None else [x + 1 for x in got]
+
+    monkeypatch.setattr(matrices, "_reconstruct", off_by_one)
+    for field in (QQ, Field(-1)):
+        with pytest.raises(ClaimError):
+            Matrix.from_rows(field, [[1, 2, 3], [4, 5, 6]]).rref()
+    assert len(calls) > 2
+
+    def wrong_once(residues, modulus):
+        got = honest(residues, modulus)
+        if not calls:
+            calls.append(modulus)
+            return None if got is None else [x + 1 for x in got]
+        return got
+
+    calls.clear()
+    monkeypatch.setattr(matrices, "_reconstruct", wrong_once)
+    m = Matrix.from_rows(Field(-3), [[1, 2, 3], [4, 5, 6]])
+    assert calls == [] and m.rref() == reference_rref(m) and calls
+
+
+def test_inexact_fraction_free_division_raises():
+    from schurlab.errors import ClaimError
+    from schurlab.exact_math.matrices import _exact_quotient
+    assert _exact_quotient(-12, 4, None) == -3
+    assert _exact_quotient((4, 0), (1, 1), 5) == (-1, 1)  # 4 = (1+r5)(-1+r5)
+    with pytest.raises(ClaimError):
+        _exact_quotient(7, 2, None)
+    with pytest.raises(ClaimError):
+        _exact_quotient((1, 0), (1, 1), 5)

@@ -5,11 +5,13 @@ output of each case, rejected inputs included.  After an intended change of
 output, regenerate them with ``PYTHONPATH=src python3 tests/test_golden.py``
 and review the diff.
 """
+import ast
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -83,9 +85,9 @@ def test_certificate_matches_golden(name, tmp_path):
 
 def test_certificates_do_not_depend_on_asserts(tmp_path):
     # python -O strips assert statements; no verification may live in one.
-    # The cases share one interpreter: compiling sympy for -O is most of
-    # the cost.
-    names = ["cubic_hexad", "example_hulsbergen4", "monad_triangle_gauss"]
+    # Every case shares one interpreter: compiling sympy for -O is a large
+    # part of the cost.
+    names = sorted(CASES)
     runs = [case_argv(name, tmp_path) for name in names]
     script = ("import json, sys\nfrom schurlab.cli_io import main\n"
               "for argv in json.loads(sys.argv[1]):\n    main(argv)\n")
@@ -94,6 +96,55 @@ def test_certificates_do_not_depend_on_asserts(tmp_path):
                     json.dumps([argv for argv, _ in runs])], env=env, timeout=300)
     for name, (_, out) in zip(names, runs):
         assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes(), name
+
+
+# Every assert left in src/: argument-shape checks only, which a caller can
+# break but no input document can.  Verifications raise ClaimError instead,
+# so that they also hold under python -O.
+ASSERT_ALLOWLIST = Counter([
+    ("detrep.py", "line.dim == 1 and line.ambient == form.nvars - 1"),
+    ("detrep.py", "i != j"),
+    ("exact_math/matrices.py", "len(a) == len(b)"),
+    ("exact_math/matrices.py", "(self.rows, self.cols) == (other.rows, other.cols)"),
+    ("exact_math/matrices.py", "(self.rows, self.cols) == (other.rows, other.cols)"),
+    ("exact_math/matrices.py", "len(v) == self.cols"),
+    ("exact_math/matrices.py", "len(v) == self.rows"),
+    ("exact_math/matrices.py", "len(b) == self.rows"),
+    ("exact_math/matrices.py", "self.cols == other.rows"),
+    ("exact_math/subspaces.py", "self.is_point()"),
+    ("hulek_monad.py", "0 <= r <= min(n1, n2)"),
+    ("polyring/homopoly.py", "n >= 0"),
+    ("polyring/homopoly.py", "len(point) == self.nvars"),
+    ("polyring/homopoly.py", "len(targets) == self.nvars"),
+    ("polyring/homopoly.py", "not self.is_zero()"),
+    ("polyring/homopoly.py", "len(vec) == len(order)"),
+    ("polyring/homopoly.py", "len(values) == self.nvars and values[free] is None"),
+    ("polyring/homopoly.py",
+     "t.field == f and t.nvars == nv and (t.degree == e or t.is_zero())"),
+    ("polyring/homopoly.py", "len(row) == cols"),
+    ("polyring/homopoly.py", "(m.rows, m.cols) == (rows, cols) and m.field == field"),
+    ("polyring/homopoly.py", "isinstance(p, HomPoly) and p.field == field"),
+    ("polyring/homopoly.py", "p.degree == 1 or p.is_zero()"),
+    ("polyring/homopoly.py", "p.nvars == nv"),
+    ("polyring/local.py", "curve.nvars == 3 and (not curve.is_zero())"),
+    ("polyring/local.py", "curve.nvars == 3 and line.dim == 1"),
+    ("polyring/zeros.py", "f.field == g.field and f.nvars == g.nvars"),
+    ("polyring/zeros.py", "polys"),
+    ("polyring/zeros.py", "polys"),
+    ("polyring/zeros.py", "f.nvars == 3 == g.nvars and f.field == g.field"),
+    ("polyring/zeros.py", "not f.is_zero() and (not g.is_zero())"),
+    ("polyring/zeros.py", "p.field == field and p.nvars == 3"),
+])
+
+
+def test_only_argument_shape_checks_are_asserts():
+    package = Path(__file__).parents[1] / "src" / "schurlab"
+    found = Counter()
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assert):
+                found[(path.relative_to(package).as_posix(), ast.unparse(node.test))] += 1
+    assert found == ASSERT_ALLOWLIST
 
 
 if __name__ == "__main__":
