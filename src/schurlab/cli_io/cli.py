@@ -276,7 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", dest="output_path", metavar="PATH",
                         help="write the certificate here instead of stdout")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for probe sampling (default 0)")
+                        help="seed for the monad exactness probes, the "
+                             "compatible form search when a monad document "
+                             "has no form, and the seeded example builders "
+                             "(default 0)")
     parser.add_argument("--format", choices=["text", "structured"],
                         default="text")
     parser.add_argument("--name", help="worked example name (example command)")

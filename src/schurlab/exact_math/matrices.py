@@ -35,6 +35,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import gcd, isqrt, lcm
 
 from ..errors import ClaimError, PreconditionError
@@ -479,6 +481,19 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
+@lru_cache(maxsize=None)
+def sym_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Index pairs u <= v, the coordinates of a symmetric n x n unknown."""
+    return tuple(combinations_with_replacement(range(n), 2))
+
+
+def sym_row(n: int, bilinear) -> list:
+    """The functional X -> sum over u, v of bilinear(u, v) * X[u][v] on
+    symmetric X, as its row over sym_pairs(n)."""
+    return [bilinear(u, u) if u == v else bilinear(u, v) + bilinear(v, u)
+            for u, v in sym_pairs(n)]
+
+
 class SymForm:
     """Symmetric bilinear form given by its (symmetric) Gram matrix."""
 
@@ -495,6 +510,16 @@ class SymForm:
     def from_rows(cls, field: Field, rows) -> SymForm:
         return cls(Matrix(field, rows))
 
+    @classmethod
+    def from_pairs(cls, field: Field, n: int, vec) -> SymForm:
+        """The form X with X[u][v] = X[v][u] = vec[k] for the k-th pair (u, v)
+        of sym_pairs(n), so that a sym_row dotted with vec is its functional
+        at X."""
+        rows = [[field.zero] * n for _ in range(n)]
+        for (u, v), val in zip(sym_pairs(n), vec, strict=True):
+            rows[u][v] = rows[v][u] = val
+        return cls.from_rows(field, rows)
+
     @property
     def field(self) -> Field:
         return self.matrix.field
@@ -503,7 +528,8 @@ class SymForm:
     def dim(self) -> int:
         return self.matrix.rows
 
-    def apply(self, u, v) -> Scalar:
+    def apply(self, u, v):
+        """B(u, v); the coordinates may be Scalars or polynomials."""
         return vec_dot(u, self.matrix.apply(v))
 
     def is_nondegenerate(self) -> bool:

@@ -48,13 +48,6 @@ class ProjSubspace:
     def is_empty(self) -> bool:
         return not self.basis
 
-    def is_point(self) -> bool:
-        return len(self.basis) == 1
-
-    def point_coords(self):
-        assert self.is_point()
-        return self.basis[0]
-
     def _require_same_space(self, other: ProjSubspace):
         if self.field != other.field or self.ambient != other.ambient:
             raise PreconditionError("subspaces live in different ambient spaces")

@@ -44,8 +44,9 @@ from .exact_math import (QQ, Field, Matrix, ProjSubspace, SymForm,
                          vec_canonical)
 from .hulek_monad import (MonadData, middle_rank_at, select_compatible_form,
                           validate_monad)
-from .logbundle import build_logbundle
-from .polyring import HomPoly, monomials, multivariate_gcd, solve_pair
+from .logbundle import build_logbundle, check_general_position
+from .polyring import (HomPoly, gram, monomials, multivariate_gcd, quadric,
+                       solve_pair)
 from .schurform import orthogonal_form_for_pairs, schur_pair
 
 
@@ -267,7 +268,7 @@ def clebsch_instance() -> FamilyInstance:
         raise ClaimError("paired orbits do not form a double six")
     checks["double_six_incidence"] = True
 
-    gram = _gram_form(field)
+    standard = _gram_form(field)
     checks["pairs_orthogonal_under_gram"] = all(
         sum((a * b for a, b in zip(_lift(field, u), _lift(field, v))),
             zero).is_zero()
@@ -276,7 +277,7 @@ def clebsch_instance() -> FamilyInstance:
 
     schur = orthogonal_form_for_pairs(
         field, [(first[k], second[k]) for k in range(6)])
-    checks["schur_matches_gram"] = schur.proportional(gram)
+    checks["schur_matches_gram"] = schur.proportional(standard)
 
     # blow down the first sextuple: quadrics through two lines of the second
     # sextuple and their transversal cut the net mapping the surface to a
@@ -333,13 +334,13 @@ def clebsch_instance() -> FamilyInstance:
     checks["surface_pullback_matches_cubic"] = pullback.proportional(cubic)
 
     pulled = tmat.transpose() * cform.matrix * tmat
-    checks["quadric_pullback_matches_gram"] = SymForm(pulled).proportional(gram)
+    checks["quadric_pullback_matches_gram"] = SymForm(pulled).proportional(standard)
 
     payload = {"cubic": cubic, "first": first, "second": second,
                "net": net, "hexad": hexad, "rep": rep,
                "kernel_form": bform, "orthogonal_form": cform,
                "coordinate_change": tmat}
-    expected = {"gram": gram.canonical()}
+    expected = {"gram": standard.canonical()}
     return FamilyInstance("clebsch", field, payload, expected, checks)
 
 
@@ -356,8 +357,7 @@ def bring_instance(clebsch: FamilyInstance | None = None,
         clebsch = clebsch_instance()
     field = clebsch.field
     cubic = clebsch.payload["cubic"]
-    gram = clebsch.expected["gram"]
-    quadric = _quadric_poly(field, gram)
+    invariant = quadric(clebsch.expected["gram"])
 
     # the three power sums, restricted to the hyperplane: the first vanishes
     # identically, the second is the invariant quadric, the third the cubic
@@ -367,7 +367,7 @@ def bring_instance(clebsch: FamilyInstance | None = None,
     checks = {}
     p2 = sum((f * f for f in lifts), HomPoly.zero(field, 4, 2))
     p3 = sum((f * f * f for f in lifts), HomPoly.zero(field, 4, 3))
-    checks["square_sum_restricts_to_quadric"] = p2.proportional(quadric)
+    checks["square_sum_restricts_to_quadric"] = p2.proportional(invariant)
     checks["cube_sum_restricts_to_cubic"] = p3.proportional(cubic)
 
     rng = random.Random(seed)
@@ -382,7 +382,7 @@ def bring_instance(clebsch: FamilyInstance | None = None,
         targets = [HomPoly.linear_form(field, [basis[j][m] for j in range(3)])
                    for m in range(4)]
         f3 = cubic.substitute(targets)
-        f2 = quadric.substitute(targets)
+        f2 = invariant.substitute(targets)
         if f3.is_zero() or f2.is_zero():
             continue
         if multivariate_gcd(f3, f2).degree > 0:
@@ -401,7 +401,7 @@ def bring_instance(clebsch: FamilyInstance | None = None,
                 s = sum((c ** power for c in x), field.zero)
                 power_ok = power_ok and s.is_zero()
         checks["resolved_points_satisfy_power_sums"] = power_ok
-        payload = {"cubic": cubic, "quadric": quadric, "plane": cov,
+        payload = {"cubic": cubic, "quadric": invariant, "plane": cov,
                    "section": sol}
         notes = ("resolved section points: %d of 6; curve points need a "
                  "larger field, so the power sums are also checked as the "
@@ -409,20 +409,8 @@ def bring_instance(clebsch: FamilyInstance | None = None,
                  "the six contraction images form one orbit of the even "
                  "permutations; recorded, not asserted",)
         return FamilyInstance("bring", field, payload,
-                              {"quadric": quadric.canonical()}, checks, notes)
+                              {"quadric": invariant.canonical()}, checks, notes)
     raise ClaimError("no usable plane section found")
-
-
-def _quadric_poly(field: Field, form: SymForm) -> HomPoly:
-    n = form.dim
-    out = HomPoly.zero(field, n, 2)
-    for i in range(n):
-        for j in range(n):
-            e = [0] * n
-            e[i] += 1
-            e[j] += 1
-            out = out + HomPoly.monomial(field, tuple(e), form.matrix[i, j])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +529,7 @@ def hulsbergen_shape(field: Field, forms, relations=None,
         if f.nvars != 3 or f.degree != 1 or f.is_zero():
             raise PreconditionError("forms must be nonzero ternary linear forms")
     coeffs = Matrix.from_rows(field, [_coeff_triple(f) for f in forms])
-    for idx in combinations(range(n), 3):
-        if coeffs.submatrix(list(idx), [0, 1, 2]).det().is_zero():
-            raise PreconditionError("three of the forms are concurrent")
+    check_general_position(field, coeffs.data)
 
     if relations is None:
         relations = [list(v) for v in coeffs.transpose().kernel_basis()]
@@ -720,8 +706,7 @@ def schwarzenberger_detect(conic: HomPoly | None = None, points=None,
     if points is None:
         raise PreconditionError(
             "a custom conic needs six explicit rational points on it")
-    disc = Matrix.from_rows(field, _conic_matrix(field, conic)).det()
-    if disc.is_zero():
+    if not gram(conic).is_nondegenerate():
         raise PreconditionError("conic is singular")
     points = [tuple(field.coerce(c) for c in p) for p in points]
     if len(points) != 6:
@@ -748,21 +733,6 @@ def schwarzenberger_detect(conic: HomPoly | None = None, points=None,
     expected = {"conic": conic.canonical(),
                 "cube": (conic * conic * conic).canonical()}
     return FamilyInstance("schwarzenberger", field, payload, expected, checks)
-
-
-def _conic_matrix(field: Field, conic: HomPoly):
-    half = field.one / field.scalar(2)
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            e = [0, 0, 0]
-            e[i] += 1
-            e[j] += 1
-            c = conic.coeff(tuple(e))
-            row.append(c if i == j else c * half)
-        rows.append(row)
-    return rows
 
 
 # ---------------------------------------------------------------------------

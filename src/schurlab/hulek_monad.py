@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import comb, factorial
 
 from .errors import ClaimError, PreconditionError
-from .exact_math import Field, Matrix, ProjSubspace, Scalar, SymForm, vec_canonical
+from .exact_math import (Field, Matrix, ProjSubspace, Scalar, SymForm, sym_pairs,
+                         sym_row, vec_canonical)
 from .polyring import (HomPoly, LinFormsMatrix, ZeroLocus, LocalSingularity,
                        line_intersection_order, local_singularity, poly_det,
                        resolved_common_zeros)
@@ -134,13 +135,8 @@ class MonadData:
     def jlsk_via_form(self) -> HomPoly:
         """Independent route: the inverse form evaluated on the signed minor
         vector, canonical."""
-        C = self.form.inverse().matrix
         sigma = self.signed_minors()
-        acc = HomPoly.zero(self.field, 3, 2 * self.n - 2)
-        for r in range(self.n):
-            for rp in range(self.n):
-                if not C[r, rp].is_zero():
-                    acc = acc + (sigma[r] * sigma[rp]).scale(C[r, rp])
+        acc = self.form.inverse().apply(sigma, sigma)
         if acc.is_zero():
             raise ClaimError("form route degenerated to zero")
         return acc.canonical()
@@ -278,33 +274,18 @@ def compatible_form_space(field: Field, maps) -> list[Matrix]:
     """Basis of the space of symmetric matrices X with every A_i^T X A_j
     symmetric, i < j."""
     n = maps[0].rows
-    pairs = tuple(combinations_with_replacement(range(n), 2))
     rows = []
     for i, j in combinations(range(3), 2):
         Ai, Aj = maps[i], maps[j]
         for c, cp in combinations(range(n - 1), 2):
-            row = []
-            for u, v in pairs:
-                if u == v:
-                    val = Ai[u, c] * Aj[u, cp] - Ai[u, cp] * Aj[u, c]
-                else:
-                    val = (Ai[u, c] * Aj[v, cp] + Ai[v, c] * Aj[u, cp]
-                           - Ai[u, cp] * Aj[v, c] - Ai[v, cp] * Aj[u, c])
-                row.append(val)
-            rows.append(row)
+            # (A_i^T X A_j)[c][cp] - (A_i^T X A_j)[cp][c]
+            rows.append(sym_row(n, lambda u, v: (Ai[u, c] * Aj[v, cp]
+                                                 - Ai[u, cp] * Aj[v, c])))
     if not rows:
-        kern = [tuple(field.one if t == s else field.zero for t in range(len(pairs)))
-                for s in range(len(pairs))]
+        kern = Matrix.identity(field, len(sym_pairs(n))).data
     else:
         kern = Matrix(field, rows).kernel_basis()
-    out = []
-    for vec in kern:
-        m = [[field.zero] * n for _ in range(n)]
-        for (u, v), val in zip(pairs, vec):
-            m[u][v] = val
-            m[v][u] = val
-        out.append(Matrix(field, m))
-    return out
+    return [SymForm.from_pairs(field, n, vec).matrix for vec in kern]
 
 
 def select_compatible_form(field: Field, maps, seed: int = 0,

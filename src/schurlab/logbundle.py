@@ -19,11 +19,12 @@ arrangement lines are jumping points of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import comb
 
 from .errors import ClaimError, PreconditionError
-from .exact_math import Field, Matrix, Scalar, SymForm, vec_canonical
+from .exact_math import (Field, Matrix, Scalar, SymForm, sym_pairs, sym_row,
+                         vec_canonical)
 from .hulek_monad import MonadData
 from .polyring import HomPoly, monomials
 
@@ -52,7 +53,10 @@ class LogBundle:
         return (len(self.h_basis), len(self.m_basis), len(self.hp_basis))
 
 
-def _check_general_position(field: Field, forms: list[Form]):
+def check_general_position(field: Field, forms):
+    """PreconditionError unless the coefficient triples are pairwise
+    independent and no three are linearly dependent (no three of the lines
+    concurrent)."""
     canon = [vec_canonical(f) for f in forms]
     for i, j in combinations(range(len(forms)), 2):
         if canon[i] == canon[j]:
@@ -130,47 +134,31 @@ def recover_cup_form(field: Field, a_maps, b_maps) -> tuple[SymForm, Matrix]:
     A_k^T B = P b_k for all k.  The joint solution space must be exactly
     one-dimensional; B is returned canonically scaled and P scaled to match."""
     n = a_maps[0].rows
-    pairs = tuple(combinations_with_replacement(range(n), 2))
+    zero = field.zero
     rows = []
     for k in range(3):
         A, b = a_maps[k], b_maps[k]
         for i in range(n - 1):
             for r in range(n):
-                row = []
-                for u, v in pairs:
-                    if u == v:
-                        row.append(A[u, i] if r == u else field.zero)
-                    else:
-                        val = field.zero
-                        if r == v:
-                            val = val + A[u, i]
-                        if r == u:
-                            val = val + A[v, i]
-                        row.append(val)
+                # (A_k^T B)[i][r] - (P b_k)[i][r]
+                row = sym_row(n, lambda u, v: A[u, i] if v == r else zero)
                 for ii in range(n - 1):
-                    for j in range(n - 1):
-                        row.append(-b[j, r] if ii == i else field.zero)
+                    row.extend(-b[j, r] if ii == i else zero for j in range(n - 1))
                 rows.append(row)
     kern = Matrix(field, rows).kernel_basis()
     if len(kern) != 1:
         raise ClaimError(f"cup-form system kernel has dimension {len(kern)}, expected 1")
-    vec = kern[0]
-    scale = None
-    for val in vec[:len(pairs)]:
-        if not val.is_zero():
-            scale = val.inverse()
-            break
-    if scale is None:
+    split = len(sym_pairs(n))
+    form_part, ident_part = kern[0][:split], kern[0][split:]
+    pivot = next((val for val in form_part if not val.is_zero()), None)
+    if pivot is None:
         raise ClaimError("cup-form solution has vanishing symmetric part")
-    rows_b = [[field.zero] * n for _ in range(n)]
-    for (u, v), val in zip(pairs, vec[:len(pairs)]):
-        rows_b[u][v] = val * scale
-        rows_b[v][u] = val * scale
-    form = SymForm.from_rows(field, rows_b)
+    scale = pivot.inverse()
+    form = SymForm.from_pairs(field, n, [val * scale for val in form_part])
     if not form.is_nondegenerate():
         raise ClaimError("cup form is degenerate")
-    P = Matrix(field, [[vec[len(pairs) + i * (n - 1) + j] * scale
-                        for j in range(n - 1)] for i in range(n - 1)])
+    P = Matrix(field, [ident_part[at:at + n - 1]
+                       for at in range(0, len(ident_part), n - 1)]).scale(scale)
     if P.det().is_zero():
         raise ClaimError("dual identification is singular")
     return form, P
@@ -186,7 +174,7 @@ def build_logbundle(field: Field, forms) -> LogBundle:
     if len(fs) % 2 != 0 or len(fs) < 6:
         raise PreconditionError("an even number of forms, at least six, is required")
     d = len(fs) // 2
-    _check_general_position(field, fs)
+    check_general_position(field, fs)
 
     coeff = Matrix(field, [[fs[j][i] for j in range(2 * d)] for i in range(3)])
     kern = coeff.kernel_basis()

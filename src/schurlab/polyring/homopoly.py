@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from ..errors import ClaimError, PreconditionError
-from ..exact_math import Field, Matrix, Scalar
+from ..exact_math import Field, Matrix, Scalar, SymForm, sym_pairs, sym_row
 from ..exact_math.matrices import clear_denominators, from_integral, integral_det
 
 
@@ -291,6 +291,32 @@ class HomPoly:
             c = repr(self.coeffs[e])
             parts.append(f"{c}*{mono}" if mono else c)
         return " + ".join(parts)
+
+
+def _pair_exponent(n: int, u: int, v: int) -> tuple[int, ...]:
+    exp = [0] * n
+    exp[u] += 1
+    exp[v] += 1
+    return tuple(exp)
+
+
+def quadric(form: SymForm) -> HomPoly:
+    """The quadratic form sum over u, v of B[u][v] x_u x_v of the form B."""
+    n, B = form.dim, form.matrix
+    coeffs = sym_row(n, lambda u, v: B[u, v])
+    return HomPoly(form.field, n, 2, {_pair_exponent(n, u, v): c
+                                      for (u, v), c in zip(sym_pairs(n), coeffs)})
+
+
+def gram(q: HomPoly) -> SymForm:
+    """The symmetric form B with quadric(B) == q: the coefficient of x_u^2
+    on the diagonal, half that of x_u x_v off it."""
+    if q.degree != 2:
+        raise PreconditionError("a Gram matrix needs a quadratic form")
+    n = q.nvars
+    return SymForm.from_pairs(q.field, n, [
+        q.coeff(_pair_exponent(n, u, v)) / (1 if u == v else 2)
+        for u, v in sym_pairs(n)])
 
 
 def try_exact_div(num: HomPoly, den: HomPoly) -> HomPoly | None:

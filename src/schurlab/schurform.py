@@ -15,21 +15,12 @@ scale, and the polarity of either swaps the two sextuples of the double six.
 """
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 from .detrep import DetRep
 from .errors import ClaimError
-from .exact_math import Matrix, SymForm
-
-SYM_PAIRS = tuple(combinations_with_replacement(range(4), 2))
-
-
-def _unpack_sym(field, vec) -> SymForm:
-    rows = [[field.zero] * 4 for _ in range(4)]
-    for (b, bp), val in zip(SYM_PAIRS, vec):
-        rows[b][bp] = val
-        rows[bp][b] = val
-    return SymForm.from_rows(field, rows)
+from .exact_math import Matrix, SymForm, sym_row, vec_dot
+from .polyring import gram
 
 
 def schur_kernel_form(rep: DetRep) -> SymForm:
@@ -49,14 +40,11 @@ def _build_kernel_form(rep: DetRep) -> SymForm:
             def wedge(b, bp):
                 return (g[i][a][b] * g[ip][ap][bp] - g[ip][a][b] * g[i][ap][bp]
                         - g[i][ap][b] * g[ip][a][bp] + g[ip][ap][b] * g[i][a][bp])
-            row = []
-            for b, bp in SYM_PAIRS:
-                row.append(wedge(b, b) if b == bp else wedge(b, bp) + wedge(bp, b))
-            rows.append(row)
+            rows.append(sym_row(4, wedge))
     kern = Matrix(field, rows).kernel_basis()
     if len(kern) != 1:
         raise ClaimError(f"kernel route: expected a unique form, kernel dim {len(kern)}")
-    form = _unpack_sym(field, kern[0])
+    form = SymForm.from_pairs(field, 4, kern[0])
     if not form.is_nondegenerate():
         raise ClaimError("kernel route produced a degenerate form")
     return form.canonical()
@@ -70,17 +58,11 @@ def orthogonal_form_for_pairs(field, pairs) -> SymForm:
     for left, right in pairs:
         for u in left.basis:
             for v in right.basis:
-                row = []
-                for b, bp in SYM_PAIRS:
-                    if b == bp:
-                        row.append(u[b] * v[b])
-                    else:
-                        row.append(u[b] * v[bp] + u[bp] * v[b])
-                rows.append(row)
+                rows.append(sym_row(4, lambda b, bp: u[b] * v[bp]))
     kern = Matrix(field, rows).kernel_basis()
     if len(kern) != 1:
         raise ClaimError(f"orthogonality route: kernel dim {len(kern)}, expected 1")
-    form = _unpack_sym(field, kern[0])
+    form = SymForm.from_pairs(field, 4, kern[0])
     if not form.is_nondegenerate():
         raise ClaimError("orthogonality route produced a degenerate form")
     return form.canonical()
@@ -108,20 +90,10 @@ def schur_pair(rep: DetRep) -> tuple[SymForm, SymForm]:
 def minor_apolarity(rep: DetRep, form: SymForm) -> bool:
     """Independent surrogate for the kernel route: the form is trace-paired
     to zero with the Gram matrix of each 2 x 2 minor of the 3 x 3 grid."""
-    field = rep.field
-    half = field.scalar(1) / field.scalar(2)
+    flat_form = [x for row in form.matrix.data for x in row]
     for q in rep.target_grid.minors(2):
-        total = field.zero
-        for b in range(4):
-            for bp in range(4):
-                exp = [0, 0, 0, 0]
-                exp[b] += 1
-                exp[bp] += 1
-                gram = q.coeff(tuple(exp))
-                if b != bp:
-                    gram = gram * half
-                total = total + gram * form.matrix[b, bp]
-        if not total.is_zero():
+        flat_gram = [x for row in gram(q).matrix.data for x in row]
+        if not vec_dot(flat_gram, flat_form).is_zero():
             return False
     return True
 

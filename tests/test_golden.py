@@ -111,7 +111,6 @@ ASSERT_ALLOWLIST = Counter([
     ("exact_math/matrices.py", "len(v) == self.rows"),
     ("exact_math/matrices.py", "len(b) == self.rows"),
     ("exact_math/matrices.py", "self.cols == other.rows"),
-    ("exact_math/subspaces.py", "self.is_point()"),
     ("hulek_monad.py", "0 <= r <= min(n1, n2)"),
     ("polyring/homopoly.py", "n >= 0"),
     ("polyring/homopoly.py", "len(point) == self.nvars"),

@@ -5,6 +5,7 @@ import pytest
 
 from schurlab.errors import ClaimError, PreconditionError
 from schurlab.exact_math import Field, Matrix, QQ, SymForm
+from schurlab.families import hulsbergen_instance_5
 from schurlab.hulek_monad import (MonadData, biflex_reports,
                                   compatible_form_space, determinantal_degree,
                                   middle_rank_at, multiplicity_bound,
@@ -45,6 +46,24 @@ def test_triangle_curve_closed_form(triangle):
     assert curve.degree == 4
     assert curve.proportional(target)
     assert triangle.jlsk_via_form().proportional(curve)
+
+
+def form_route_by_entries(monad):
+    """Reference for jlsk_via_form: one product of signed minors for each
+    nonzero entry of the inverse form."""
+    C = monad.form.inverse().matrix
+    sigma = monad.signed_minors()
+    acc = HomPoly.zero(monad.field, 3, 2 * monad.n - 2)
+    for r in range(monad.n):
+        for rp in range(monad.n):
+            if not C[r, rp].is_zero():
+                acc = acc + (sigma[r] * sigma[rp]).scale(C[r, rp])
+    return acc.canonical()
+
+
+def test_form_route_matches_entrywise_reference(six_line_bundle):
+    for monad in (six_line_bundle.monad, hulsbergen_instance_5().payload["monad"]):
+        assert monad.jlsk_via_form() == form_route_by_entries(monad)
 
 
 def test_triangle_rank_profile(triangle):

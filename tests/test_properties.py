@@ -10,9 +10,9 @@ import pytest
 
 from schurlab.errors import PreconditionError
 from schurlab.exact_math import (Field, Matrix, ProjSubspace, QQ, SymForm,
-                                 vec_canonical)
+                                 sym_pairs, sym_row, vec_canonical, vec_dot)
 from schurlab.hulek_monad import MonadData
-from schurlab.polyring import HomPoly, LinFormsMatrix, lagrange_coeffs
+from schurlab.polyring import HomPoly, LinFormsMatrix, gram, lagrange_coeffs, quadric
 from schurlab.polyring.univar import from_domain, to_domain
 from test_exact_math import elimination_mismatches
 
@@ -185,8 +185,8 @@ def compatibility_symmetry_suite(cases=CASES, seed=505):
 
 
 def rand_element(rng, field, bound=6):
-    """A random element of Q or of Q(sqrt 5)."""
-    sqrt_part = rand_scalar(rng, bound).u if field is QSQRT5 else 0
+    """A random element of Q or of a quadratic field Q(sqrt s)."""
+    sqrt_part = 0 if field.is_rational else rand_scalar(rng, bound).u
     return field.scalar(rand_scalar(rng, bound).u, sqrt_part)
 
 
@@ -260,6 +260,38 @@ def elimination_suite(cases=CASES, seed=909):
     return bad
 
 
+def rand_symmetric(rng, field, n):
+    square = Matrix.from_rows(field, [[rand_element(rng, field) for _ in range(n)]
+                                      for _ in range(n)])
+    return square + square.transpose()
+
+
+def symmetric_form_suite(cases=CASES, seed=1010):
+    """Over Q, Q(sqrt 5) and Q(sqrt -1), n = 1..6: gram inverts quadric,
+    quadric(B) at x is B(x, x), a sym_row dotted with the pair vector of a
+    symmetric X is its functional at X, and from_pairs reads X back from
+    that vector."""
+    rng = random.Random(seed)
+    fields = [QQ, QSQRT5, Field(-1)]
+    bad = []
+    for case in range(cases):
+        field, n = fields[case % 3], case % 6 + 1
+        B = SymForm(rand_symmetric(rng, field, n))
+        X = rand_symmetric(rng, field, n)
+        f = [[rand_element(rng, field) for _ in range(n)] for _ in range(n)]
+        x = [rand_element(rng, field) for _ in range(n)]
+        pair_vector = [X[u, v] for u, v in sym_pairs(n)]
+        functional = sum((f[u][v] * X[u, v] for u in range(n) for v in range(n)),
+                         field.zero)
+        ok = gram(quadric(B)) == B
+        ok = ok and quadric(B).evaluate(x) == B.apply(x, x)
+        ok = ok and vec_dot(sym_row(n, lambda u, v: f[u][v]), pair_vector) == functional
+        ok = ok and SymForm.from_pairs(field, n, pair_vector).matrix == X
+        if not ok:
+            bad.append(case)
+    return bad
+
+
 def rand_subspace(rng, field, shared=()):
     """A random subspace of P^3 spanned by up to four small vectors (so
     possibly empty or degenerate), plus any shared vectors."""
@@ -311,6 +343,10 @@ def test_certified_elimination_matches_reference():
 
 def test_incidence_by_rank_matches_meet():
     assert incidence_suite() == []
+
+
+def test_symmetric_form_helpers_agree():
+    assert symmetric_form_suite() == []
 
 
 def test_contract_product_rule_and_commutation():
