@@ -72,7 +72,7 @@ def parse_vector(field: Field, entries, length: int | None = None):
     for e in entries:
         if isinstance(e, str):
             out.append(field.parse(e))
-        elif isinstance(e, int):
+        elif type(e) is int:  # not bool: JSON true/false are not scalars
             out.append(field.scalar(e))
         else:
             raise PreconditionError(f"scalar entries must be strings, got {type(e).__name__}")

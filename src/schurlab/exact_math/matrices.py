@@ -34,13 +34,12 @@ Vectors are plain tuples of Scalars.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import gcd, isqrt, lcm
 
 from ..errors import ClaimError, PreconditionError
-from .scalars import Field, Scalar
+from .scalars import Field, Scalar, canonical_scalar
 
 
 def vec_dot(a, b) -> Scalar:
@@ -78,20 +77,19 @@ def vec_canonical(a):
 
 def clear_denominators(field: Field, scalars) -> tuple[int, list]:
     """(L, [L * x for x in scalars]) with L the least common denominator:
-    ints over Q, pairs (a, b) meaning a + b*sqrt(s) over Q(sqrt(s))."""
+    ints over Q, pairs (a, b) meaning a + b*sqrt(s) over Q(sqrt(s)).  The
+    canonical denominator d of a scalar is the least one that clears it."""
+    mult = lcm(*(x.d for x in scalars))
     if field.s is None:
-        mult = lcm(*(x.u.denominator for x in scalars))
-        return mult, [x.u.numerator * (mult // x.u.denominator) for x in scalars]
-    mult = lcm(*(x.u.denominator for x in scalars), *(x.v.denominator for x in scalars))
-    return mult, [(x.u.numerator * (mult // x.u.denominator),
-                   x.v.numerator * (mult // x.v.denominator)) for x in scalars]
+        return mult, [x.a * (mult // x.d) for x in scalars]
+    return mult, [(x.a * (mult // x.d), x.b * (mult // x.d)) for x in scalars]
 
 
 def from_integral(field: Field, x, den: int) -> Scalar:
     """The scalar x / den for an integral x as clear_denominators gives it."""
     if field.s is None:
-        return Scalar(Fraction(x, den), Fraction(0), field)
-    return Scalar(Fraction(x[0], den), Fraction(x[1], den), field)
+        return canonical_scalar(field, x, 0, den)
+    return canonical_scalar(field, x[0], x[1], den)
 
 
 def _exact_quotient(x, y, s):
@@ -198,7 +196,8 @@ def _hadamard_bits(rows, s) -> int:
 
 
 def _wang(a: int, m: int, bound: int):
-    """The fraction n/d = a mod m with |n|, d <= bound, or None (Wang 1981)."""
+    """The fraction n/d = a mod m with |n|, d <= bound, as the pair (n, d)
+    with d > 0, or None (Wang 1981)."""
     r0, r1, t0, t1 = m, a, 0, 1
     while r1 > bound:
         q = r0 // r1
@@ -206,13 +205,14 @@ def _wang(a: int, m: int, bound: int):
         t0, t1 = t1, t0 - q * t1
     if t1 == 0 or abs(t1) > bound or gcd(r1, t1) != 1:
         return None
-    return Fraction(r1, t1)
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 def _reconstruct(residues, modulus: int):
-    """Rational reconstruction of each residue with |n|, d <= sqrt(m/2), or
-    None if one has none.  A running common denominator answers most
-    entries without a Euclidean run: the fraction in the box is unique."""
+    """Rational reconstruction of each residue with |n|, d <= sqrt(m/2), as
+    pairs (n, d) with d > 0, not necessarily coprime, or None if one has
+    none.  A running common denominator answers most entries without a
+    Euclidean run: the fraction in the box is unique."""
     bound = isqrt(modulus // 2)
     half = modulus // 2
     den = 1
@@ -222,12 +222,12 @@ def _reconstruct(residues, modulus: int):
         if t > half:
             t -= modulus
         if den <= bound and -bound <= t <= bound:
-            out.append(Fraction(t, den))
+            out.append((t, den))
             continue
         x = _wang(c, modulus, bound)
         if x is None:
             return None
-        den = lcm(den, x.denominator)
+        den = lcm(den, x[1])
         out.append(x)
     return out
 
@@ -236,17 +236,15 @@ def _verified(rows, s, columns) -> bool:
     """Exact check of step 5: every candidate kernel vector is annihilated."""
     for j, (support, entries) in columns.items():
         if s is None:
-            mult = lcm(*(x.denominator for x in entries))
-            weights = [(c, -x.numerator * (mult // x.denominator))
-                       for c, x in zip(support, entries)]
+            mult = lcm(*(d for _, d in entries))
+            weights = [(c, -n * (mult // d)) for c, (n, d) in zip(support, entries)]
             weights.append((j, mult))
             if any(sum(row[c] * w for c, w in weights) for row in rows):
                 return False
             continue
-        mult = lcm(*(x.denominator for pair in entries for x in pair))
-        weights = [(c, -u.numerator * (mult // u.denominator),
-                    -v.numerator * (mult // v.denominator))
-                   for c, (u, v) in zip(support, entries)]
+        mult = lcm(*(d for pair in entries for _, d in pair))
+        weights = [(c, -nu * (mult // du), -nv * (mult // dv))
+                   for c, ((nu, du), (nv, dv)) in zip(support, entries)]
         weights.append((j, mult, 0))
         for row in rows:
             if (sum(row[c][0] * wu + s * row[c][1] * wv for c, wu, wv in weights)
@@ -257,8 +255,8 @@ def _verified(rows, s, columns) -> bool:
 
 def _certified_rref(field: Field, rows):
     """Pivots and {free column j: RREF entries of rows 0.. above it} for
-    integral rows, as the module docstring describes.  Entries are Fractions
-    over Q and (u, v) pairs of Fractions over Q(sqrt(s)).  Reconstruction is
+    integral rows, as the module docstring describes.  Entries are fractions
+    (n, d) over Q and pairs (u, v) of them over Q(sqrt(s)).  Reconstruction is
     tried after primes 1, 2, 3, 4, 6, 8, 11, ... of one pivot set, so its
     cost stays below that of the eliminations when many primes are needed."""
     s = field.s
@@ -410,7 +408,11 @@ class Matrix:
             out[i][pc] = o
         for j, entries in columns.items():
             for i, x in enumerate(entries):
-                out[i][j] = field.scalar(x) if field.s is None else field.scalar(*x)
+                if field.s is None:
+                    out[i][j] = canonical_scalar(field, x[0], 0, x[1])
+                else:
+                    (nu, du), (nv, dv) = x
+                    out[i][j] = canonical_scalar(field, nu * dv, nv * du, du * dv)
         return Matrix(field, out), pivots
 
     def rank(self) -> int:

@@ -1,14 +1,19 @@
 """Exact scalars over Q or a quadratic extension Q(sqrt(s)).
 
 A Field fixes the extension once (s = None for plain Q, otherwise a squarefree
-integer, not 0 or 1).  Every Scalar stores u + v*sqrt(s) with u, v Fractions;
-in the rational field v is identically 0.  Scalars from different fields never
-mix.  Serialization: "p/q" for rationals, "[p/q, r/t]" for u + v*sqrt(s).
+integer, not 0 or 1).  Every Scalar stores three integers a, b, d meaning
+(a + b*sqrt(s)) / d, normalised to d > 0 and gcd(a, b, d) = 1; in the rational
+field b is identically 0.  The form is canonical, so equality compares
+integers, and each operation ends in one gcd (none when d = 1).  Fractions
+appear only at the edges: parsing, norm, sqrt and the read-only views
+u = a/d and v = b/d.  Scalars from different fields never mix.
+Serialization: "p/q" for rationals, "[p/q, r/t]" for u + v*sqrt(s).
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from ..errors import PreconditionError
 
@@ -38,6 +43,28 @@ def _rational_sqrt(f: Fraction):
 
 MAX_MODULUS = 10 ** 9
 """Largest |s| accepted for Q(sqrt(s)); the squarefree test is trial division."""
+
+MAX_LITERAL_DIGITS = 4300
+"""Most digits of a numerator or denominator written by a literal, and the
+largest |e| of a literal such as "1e5" (Fraction() builds 10^e in full).
+4300 is the default limit of Python's int <-> str conversions, so every
+parsed scalar can be serialized again."""
+
+_LITERAL_BOUND = 10 ** MAX_LITERAL_DIGITS
+
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _parse_rational(text: str, part: str) -> Fraction:
+    """One rational part of the literal text, bounded by MAX_LITERAL_DIGITS."""
+    exponent = _EXPONENT.search(part)
+    if exponent and abs(int(exponent.group(1))) > MAX_LITERAL_DIGITS:
+        raise PreconditionError(f"exponent of scalar literal {text!r} exceeds {MAX_LITERAL_DIGITS}")
+    value = Fraction(part.strip())
+    if max(abs(value.numerator), value.denominator) >= _LITERAL_BOUND:
+        raise PreconditionError(f"scalar literal {text!r} exceeds {MAX_LITERAL_DIGITS} digits")
+    return value
+
 
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -98,8 +125,8 @@ class Field:
             if not isinstance(s, int) or s in (0, 1) or not _is_squarefree(s):
                 raise PreconditionError(f"extension modulus must be squarefree and not 0/1, got {s!r}")
         self.s = s
-        self._zero = Scalar(Fraction(0), Fraction(0), self)
-        self._one = Scalar(Fraction(1), Fraction(0), self)
+        self._zero = Scalar(0, 0, 1, self)
+        self._one = Scalar(1, 0, 1, self)
         self._primes: list[tuple[int, int | None]] = []
 
     @property
@@ -107,11 +134,21 @@ class Field:
         return self.s is None
 
     def scalar(self, u, v=0) -> Scalar:
+        """u + v*sqrt(s) for ints, Fractions or anything Fraction() reads."""
+        if type(u) is int and type(v) is int:
+            if v and self.s is None:
+                raise PreconditionError("nonzero sqrt part in a rational field")
+            return Scalar(u, v, 1, self)
         u = Fraction(u)
         v = Fraction(v)
         if self.s is None and v != 0:
             raise PreconditionError("nonzero sqrt part in a rational field")
-        return Scalar(u, v, self)
+        # over the lcm of two reduced denominators the form is already
+        # canonical: a prime power exactly dividing d divides one of them
+        # exactly, and that fraction's numerator is prime to it
+        d = lcm(u.denominator, v.denominator)
+        return Scalar(u.numerator * (d // u.denominator),
+                      v.numerator * (d // v.denominator), d, self)
 
     @property
     def zero(self) -> Scalar:
@@ -146,7 +183,7 @@ class Field:
 
     def coerce(self, x) -> Scalar:
         if isinstance(x, Scalar):
-            if x.field != self:
+            if x.field is not self and x.field != self:
                 raise PreconditionError("scalar from a different field")
             return x
         return self.scalar(x)
@@ -162,7 +199,7 @@ class Field:
         else:
             parts = [text]
         try:
-            return self.scalar(*(Fraction(part.strip()) for part in parts))
+            return self.scalar(*(_parse_rational(text, part) for part in parts))
         except (ValueError, ZeroDivisionError):
             raise PreconditionError(f"malformed scalar literal {text!r}") from None
 
@@ -176,20 +213,47 @@ class Field:
         return "Field(Q)" if self.s is None else f"Field(Q(sqrt({self.s})))"
 
 
-class Scalar:
-    __slots__ = ("u", "v", "field")
+def canonical_scalar(field: Field, a: int, b: int, d: int) -> Scalar:
+    """The scalar (a + b*sqrt(s)) / d, d != 0, in canonical form."""
+    if d < 0:
+        a, b, d = -a, -b, -d
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return Scalar(a, b, d, field)
 
-    def __init__(self, u: Fraction, v: Fraction, field: Field):
-        self.u = u
-        self.v = v
+
+class Scalar:
+    """(a + b*sqrt(s)) / d for integers a, b, d with d > 0, gcd(a, b, d) = 1
+    and b = 0 over Q.  The form is canonical, so equal scalars have equal
+    integers.  The constructor stores the integers as given; build scalars
+    through Field.scalar or arithmetic."""
+
+    __slots__ = ("a", "b", "d", "field")
+
+    def __init__(self, a: int, b: int, d: int, field: Field):
+        self.a = a
+        self.b = b
+        self.d = d
         self.field = field
 
+    @property
+    def u(self) -> Fraction:
+        """The rational part a / d."""
+        return Fraction(self.a, self.d)
+
+    @property
+    def v(self) -> Fraction:
+        """The coefficient b / d of sqrt(s)."""
+        return Fraction(self.b, self.d)
+
     def is_zero(self) -> bool:
-        return self.u == 0 and self.v == 0
+        return not (self.a or self.b)
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise PreconditionError("mixing scalars from different fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -200,18 +264,24 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(self.u + o.u, self.v + o.v, self.field)
+        d, od = self.d, o.d
+        if d == od:
+            return canonical_scalar(self.field, self.a + o.a, self.b + o.b, d)
+        return canonical_scalar(self.field, self.a * od + o.a * d, self.b * od + o.b * d, d * od)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.u, -self.v, self.field)
+        return Scalar(-self.a, -self.b, self.d, self.field)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(self.u - o.u, self.v - o.v, self.field)
+        d, od = self.d, o.d
+        if d == od:
+            return canonical_scalar(self.field, self.a - o.a, self.b - o.b, d)
+        return canonical_scalar(self.field, self.a * od - o.a * d, self.b * od - o.b * d, d * od)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -223,46 +293,56 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        s = self.field.s
-        if s is None:
-            return Scalar(self.u * o.u, Fraction(0), self.field)
-        return Scalar(self.u * o.u + s * self.v * o.v, self.u * o.v + self.v * o.u, self.field)
+        a, b, oa, ob = self.a, self.b, o.a, o.b
+        if b or ob:
+            return canonical_scalar(self.field, a * oa + self.field.s * b * ob,
+                                    a * ob + b * oa, self.d * o.d)
+        return canonical_scalar(self.field, a * oa, 0, self.d * o.d)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> Scalar:
-        return Scalar(self.u, -self.v, self.field)
+        return Scalar(self.a, -self.b, self.d, self.field)
 
     def norm(self) -> Fraction:
         """u^2 - s*v^2 (rational)."""
-        s = self.field.s
-        if s is None:
-            return self.u * self.u
-        return self.u * self.u - s * self.v * self.v
+        s = self.field.s or 0
+        return Fraction(self.a * self.a - s * self.b * self.b, self.d * self.d)
 
     def inverse(self) -> Scalar:
-        if self.is_zero():
+        return Scalar(1, 0, 1, self.field)._divide(self)
+
+    def _divide(self, o: Scalar) -> Scalar:
+        """self / o: multiply by d_o * conj(o) over the integer norm of o."""
+        a, b, oa, ob = self.a, self.b, o.a, o.b
+        if ob:
+            s = self.field.s
+            return canonical_scalar(self.field, o.d * (a * oa - s * b * ob),
+                                    o.d * (b * oa - a * ob), self.d * (oa * oa - s * ob * ob))
+        if not oa:
             raise ZeroDivisionError("inverse of zero scalar")
-        n = self.norm()
-        return Scalar(self.u / n, -self.v / n, self.field)
+        return canonical_scalar(self.field, a * o.d, b * o.d, self.d * oa)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return self._divide(o)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return o._divide(self)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
+        if not self.b:
+            # powers of coprime integers stay coprime
+            return Scalar(self.a ** n, 0, self.d ** n, self.field)
         out = self.field.one
         base = self
         while n:
@@ -304,24 +384,27 @@ class Scalar:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Scalar):
-            return self.field == other.field and self.u == other.u and self.v == other.v
-        if isinstance(other, (int, Fraction)):
-            return self.v == 0 and self.u == other
+            return (self.a == other.a and self.b == other.b and self.d == other.d
+                    and (self.field is other.field or self.field == other.field))
+        if isinstance(other, int):
+            return not self.b and self.d == 1 and self.a == other
+        if isinstance(other, Fraction):
+            return not self.b and self.a == other.numerator and self.d == other.denominator
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self.v == 0:
+        if not self.b:
             return hash(self.u)
         return hash((self.u, self.v, self.field.s))
 
     def serialize(self) -> str:
         if self.field.s is None:
-            return f"{self.u.numerator}/{self.u.denominator}"
-        return (f"[{self.u.numerator}/{self.u.denominator}, "
-                f"{self.v.numerator}/{self.v.denominator}]")
+            return f"{self.a}/{self.d}"
+        u, v = self.u, self.v
+        return f"[{u.numerator}/{u.denominator}, {v.numerator}/{v.denominator}]"
 
     def __repr__(self) -> str:
-        if self.field.s is None or self.v == 0:
+        if self.field.s is None or not self.b:
             return str(self.u)
         return f"({self.u}+{self.v}*sqrt({self.field.s}))"
 

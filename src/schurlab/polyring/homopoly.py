@@ -50,6 +50,18 @@ class HomPoly:
         self.coeffs = cleaned
 
     @classmethod
+    def _closed(cls, field: Field, nvars: int, degree: int, coeffs: dict) -> HomPoly:
+        """A polynomial from a ring operation on checked polynomials: the
+        coefficients are already nonzero Scalars of the field at valid
+        exponents, so nothing is coerced or checked again."""
+        poly = object.__new__(cls)
+        poly.field = field
+        poly.nvars = nvars
+        poly.degree = degree
+        poly.coeffs = coeffs
+        return poly
+
+    @classmethod
     def zero(cls, field: Field, nvars: int, degree: int) -> HomPoly:
         return cls(field, nvars, degree)
 
@@ -103,11 +115,11 @@ class HomPoly:
                 out.pop(exp, None)
             else:
                 out[exp] = s
-        return HomPoly(self.field, self.nvars, self.degree, out)
+        return HomPoly._closed(self.field, self.nvars, self.degree, out)
 
     def __neg__(self) -> HomPoly:
-        return HomPoly(self.field, self.nvars, self.degree,
-                       {e: -c for e, c in self.coeffs.items()})
+        return HomPoly._closed(self.field, self.nvars, self.degree,
+                               {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other: HomPoly) -> HomPoly:
         return self + (-other)
@@ -116,8 +128,8 @@ class HomPoly:
         c = self.field.coerce(c)
         if c.is_zero():
             return HomPoly.zero(self.field, self.nvars, self.degree)
-        return HomPoly(self.field, self.nvars, self.degree,
-                       {e: c * v for e, v in self.coeffs.items()})
+        return HomPoly._closed(self.field, self.nvars, self.degree,
+                               {e: c * v for e, v in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, HomPoly):
@@ -136,7 +148,7 @@ class HomPoly:
                         out.pop(e, None)
                     else:
                         out[e] = s
-            return HomPoly(self.field, self.nvars, deg, out)
+            return HomPoly._closed(self.field, self.nvars, deg, out)
         if isinstance(other, (int, Scalar)):
             return self.scale(other)
         return NotImplemented

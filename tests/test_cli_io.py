@@ -116,6 +116,19 @@ def test_cubic_malformed_scalar_literal(literal, tmp_path, capsys):
                      "message": f"malformed scalar literal {literal!r}"}
 
 
+@pytest.mark.parametrize("entry", [True, False])
+def test_cubic_boolean_scalar_rejected(entry, tmp_path, capsys):
+    bad = {"field": {"type": "rational"},
+           "points": [[entry, False, False]] + HEXAD["points"][1:]}
+    target = tmp_path / "cert.json"
+    code = main(["cubic", "--in", write(tmp_path, "bad.json", bad),
+                 "--out", str(target), "--format", "structured"])
+    assert code == 2
+    error = json.loads(target.read_text())["error"]
+    assert error == {"kind": "precondition",
+                     "message": "scalar entries must be strings, got bool"}
+
+
 def test_oversized_extension_modulus_rejected_quickly(tmp_path):
     # a 17-digit prime: trial division for squarefreeness would not finish
     doc = dict(HEXAD, field={"type": "quadratic", "s": 100000000000000003})

@@ -58,6 +58,17 @@ def test_parse_round_trip():
         assert f.parse(x.serialize()) == x
 
 
+def test_oversized_literals_rejected():
+    # Fraction() would build 10^e in full for "1e<e>", and no str() of an
+    # integer above 4300 digits is allowed, so neither could be written back
+    assert QQ.parse("1e4299").serialize() == "1" + "0" * 4299 + "/1"
+    assert QQ.parse("-3e-4299").serialize() == "-3/1" + "0" * 4299
+    for text in ["1e4301", "1e-100000", "1e4300", "9" * 4301, "1/" + "7" * 4301,
+                 "[1/2, 5e99999]"]:
+        with pytest.raises(PreconditionError):
+            Field(5).parse(text)
+
+
 def test_matrix_rank_det_kernel():
     m = Matrix.from_rows(QQ, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     assert m.rank() == 2
@@ -288,7 +299,7 @@ def test_wrong_reconstruction_is_never_returned(monkeypatch):
     def off_by_one(residues, modulus):
         calls.append(modulus)
         got = honest(residues, modulus)
-        return None if got is None else [x + 1 for x in got]
+        return None if got is None else [(n + d, d) for n, d in got]
 
     monkeypatch.setattr(matrices, "_reconstruct", off_by_one)
     for field in (QQ, Field(-1)):
@@ -300,7 +311,7 @@ def test_wrong_reconstruction_is_never_returned(monkeypatch):
         got = honest(residues, modulus)
         if not calls:
             calls.append(modulus)
-            return None if got is None else [x + 1 for x in got]
+            return None if got is None else [(n + d, d) for n, d in got]
         return got
 
     calls.clear()

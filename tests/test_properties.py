@@ -5,11 +5,14 @@ list of case indices that violated the property; the tests assert emptiness.
 """
 import random
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from schurlab.cli_io.documents import parse_matrix, parse_vector
 from schurlab.errors import PreconditionError
-from schurlab.exact_math import (Field, Matrix, ProjSubspace, QQ, SymForm,
+from schurlab.exact_math import (Field, Matrix, ProjSubspace, QQ, Scalar, SymForm,
                                  sym_pairs, sym_row, vec_canonical, vec_dot)
 from schurlab.hulek_monad import MonadData
 from schurlab.polyring import HomPoly, LinFormsMatrix, gram, lagrange_coeffs, quadric
@@ -231,6 +234,244 @@ def domain_round_trip_suite(cases=CASES, seed=808):
     return bad
 
 
+def rational_sqrt(f: Fraction):
+    if f < 0:
+        return None
+    p, q = isqrt(f.numerator), isqrt(f.denominator)
+    return Fraction(p, q) if p * p == f.numerator and q * q == f.denominator else None
+
+
+class FractionPair:
+    """Reference arithmetic: u + v*sqrt(s) as a pair of Fractions (s None
+    over Q), the representation that Scalar's integer form replaced."""
+
+    def __init__(self, u, v, s):
+        self.u, self.v, self.s = Fraction(u), Fraction(v), s
+
+    def _new(self, u, v):
+        return FractionPair(u, v, self.s)
+
+    def is_zero(self):
+        return self.u == 0 and self.v == 0
+
+    def __add__(self, o):
+        return self._new(self.u + o.u, self.v + o.v)
+
+    def __sub__(self, o):
+        return self._new(self.u - o.u, self.v - o.v)
+
+    def __neg__(self):
+        return self._new(-self.u, -self.v)
+
+    def __mul__(self, o):
+        if self.s is None:
+            return self._new(self.u * o.u, 0)
+        return self._new(self.u * o.u + self.s * self.v * o.v,
+                         self.u * o.v + self.v * o.u)
+
+    def conjugate(self):
+        return self._new(self.u, -self.v)
+
+    def norm(self):
+        return self.u * self.u - (0 if self.s is None else self.s * self.v * self.v)
+
+    def inverse(self):
+        n = self.norm()
+        return self._new(self.u / n, -self.v / n)
+
+    def __truediv__(self, o):
+        return self * o.inverse()
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** -n
+        out = self._new(1, 0)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def sqrt(self):
+        if self.is_zero():
+            return self
+        A, B, s = self.u, self.v, self.s
+        if B == 0:
+            r = rational_sqrt(A)
+            if r is not None:
+                return self._new(r, 0)
+            r = None if s is None else rational_sqrt(A / s)
+            return None if r is None else self._new(0, r)
+        w = rational_sqrt(A * A - s * B * B)
+        if w is None:
+            return None
+        for half in ((A + w) / 2, (A - w) / 2):
+            a = rational_sqrt(half)
+            if a:
+                cand = self._new(a, B / (2 * a))
+                square = cand * cand
+                if (square.u, square.v) == (A, B):
+                    return cand
+        return None
+
+    def hash(self):
+        return hash(self.u) if self.v == 0 else hash((self.u, self.v, self.s))
+
+    def serialize(self):
+        u, v = self.u, self.v
+        if self.s is None:
+            return f"{u.numerator}/{u.denominator}"
+        return f"[{u.numerator}/{u.denominator}, {v.numerator}/{v.denominator}]"
+
+
+def rand_big_fraction(rng):
+    """Zero, or a fraction with numerator and denominator up to 3, 10^3 or 10^12."""
+    if rng.random() < 0.15:
+        return Fraction(0)
+    bound = rng.choice([3, 10 ** 3, 10 ** 12])
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+def canonical_match(x, ref, field) -> bool:
+    """x is a canonical Scalar of the field, (a + b*sqrt(s))/d with d > 0,
+    gcd(a, b, d) = 1 and b = 0 over Q, equal to the reference value."""
+    return (isinstance(x, Scalar) and x.field == field and x.d > 0
+            and gcd(x.a, x.b, x.d) == 1 and (x.b == 0 or not field.is_rational)
+            and (x.u, x.v) == (ref.u, ref.v))
+
+
+def raises_zero_division(call) -> bool:
+    try:
+        call()
+    except ZeroDivisionError:
+        return True
+    return False
+
+
+def scalar_arithmetic_suite(cases=4 * CASES, seed=1111):
+    """Scalar's integer form against FractionPair over Q, Q(sqrt 5),
+    Q(sqrt -1) and Q(sqrt -3), with parts up to 10^12, zero and negatives:
+    + - * /, inverse, ** (negative exponents too), conjugate, norm, sqrt,
+    == and hash against Scalars, ints and Fractions, serialize/parse, and
+    the canonical form of every result."""
+    rng = random.Random(seed)
+    fields = [QQ, QSQRT5, Field(-1), Field(-3)]
+    bad = []
+    for case in range(cases):
+        field = fields[case % 4]
+
+        def draw():
+            u = rand_big_fraction(rng)
+            v = 0 if field.is_rational or rng.random() < 0.2 else rand_big_fraction(rng)
+            return field.scalar(u, v), FractionPair(u, v, field.s)
+
+        (x, rx), (y, ry) = draw(), draw()
+        if case % 9 == 0:
+            y, ry = x, rx
+        k = rng.choice([0, 1, -1, rng.randint(-10 ** 12, 10 ** 12)])
+        q = rand_big_fraction(rng)
+        rk, rq = FractionPair(k, 0, field.s), FractionPair(q, 0, field.s)
+        n = rng.randint(-4, 6)
+        pairs = [(x, rx), (x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry),
+                 (-x, -rx), (x.conjugate(), rx.conjugate()), (x + k, rx + rk),
+                 (k - x, rk - rx), (x * q, rx * rq), (q * x, rq * rx), (x - q, rx - rq)]
+        ok = True
+        for den, rden in ((y, ry), (k, rk), (q, rq)):
+            if rden.is_zero():
+                ok = ok and raises_zero_division(lambda: x / den)
+            else:
+                pairs.append((x / den, rx / rden))
+        if ry.is_zero():
+            ok = ok and raises_zero_division(y.inverse)
+            ok = ok and raises_zero_division(lambda: k / y)
+        else:
+            pairs += [(y.inverse(), ry.inverse()), (k / y, rk / ry)]
+        if rx.is_zero() and n < 0:
+            ok = ok and raises_zero_division(lambda: x ** n)
+        else:
+            pairs.append((x ** n, rx ** n))
+        ok = ok and all(canonical_match(z, r, field) for z, r in pairs)
+        ok = ok and x.norm() == rx.norm() and type(x.norm()) is Fraction
+        roots = [(x, rx), (x * x, rx * rx)]
+        if not field.is_rational:
+            roots.append(((x * field.sqrt_gen()) ** 2, (rx * FractionPair(0, 1, field.s)) ** 2))
+        for z, r in roots:
+            got, want = z.sqrt(), r.sqrt()
+            ok = ok and (got is None if want is None else canonical_match(got, want, field))
+        same = (rx.u, rx.v) == (ry.u, ry.v)
+        ok = ok and (x == y) == same and (x != y) != same
+        ok = ok and hash(x) == rx.hash() and (not same or hash(x) == hash(y))
+        if k:
+            scaled = (x * k) / k
+            ok = ok and scaled == x and hash(scaled) == hash(x)
+        ok = ok and (x == rx.u) == (rx.v == 0)
+        ok = ok and (x == k) == (rx.v == 0 and rx.u == k)
+        if rx.v == 0:
+            ok = ok and hash(x) == hash(rx.u)
+            if rx.u.denominator == 1:
+                ok = ok and x == int(rx.u) and hash(x) == hash(int(rx.u))
+        ok = ok and x.serialize() == rx.serialize() and field.parse(x.serialize()) == x
+        if not ok:
+            bad.append(case)
+    return bad
+
+
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+FUZZ_FIELDS = st.sampled_from([QQ, QSQRT5, Field(-1), Field(-3)])
+
+_rational_literals = st.builds("{}/{}".format, st.integers(), st.integers())
+_quadratic_literals = st.builds("[{}, {}]".format, _rational_literals, _rational_literals)
+
+LITERALS = st.one_of(
+    st.text(max_size=24),
+    st.text(alphabet="0123456789-+/[], ._eE", max_size=24),
+    _rational_literals,
+    _quadratic_literals,
+    st.builds("{}e{}".format, st.integers(-99, 99), st.integers(-10 ** 5, 10 ** 5)))
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | LITERALS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12)
+
+_ENTRIES = st.one_of(_rational_literals, _quadratic_literals, st.integers(), st.booleans(),
+                     st.floats(), st.none())
+
+DOCUMENT_VALUES = st.one_of(
+    JSON_VALUES, st.lists(_ENTRIES, max_size=4),
+    st.lists(st.lists(_ENTRIES, min_size=2, max_size=2), max_size=3))
+
+
+def round_trips(field, scalars) -> bool:
+    return all(isinstance(x, Scalar) and x.field == field
+               and field.parse(x.serialize()) == x for x in scalars)
+
+
+@FUZZ
+@given(FUZZ_FIELDS, LITERALS)
+def test_parse_returns_a_scalar_or_rejects(field, text):
+    try:
+        x = field.parse(text)
+    except PreconditionError:
+        return
+    assert round_trips(field, [x])
+
+
+@FUZZ
+@given(FUZZ_FIELDS, DOCUMENT_VALUES)
+def test_parse_vector_and_matrix_return_scalars_or_reject(field, value):
+    try:
+        vector = parse_vector(field, value)
+    except PreconditionError:
+        pass
+    else:
+        assert round_trips(field, vector)
+    try:
+        matrix = parse_matrix(field, value)
+    except PreconditionError:
+        return
+    assert round_trips(field, [x for row in matrix.data for x in row])
+
+
 def elimination_suite(cases=CASES, seed=909):
     """rref, rank, kernel_basis, solve, det and inverse of the certified core
     agree with the reference Gauss-Jordan over Q, Q(sqrt 5), Q(sqrt -1) and
@@ -335,6 +576,10 @@ def test_interpolation_rejects_repeated_nodes():
 
 def test_domain_round_trip():
     assert domain_round_trip_suite() == []
+
+
+def test_scalar_arithmetic_matches_fraction_pairs():
+    assert scalar_arithmetic_suite() == []
 
 
 def test_certified_elimination_matches_reference():
