@@ -265,8 +265,6 @@ class Scalar:
         if o is None:
             return NotImplemented
         d, od = self.d, o.d
-        if d == od:
-            return canonical_scalar(self.field, self.a + o.a, self.b + o.b, d)
         return canonical_scalar(self.field, self.a * od + o.a * d, self.b * od + o.b * d, d * od)
 
     __radd__ = __add__
@@ -279,8 +277,6 @@ class Scalar:
         if o is None:
             return NotImplemented
         d, od = self.d, o.d
-        if d == od:
-            return canonical_scalar(self.field, self.a - o.a, self.b - o.b, d)
         return canonical_scalar(self.field, self.a * od - o.a * d, self.b * od - o.b * d, d * od)
 
     def __rsub__(self, other):
@@ -340,9 +336,6 @@ class Scalar:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        if not self.b:
-            # powers of coprime integers stay coprime
-            return Scalar(self.a ** n, 0, self.d ** n, self.field)
         out = self.field.one
         base = self
         while n:

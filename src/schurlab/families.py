@@ -344,24 +344,18 @@ def clebsch_instance() -> FamilyInstance:
     return FamilyInstance("clebsch", field, payload, expected, checks)
 
 
-def bring_instance(clebsch: FamilyInstance | None = None,
-                   seed: int = 0) -> FamilyInstance:
+def bring_instance(seed: int = 0) -> FamilyInstance:
     """The sextic curve cut on the diagonal cubic by its invariant quadric.
 
     A seeded plane inside the hyperplane gives a cubic and a conic in the
     plane coordinates; their eliminant must have total degree 6, counted
     with multiplicity and including any unresolved factors, and every
-    resolved point satisfies all three power sums in 5-space.  Without a
-    Clebsch instance the cubic and the quadric come from their closed forms.
+    resolved point satisfies all three power sums in 5-space.  The cubic and
+    the quadric are the closed forms the Clebsch instance checks.
     """
-    if clebsch is None:
-        field = Field(5)
-        cubic = diagonal_cubic(field)
-        invariant = quadric(_gram_form(field).canonical())
-    else:
-        field = clebsch.field
-        cubic = clebsch.payload["cubic"]
-        invariant = quadric(clebsch.expected["gram"])
+    field = Field(5)
+    cubic = diagonal_cubic(field)
+    invariant = quadric(_gram_form(field).canonical())
 
     # the three power sums, restricted to the hyperplane: the first vanishes
     # identically, the second is the invariant quadric, the third the cubic

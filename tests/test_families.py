@@ -34,8 +34,8 @@ def test_clebsch_key_claims(clebsch):
     assert c["surface_pullback_matches_cubic"]
 
 
-def test_bring_section(clebsch):
-    inst = bring_instance(clebsch, seed=1)
+def test_bring_section():
+    inst = bring_instance(seed=1)
     assert inst.passed, inst.failed_checks()
     assert inst.checks["square_sum_restricts_to_quadric"]
     assert inst.checks["cube_sum_restricts_to_cubic"]
