@@ -169,8 +169,8 @@ def cmd_logbundle(run: Run, doc: dict) -> None:
     field = parse_field(doc.get("field", {"type": "rational"}))
     run.field = field
     raw = doc.get("lines")
-    if not isinstance(raw, list) or len(raw) < 3:
-        raise PreconditionError("logbundle input needs at least three lines")
+    if not isinstance(raw, list):
+        raise PreconditionError("logbundle input needs a list of lines")
     forms = [tuple(parse_vector(field, l, 3)) for l in raw]
 
     lb = build_logbundle(field, forms)
@@ -259,6 +259,8 @@ def _load_input(path: str | None) -> dict:
         raise PreconditionError(f"cannot read input: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise PreconditionError(f"input is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # huge integer, deep nesting
+        raise PreconditionError(f"input JSON cannot be read: {exc}") from exc
     if not isinstance(doc, dict):
         raise PreconditionError("input document must be a JSON object")
     return doc

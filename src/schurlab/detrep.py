@@ -10,9 +10,11 @@ relations form a 3 x 3 x 4 tensor with two useful flattenings:
   * a 3 x 4 grid of linear forms on the plane, whose rank drops to 2 exactly
     over the six input points.
 
-Kernels of the second flattening over each input point give two sextuples of
-lines on the surface forming a double six; images of the lines joining two
-input points give the other fifteen lines.
+The transpose of the second flattening is the pencil a(z) = sum z_a A_a of
+the three plane slices of the tensor, the maps of the induced monad.  Its
+kernel data over each input point (hulek_monad.pencil_at) gives a double six
+of lines on the surface: a_k is the left kernel and b_k the contracted
+space.  Images of the lines joining two input points give the other fifteen.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from itertools import combinations
 
 from .errors import ClaimError, PreconditionError
 from .exact_math import Field, Matrix, ProjSubspace, Scalar, vec_canonical
+from .hulek_monad import PencilPoint, pencil_at
 from .polyring import (HomPoly, LinFormsMatrix, ZeroLocus, monomials, poly_det,
                        resolved_common_zeros)
 
@@ -51,7 +54,7 @@ def line_on_hypersurface(form: HomPoly, line: ProjSubspace) -> bool:
 
 @dataclass
 class DetRep:
-    """The lines over the input points, the grid minors and the kernel-route
+    """The pencil over each input point, the grid minors and the kernel-route
     form (see schurform) are each built once per instance and shared by
     every caller; treat them as read-only."""
 
@@ -60,7 +63,7 @@ class DetRep:
     cubics: list[HomPoly]            # reduced basis of the cubics through the points
     tensor: tuple                    # tensor[i][a][b], i relation, a plane, b target
     target_grid: LinFormsMatrix      # 3 x 3, linear forms in the 4 target coordinates
-    source_grid: LinFormsMatrix      # 3 x 4, linear forms in the 3 plane coordinates
+    maps: list[Matrix]               # maps[a][b, i] = tensor[i][a][b], three 4 x 3 slices
     surface: HomPoly                 # det of target_grid, canonical
     _derived: dict = dataclasses.field(default_factory=dict, compare=False,
                                        repr=False)
@@ -98,41 +101,26 @@ class DetRep:
             raise PreconditionError("projection undefined: kernel is not a single point")
         return vec_canonical(kern[0])
 
-    def a_line(self, k: int) -> ProjSubspace:
-        """Line over input point k: right kernel of the 3 x 4 grid there."""
-        return self._once(("a_line", k), lambda: self._build_a_line(k))
+    def pencil(self, k: int) -> PencilPoint:
+        """Kernel data of the pencil of the three slices over input point k."""
+        return self._once(("pencil", k), lambda: pencil_at(self.maps, self.points[k]))
 
-    def _build_a_line(self, k: int) -> ProjSubspace:
-        kern = self.source_grid.evaluate(self.points[k]).kernel_basis()
-        line = ProjSubspace(self.field, 3, [list(v) for v in kern])
+    def a_line(self, k: int) -> ProjSubspace:
+        """Line over input point k: left kernel of the pencil there."""
+        line = self.pencil(k).left
         if line.dim != 1:
             raise ClaimError("right kernel over an input point is not a line")
         return line
 
     def b_line(self, k: int) -> ProjSubspace:
-        """Partner line over input point k: contract the tensor with the left
-        kernel of the 3 x 4 grid there and take the right kernel."""
-        return self._once(("b_line", k), lambda: self._build_b_line(k))
-
-    def _build_b_line(self, k: int) -> ProjSubspace:
-        phi = self.source_grid.evaluate(self.points[k]).left_kernel_basis()
-        if len(phi) != 1:
+        """Partner line over input point k: the contracted space of the
+        pencil there."""
+        pencil = self.pencil(k)
+        if len(pencil.right) != 1:
             raise ClaimError("left kernel over an input point is not a single point")
-        phi = phi[0]
-        rows = []
-        for a in range(3):
-            row = []
-            for b in range(4):
-                s = self.field.zero
-                for i in range(3):
-                    s = s + phi[i] * self.tensor[i][a][b]
-                row.append(s)
-            rows.append(row)
-        kern = Matrix(self.field, rows).kernel_basis()
-        line = ProjSubspace(self.field, 3, [list(v) for v in kern])
-        if line.dim != 1:
+        if pencil.contracted.dim != 1:
             raise ClaimError("contracted kernel over an input point is not a line")
-        return line
+        return pencil.contracted
 
     def c_line(self, i: int, j: int) -> ProjSubspace:
         """Image of the line joining input points i and j."""
@@ -147,12 +135,12 @@ class DetRep:
         return line
 
     def grid_minors(self) -> list[HomPoly]:
-        """The four signed maximal minors of the 3 x 4 grid, plane cubics."""
-        return self._once("grid_minors",
-                          lambda: self.source_grid.transpose().signed_maximal_minors())
+        """The four signed maximal minors of the 4 x 3 pencil, plane cubics."""
+        return self._once("grid_minors", lambda: LinFormsMatrix.from_coefficient_matrices(
+            self.maps).signed_maximal_minors())
 
     def recover_points(self) -> ZeroLocus:
-        """Common zeros of the signed maximal minors of the 3 x 4 grid."""
+        """Common zeros of the signed maximal minors of the 4 x 3 pencil."""
         return resolved_common_zeros(self.grid_minors())
 
     def minors_span_cubics(self) -> bool:
@@ -230,13 +218,12 @@ def build_detrep(field: Field, points) -> DetRep:
     target_mats = [Matrix(field, [[tensor[i][a][b] for a in range(3)] for i in range(3)])
                    for b in range(4)]
     target_grid = LinFormsMatrix.from_coefficient_matrices(target_mats)
-    source_mats = [Matrix(field, [[tensor[i][a][b] for b in range(4)] for i in range(3)])
-                   for a in range(3)]
-    source_grid = LinFormsMatrix.from_coefficient_matrices(source_mats)
+    maps = [Matrix(field, [[tensor[i][a][b] for i in range(3)] for b in range(4)])
+            for a in range(3)]
     surface = target_grid.det()
     if surface.is_zero():
         raise ClaimError("the 3 x 3 grid has identically zero determinant")
-    return DetRep(field, pts, cubics, tensor, target_grid, source_grid,
+    return DetRep(field, pts, cubics, tensor, target_grid, maps,
                   surface.canonical())
 
 

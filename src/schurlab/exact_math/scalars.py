@@ -391,10 +391,14 @@ class Scalar:
         return hash((self.u, self.v, self.field.s))
 
     def serialize(self) -> str:
-        if self.field.s is None:
-            return f"{self.a}/{self.d}"
-        u, v = self.u, self.v
-        return f"[{u.numerator}/{u.denominator}, {v.numerator}/{v.denominator}]"
+        try:
+            if self.field.s is None:
+                return f"{self.a}/{self.d}"
+            u, v = self.u, self.v
+            return f"[{u.numerator}/{u.denominator}, {v.numerator}/{v.denominator}]"
+        except ValueError as exc:  # str() of an int past Python's digit limit
+            raise PreconditionError(f"a computed scalar exceeds MAX_LITERAL_DIGITS = "
+                                    f"{MAX_LITERAL_DIGITS} digits") from exc
 
     def __repr__(self) -> str:
         if self.field.s is None or not self.b:

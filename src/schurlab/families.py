@@ -54,14 +54,12 @@ from .schurform import orthogonal_form_for_pairs, schur_pair
 class FamilyInstance:
     """A named worked example: the constructed payload plus its report card.
 
-    ``expected`` holds the closed-form comparison data (canonical
-    polynomials, subspaces, scalars) the checks were made against; ``notes``
-    records observations that are reported but deliberately not asserted.
+    ``notes`` records observations that are reported but deliberately not
+    asserted.
     """
     name: str
     field: Field
     payload: dict
-    expected: dict
     checks: dict
     notes: tuple = ()
 
@@ -340,8 +338,7 @@ def clebsch_instance() -> FamilyInstance:
                "net": net, "hexad": hexad, "rep": rep,
                "kernel_form": bform, "orthogonal_form": cform,
                "coordinate_change": tmat}
-    expected = {"gram": standard.canonical()}
-    return FamilyInstance("clebsch", field, payload, expected, checks)
+    return FamilyInstance("clebsch", field, payload, checks)
 
 
 def bring_instance(seed: int = 0) -> FamilyInstance:
@@ -406,8 +403,7 @@ def bring_instance(seed: int = 0) -> FamilyInstance:
                  "polynomial identities above" % resolved,
                  "the six contraction images form one orbit of the even "
                  "permutations; recorded, not asserted",)
-        return FamilyInstance("bring", field, payload,
-                              {"quadric": invariant.canonical()}, checks, notes)
+        return FamilyInstance("bring", field, payload, checks, notes)
     raise ClaimError("no usable plane section found")
 
 
@@ -441,19 +437,18 @@ def triangle_monad_n3(seed: int = 0) -> FamilyInstance:
     lines_ok = True
     opp_ok = True
     for i, z in enumerate(coord_points):
-        left, _right, apair = monad.subspaces_at(z)
+        pencil = monad.at(z)
         coord_line = ProjSubspace.from_equations(
             field, 2, [[field.one if k == i else field.zero for k in range(3)]])
-        lines_ok = lines_ok and left == coord_line
+        lines_ok = lines_ok and pencil.left == coord_line
         opp = ProjSubspace.from_point(
             field, [field.one if k == i else field.zero for k in range(3)])
-        opp_ok = opp_ok and apair == opp
+        opp_ok = opp_ok and pencil.contracted == opp
     checks["left_kernels_are_coordinate_lines"] = lines_ok
     checks["partner_spaces_are_opposite_points"] = opp_ok
 
     payload = {"monad": monad, "curve": curve, "locus": loc}
-    expected = {"curve": expected_curve.canonical()}
-    return FamilyInstance("triangle", field, payload, expected, checks)
+    return FamilyInstance("triangle", field, payload, checks)
 
 
 def _sum_of_products(field: Field, index_pairs) -> HomPoly:
@@ -497,8 +492,7 @@ def n2_instance(seed: int = 0) -> FamilyInstance:
     checks["middle_quadric_two_distinct_points"] = not disc.is_zero()
 
     payload = {"monad": monad, "curve": curve, "locus": loc}
-    expected = {"curve": expected_curve.canonical()}
-    return FamilyInstance("n2", field, payload, expected, checks)
+    return FamilyInstance("n2", field, payload, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +503,7 @@ def _coeff_triple(form: HomPoly):
     return [form.coeff((1, 0, 0)), form.coeff((0, 1, 0)), form.coeff((0, 0, 1))]
 
 
-def hulsbergen_shape(field: Field, forms, relations=None,
-                     seed: int = 0) -> FamilyInstance:
+def hulsbergen_shape(field: Field, forms, seed: int = 0) -> FamilyInstance:
     """Monad built from n pairwise independent, concurrent-free linear forms
     through the nearly-diagonal n x (n-1) shape.
 
@@ -529,17 +522,8 @@ def hulsbergen_shape(field: Field, forms, relations=None,
     coeffs = Matrix.from_rows(field, [_coeff_triple(f) for f in forms])
     check_general_position(field, coeffs.data)
 
-    if relations is None:
-        relations = [list(v) for v in coeffs.transpose().kernel_basis()]
-    else:
-        relations = [[field.coerce(c) for c in r] for r in relations]
-        for r in relations:
-            resid = [sum((r[i] * coeffs[i, k] for i in range(n)), field.zero)
-                     for k in range(3)]
-            if not all(c.is_zero() for c in resid):
-                raise PreconditionError("given vector is not a relation")
-    if len(relations) != n - 3:
-        raise PreconditionError(f"expected {n - 3} relations, got {len(relations)}")
+    # general position leaves three independent forms, so n - 3 relations
+    relations = [list(v) for v in coeffs.transpose().kernel_basis()]
 
     maps = []
     for k in range(3):
@@ -626,11 +610,9 @@ def hulsbergen_shape(field: Field, forms, relations=None,
 
     payload = {"forms": forms, "monad": monad, "curve": curve, "locus": loc,
                "square_combination": combo, "relations": relations}
-    expected = {"complement_products": [f.canonical() for f in big]}
     notes = ("the shape is not generically two-collapsing: whole lines of "
              "the image hypersurface drop rank, recorded, not asserted",)
-    return FamilyInstance(f"hulsbergen{n}", field, payload, expected, checks,
-                          notes)
+    return FamilyInstance(f"hulsbergen{n}", field, payload, checks, notes)
 
 
 def _complement_product(forms, j: int) -> HomPoly:
@@ -728,9 +710,7 @@ def schwarzenberger_detect(conic: HomPoly | None = None, points=None,
 
     payload = {"conic": conic, "points": points, "bundle": bundle,
                "curve": curve, "locus": loc}
-    expected = {"conic": conic.canonical(),
-                "cube": (conic * conic * conic).canonical()}
-    return FamilyInstance("schwarzenberger", field, payload, expected, checks)
+    return FamilyInstance("schwarzenberger", field, payload, checks)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@ nondegenerate symmetric n x n form.
 
 The three matrices assemble into a pencil-like grid a(z) = sum z_k A_k of
 linear forms on the dual plane.  Lines z where a(z) drops below its generic
-rank n-1 are the jumping lines; the curve of jumping lines of the second kind
-is the determinant of the symmetric (n-1) x (n-1) grid s(z) = a(z)^T B a(z),
-of degree 2n-2.  An independent route to the same curve evaluates the inverse
-form on the vector of signed maximal minors of a(z).
+rank n-1 are the jumping lines.  Every pointwise report reads the kernel data
+of a(z) from ``pencil_at``; for the monad of a hexad (see schurform) its left
+kernel and contracted space at the k-th point are the double-six lines a_k
+and b_k.  The curve of jumping lines of the second kind is the determinant
+of the symmetric (n-1) x (n-1) grid s(z) = a(z)^T B a(z), of degree 2n-2.  An
+independent route to the same curve evaluates the inverse form on the vector
+of signed maximal minors of a(z).
 
 Compatibility (each A_i^T B A_j symmetric) is exactly what makes s(z)
 symmetric; it is checked literally.  Pointwise exactness of the monad cannot
@@ -29,13 +32,41 @@ from .polyring import (HomPoly, LinFormsMatrix, ZeroLocus, LocalSingularity,
                        resolved_common_zeros)
 
 
+def _pencil_matrix(maps, z) -> Matrix:
+    """a(z) = z_0 A_0 + z_1 A_1 + z_2 A_2."""
+    return maps[0].scale(z[0]) + maps[1].scale(z[1]) + maps[2].scale(z[2])
+
+
+@dataclass
+class PencilPoint:
+    """a(z) at one point: rank, left kernel in P^(n-1), a right kernel basis
+    h, and the contracted space where every A_k h vanishes."""
+    rank: int
+    left: ProjSubspace
+    right: list
+    contracted: ProjSubspace
+
+
+def pencil_at(maps, z) -> PencilPoint:
+    """Kernel data of a(z) for three n x (n-1) matrices A_k."""
+    field = maps[0].field
+    az = _pencil_matrix(maps, tuple(field.coerce(c) for c in z))
+    n = az.rows
+    right = az.kernel_basis()
+    contracted = ProjSubspace.from_equations(
+        field, n - 1, [m.apply(h) for h in right for m in maps])
+    return PencilPoint(n - 1 - len(right),
+                       ProjSubspace(field, n - 1, az.left_kernel_basis()),
+                       right, contracted)
+
+
 class MonadData:
     """Three n x (n-1) matrices over one field plus a nondegenerate symmetric
     form on the n-dimensional middle space.
 
-    The grid, its signed minors, the second-kind curve and the jumping locus
-    are each built once per instance and shared by every caller; treat them
-    as read-only."""
+    The grid, its signed minors, the second-kind curve, the jumping locus and
+    the pencil at each point are each built once per instance and shared by
+    every caller; treat them as read-only."""
 
     __slots__ = ("field", "n", "maps", "form", "_derived")
 
@@ -60,7 +91,7 @@ class MonadData:
         self.form = form
         self._derived = {}
 
-    def _once(self, key: str, build):
+    def _once(self, key, build):
         if key not in self._derived:
             self._derived[key] = build()
         return self._derived[key]
@@ -74,12 +105,6 @@ class MonadData:
         """3 x (n-1) grid of linear forms in n middle-space covector variables."""
         mats = [Matrix(self.field, [[self.maps[k][r, c] for c in range(self.n - 1)]
                                     for k in range(3)]) for r in range(self.n)]
-        return LinFormsMatrix.from_coefficient_matrices(mats)
-
-    def a_H(self) -> LinFormsMatrix:
-        """3 x n grid of linear forms in n-1 source-space variables."""
-        mats = [Matrix(self.field, [[self.maps[k][r, c] for r in range(self.n)]
-                                    for k in range(3)]) for c in range(self.n - 1)]
         return LinFormsMatrix.from_coefficient_matrices(mats)
 
     def signed_minors(self) -> list[HomPoly]:
@@ -145,35 +170,10 @@ class MonadData:
         return self._once("jumping_points",
                           lambda: resolved_common_zeros(self.signed_minors()))
 
-    def rank_at(self, z) -> int:
-        z = tuple(self.field.coerce(c) for c in z)
-        return self.a_V().evaluate(z).rank()
-
-    def corank_at(self, z) -> int:
-        return self.n - self.rank_at(z)
-
-    def splitting_at(self, z) -> int:
-        """Splitting order of the bundle on the line z: corank minus one
-        (zero on a non-jumping line)."""
-        return self.corank_at(z) - 1
-
-    def subspaces_at(self, z):
-        """(left kernel, right kernel, intersection of contracted kernels) at
-        z, as projective subspaces of the middle covector space, the source
-        space, and the middle covector space respectively."""
-        z = tuple(self.field.coerce(c) for c in z)
-        az = self.a_V().evaluate(z)
-        left = ProjSubspace(self.field, self.n - 1,
-                            [list(v) for v in az.left_kernel_basis()])
-        right_vectors = az.kernel_basis()
-        right = ProjSubspace(self.field, self.n - 2,
-                             [list(v) for v in right_vectors])
-        span = []
-        for h in right_vectors:
-            for k in range(3):
-                span.append(list(self.maps[k].apply(h)))
-        apair = ProjSubspace.from_equations(self.field, self.n - 1, span)
-        return left, right, apair
+    def at(self, z) -> PencilPoint:
+        """The pencil at the point z, built once per projective point."""
+        z = vec_canonical(tuple(self.field.coerce(c) for c in z))
+        return self._once(("at", z), lambda: pencil_at(self.maps, z))
 
 
 @dataclass
@@ -201,15 +201,14 @@ def orthogonality_report(monad: MonadData, z) -> OrthogonalityReport:
     to all of the contracted-kernel space iff C psi annihilates it, i.e. psi
     lies in the B-image of the contracted vectors themselves.
     """
-    z = tuple(monad.field.coerce(c) for c in z)
-    corank = monad.corank_at(z)
+    z = vec_canonical(tuple(monad.field.coerce(c) for c in z))
+    pencil = monad.at(z)
+    corank = monad.n - pencil.rank
     if corank < 2:
         raise PreconditionError("not a jumping point")
-    left, _right, apair = monad.subspaces_at(z)
-    polar = apair.polar(monad.form)
-    return OrthogonalityReport(vec_canonical(z), corank,
-                               left.contains(polar), polar == left,
-                               corank == 2)
+    polar = pencil.contracted.polar(monad.form)
+    return OrthogonalityReport(z, corank, pencil.left.contains(polar),
+                               polar == pencil.left, corank == 2)
 
 
 @dataclass
@@ -242,7 +241,7 @@ def biflex_reports(monad: MonadData, points) -> list[BiflexReport]:
     curve = monad.jlsk_curve()
     out = []
     for z in points:
-        corank = monad.corank_at(z)
+        corank = monad.n - monad.at(z).rank
         ls = local_singularity(curve, z)
         orders = [line_intersection_order(curve, line, z)
                   for line in ls.tangent_lines]
@@ -288,8 +287,10 @@ def compatible_form_space(field: Field, maps) -> list[Matrix]:
     return [SymForm.from_pairs(field, n, vec).matrix for vec in kern]
 
 
-def select_compatible_form(field: Field, maps, seed: int = 0,
-                           tries: int = 200) -> SymForm:
+FORM_TRIES = 200  # seeded combinations tried after the subset sums
+
+
+def select_compatible_form(field: Field, maps, seed: int = 0) -> SymForm:
     """Deterministically pick a nondegenerate compatible form: first sums of
     basis subsets ordered by size then position, then seeded integer
     combinations."""
@@ -311,7 +312,7 @@ def select_compatible_form(field: Field, maps, seed: int = 0,
         if budget > 400:
             break
     rng = random.Random(seed)
-    for _ in range(tries):
+    for _ in range(FORM_TRIES):
         cand = None
         for b in basis:
             t = b.scale(field.scalar(rng.randint(-5, 5)))
@@ -335,39 +336,41 @@ class MonadReport:
                 and self.compatibility == "pass")
 
 
-def validate_monad(monad: MonadData, seed: int = 0, samples: int = 25) -> MonadReport:
+PROBE_SAMPLES = 25  # seeded sample points, then seeded probe vectors
+
+
+def validate_monad(monad: MonadData, seed: int = 0) -> MonadReport:
     field = monad.field
     rng = random.Random(seed)
     ok3 = monad.compatibility_ok()
 
-    aV = monad.a_V()
     ok1 = False
-    for _ in range(samples):
+    for _ in range(PROBE_SAMPLES):
         z = tuple(field.scalar(rng.randint(-9, 9)) for _ in range(3))
-        if any(not c.is_zero() for c in z) and aV.evaluate(z).rank() == monad.n - 1:
+        if (any(not c.is_zero() for c in z)
+                and _pencil_matrix(monad.maps, z).rank() == monad.n - 1):
             ok1 = True
             break
     if not ok1:
         ok1 = any(not m.is_zero() for m in monad.signed_minors())
 
-    aH = monad.a_H()
     probes = 0
     ok2 = True
     hs = []
-    for _ in range(samples):
+    for _ in range(PROBE_SAMPLES):
         hs.append(tuple(field.scalar(rng.randint(-9, 9))
                         for _ in range(monad.n - 1)))
     try:
         locus = monad.jumping_points()
         for z in locus.points:
-            hs.extend(aV.evaluate(z).kernel_basis())
+            hs.extend(_pencil_matrix(monad.maps, z).kernel_basis())
     except PreconditionError:
         pass
     for h in hs:
         if all(c.is_zero() for c in h):
             continue
         probes += 1
-        if aH.evaluate(h).rank() < 2:
+        if Matrix(field, [m.apply(h) for m in monad.maps]).rank() < 2:
             ok2 = False
             break
     return MonadReport("pass" if ok1 else "fail",
@@ -377,5 +380,6 @@ def validate_monad(monad: MonadData, seed: int = 0, samples: int = 25) -> MonadR
 
 
 def middle_rank_at(monad: MonadData, mu) -> int:
+    """Rank of the 3 x (n-1) matrix with rows mu^T A_k."""
     mu = tuple(monad.field.coerce(c) for c in mu)
-    return monad.a_M().evaluate(mu).rank()
+    return Matrix(monad.field, [m.apply_left(mu) for m in monad.maps]).rank()

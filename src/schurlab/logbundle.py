@@ -229,7 +229,7 @@ def arrangement_jump_check(lb: LogBundle) -> list[ArrangementJumpReport]:
     for f in lb.forms:
         z = vec_canonical(f)
         in_support = all(m.evaluate(z).is_zero() for m in minors)
-        rank = lb.monad.rank_at(z)
+        rank = lb.monad.at(z).rank
         out.append(ArrangementJumpReport(z, in_support, rank, n - rank,
                                          comb(n - rank, 2), expected,
                                          n - d + 1, n - d - 1))

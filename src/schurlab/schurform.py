@@ -20,6 +20,7 @@ from itertools import combinations
 from .detrep import DetRep
 from .errors import ClaimError
 from .exact_math import Matrix, SymForm, sym_row, vec_dot
+from .hulek_monad import MonadData
 from .polyring import gram
 
 
@@ -108,14 +109,8 @@ def polarity_swaps_sextuples(rep: DetRep, B: SymForm) -> bool:
     return True
 
 
-def induced_monad(rep: DetRep):
+def induced_monad(rep: DetRep) -> MonadData:
     """Monad over the plane whose middle space is the target 4-space: the
     three coordinate slices of the defining tensor paired with the kernel
     form.  Its jumping points recover the original hexad."""
-    from .hulek_monad import MonadData
-    field = rep.field
-    maps = [Matrix.from_rows(field,
-                             [[rep.tensor[i][a][b] for i in range(3)]
-                              for b in range(4)])
-            for a in range(3)]
-    return MonadData(maps, schur_kernel_form(rep))
+    return MonadData(rep.maps, schur_kernel_form(rep))

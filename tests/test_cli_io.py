@@ -141,6 +141,31 @@ def test_oversized_extension_modulus_rejected_quickly(tmp_path):
     assert "at most" in proc.stdout
 
 
+@pytest.mark.parametrize("text", [
+    '{"lines": [[1' + "0" * 4400 + ', 0, 0]]}',
+    '{"lines": ' + "[" * 200000 + "]" * 200000 + "}"],
+    ids=["integer-past-digit-limit", "nested-past-recursion-limit"])
+def test_unreadable_json_rejected(text, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out = run(["logbundle", "--in", str(path)], capsys)
+    assert code == 2
+    assert "input JSON cannot be read" in out
+
+
+def test_unserializable_computed_scalar_rejected(tmp_path):
+    # the curve of this monad has coefficients of about 8000 digits
+    maps = [[["1" + "0" * 4000, "0"], ["0", "0"], ["0", "0"]]] + TRIANGLE_MAPS[1:]
+    doc = {"field": {"type": "rational"}, "maps": maps}
+    target = tmp_path / "cert.json"
+    code = main(["monad", "--in", write(tmp_path, "m.json", doc),
+                 "--out", str(target), "--format", "structured"])
+    assert code == 2
+    error = json.loads(target.read_text())["error"]
+    assert error["kind"] == "precondition"
+    assert "MAX_LITERAL_DIGITS" in error["message"]
+
+
 def test_cubic_coconic_rejected(tmp_path, capsys):
     bad = dict(HEXAD)
     bad["points"] = [["1", "0", "0"], ["1", "1", "1"], ["1", "2", "4"],
@@ -163,10 +188,13 @@ def test_logbundle_pass(tmp_path, capsys):
 
 
 def test_logbundle_too_few_lines(tmp_path, capsys):
-    doc = {"field": {"type": "rational"},
-           "lines": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
-    code, _ = run(["logbundle", "--in", write(tmp_path, "t.json", doc)], capsys)
-    assert code == 2
+    for lines in ([], [["1", "0", "0"], ["0", "1", "0"]],
+                  [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]):
+        doc = {"field": {"type": "rational"}, "lines": lines}
+        code, out = run(["logbundle", "--in", write(tmp_path, "t.json", doc)],
+                        capsys)
+        assert code == 2
+        assert "at least six" in out
 
 
 def test_monad_auto_form(tmp_path, capsys):
@@ -308,3 +336,13 @@ def test_logbundle_computes_signed_minors_once(tmp_path, monkeypatch, capsys):
                    write(tmp_path, "l.json", SIX_LINES)], capsys)
     assert code == 0
     assert len(calls) == 1
+
+
+def test_monad_builds_pencil_once_per_jumping_point(tmp_path, monkeypatch, capsys):
+    # exactness probes, orthogonality and singularity reports share it
+    calls = []
+    _count_calls(monkeypatch, calls, hulek_monad, "pencil_at")
+    doc = {"field": {"type": "rational"}, "maps": TRIANGLE_MAPS}
+    code, _ = run(["monad", "--in", write(tmp_path, "m.json", doc)], capsys)
+    assert code == 0
+    assert len(calls) == 3

@@ -1,10 +1,14 @@
 """Determinantal cubic surfaces from plane hexads and their line geometry."""
+import random
+
 import pytest
 
 from schurlab.detrep import build_detrep, double_six, line_on_hypersurface
 from schurlab.errors import ClaimError, PreconditionError
-from schurlab.exact_math import QQ, vec_canonical
+from schurlab.exact_math import QQ, Field, Matrix, ProjSubspace, vec_canonical
 from schurlab.families import sorted_points
+from schurlab.polyring import LinFormsMatrix
+from test_golden import CLEBSCH_HEXAD
 
 COCONIC = [(1, 0, 0), (1, 1, 1), (1, 2, 4), (1, 3, 9), (1, 4, 16), (0, 0, 1)]
 
@@ -84,3 +88,47 @@ def test_collinear_triple_rejected():
     with pytest.raises((PreconditionError, ClaimError)):
         build_detrep(QQ, [(1, 0, 0), (0, 1, 0), (1, 1, 0),
                           (1, 1, 1), (1, 2, 3), (1, 4, 9)])
+
+
+def reference_lines(rep, k):
+    """The lines over input point k built from the 3 x 4 grid of linear forms
+    sum_a z_a [tensor[i][a][b]]: a_k is its right kernel at the point; b_k is
+    the right kernel of the tensor contracted with its left kernel there."""
+    field, g = rep.field, rep.tensor
+    grid = LinFormsMatrix.from_coefficient_matrices(
+        [Matrix(field, [[g[i][a][b] for b in range(4)] for i in range(3)])
+         for a in range(3)]).evaluate(rep.points[k])
+    a_line = ProjSubspace(field, 3, grid.kernel_basis())
+    (phi,) = grid.left_kernel_basis()
+    contracted = Matrix(field, [[sum((phi[i] * g[i][a][b] for i in range(3)),
+                                     field.zero) for b in range(4)]
+                                for a in range(3)])
+    return a_line, ProjSubspace(field, 3, contracted.kernel_basis())
+
+
+def seeded_hexad_reps(count=5, seed=7):
+    """The admissible hexads that tests/test_acceptance.py test 02 draws."""
+    rng = random.Random(seed)
+    reps = []
+    for _ in range(200):
+        if len(reps) == count:
+            break
+        points = [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(6)]
+        if any(all(c == 0 for c in p) for p in points):
+            continue
+        try:
+            reps.append(build_detrep(QQ, points))
+        except PreconditionError:
+            continue
+    return reps
+
+
+def test_pencil_lines_match_grid_reference(std_rep):
+    field = Field(5)
+    clebsch = build_detrep(field, [[field.parse(c) for c in p]
+                                   for p in CLEBSCH_HEXAD["points"]])
+    reps = [std_rep, clebsch] + seeded_hexad_reps()
+    assert len(reps) == 7
+    for rep in reps:
+        for k in range(6):
+            assert (rep.a_line(k), rep.b_line(k)) == reference_lines(rep, k)

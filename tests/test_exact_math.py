@@ -69,6 +69,15 @@ def test_oversized_literals_rejected():
             Field(5).parse(text)
 
 
+def test_serialize_past_digit_limit_is_a_precondition():
+    # computed values are not bounded like literals: squares of 2201-digit
+    # numbers have 4401 digits, which str() of an integer refuses
+    f = Field(5)
+    for big in [QQ.scalar(10 ** 2200) ** 2, f.scalar(1, 10 ** 2200) ** 2]:
+        with pytest.raises(PreconditionError, match="MAX_LITERAL_DIGITS"):
+            big.serialize()
+
+
 def test_matrix_rank_det_kernel():
     m = Matrix.from_rows(QQ, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     assert m.rank() == 2

@@ -4,13 +4,13 @@ from math import comb
 import pytest
 
 from schurlab.errors import ClaimError, PreconditionError
-from schurlab.exact_math import Field, Matrix, QQ, SymForm
+from schurlab.exact_math import Field, Matrix, ProjSubspace, QQ, SymForm
 from schurlab.families import hulsbergen_instance_5
 from schurlab.hulek_monad import (MonadData, biflex_reports,
                                   compatible_form_space, determinantal_degree,
                                   middle_rank_at, multiplicity_bound,
-                                  orthogonality_report, select_compatible_form,
-                                  validate_monad)
+                                  orthogonality_report, pencil_at,
+                                  select_compatible_form, validate_monad)
 from schurlab.polyring import HomPoly
 
 
@@ -67,9 +67,16 @@ def test_form_route_matches_entrywise_reference(six_line_bundle):
 
 
 def test_triangle_rank_profile(triangle):
-    assert triangle.rank_at((1, 1, 1)) == 2
-    assert triangle.corank_at((0, 0, 1)) == 2
-    assert triangle.splitting_at((0, 0, 1)) == 1
+    assert triangle.at((1, 1, 1)).rank == 2
+    corank = triangle.n - triangle.at((0, 0, 1)).rank
+    assert corank == 2
+    # splitting order on the line: corank minus one
+    assert corank - 1 == 1
+
+
+def test_pencil_built_once_per_projective_point(triangle):
+    assert triangle.at((0, 0, 2)) is triangle.at((0, 0, 1))
+    assert triangle.at((0, 0, 1)) == pencil_at(triangle.maps, (0, 0, 1))
 
 
 def test_triangle_jumping_points(triangle):
@@ -82,11 +89,15 @@ def test_triangle_jumping_points(triangle):
 
 
 def test_triangle_left_kernel_spaces(triangle):
-    left, right, apair = triangle.subspaces_at((0, 0, 1))
+    pencil = triangle.at((0, 0, 1))
+    left = pencil.left
     assert left.dim == 1 and left.ambient == 2
     assert left.contains_vector((1, 0, 0))
     assert left.contains_vector((0, 1, 0))
+    right = ProjSubspace(QQ, 1, pencil.right)
     assert right.ambient == 1
+    assert right == ProjSubspace.from_point(QQ, (1, 1))
+    assert pencil.contracted == ProjSubspace.from_point(QQ, (0, 0, 1))
 
 
 def test_orthogonality_equality_at_rank_drop_one(triangle):
