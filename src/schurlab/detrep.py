@@ -11,22 +11,24 @@ relations form a 3 x 3 x 4 tensor with two useful flattenings:
     over the six input points.
 
 The transpose of the second flattening is the pencil a(z) = sum z_a A_a of
-the three plane slices of the tensor, the maps of the induced monad.  Its
-kernel data over each input point (hulek_monad.pencil_at) gives a double six
-of lines on the surface: a_k is the left kernel and b_k the contracted
-space.  Images of the lines joining two input points give the other fifteen.
+the three plane slices of the tensor.  Paired with the kernel-route form
+(see schurform) it is the induced monad, built once with the DetRep, which
+owns the pencil, its signed minors and their zero locus.  The pencil's
+kernel data over each input point gives a double six of lines on the
+surface: a_k is the left kernel and b_k the contracted space.  Its signed
+minors span the cubics and their common zeros are the input points.  Images
+of the lines joining two input points give the other fifteen.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ClaimError, PreconditionError
-from .exact_math import Field, Matrix, ProjSubspace, Scalar, vec_canonical
-from .hulek_monad import PencilPoint, pencil_at
-from .polyring import (HomPoly, LinFormsMatrix, ZeroLocus, monomials, poly_det,
-                       resolved_common_zeros)
+from .exact_math import (Field, Matrix, ProjSubspace, Scalar, SymForm, sym_row,
+                         vec_canonical)
+from .hulek_monad import MonadData
+from .polyring import HomPoly, LinFormsMatrix, ZeroLocus, monomials, poly_det
 
 Point = tuple[Scalar, ...]
 
@@ -54,24 +56,17 @@ def line_on_hypersurface(form: HomPoly, line: ProjSubspace) -> bool:
 
 @dataclass
 class DetRep:
-    """The pencil over each input point, the grid minors and the kernel-route
-    form (see schurform) are each built once per instance and shared by
-    every caller; treat them as read-only."""
+    """The induced monad owns the pencil over each input point, its signed
+    minors and their zero locus; each is built once and shared by every
+    caller, so treat them as read-only."""
 
     field: Field
     points: list[Point]
     cubics: list[HomPoly]            # reduced basis of the cubics through the points
     tensor: tuple                    # tensor[i][a][b], i relation, a plane, b target
     target_grid: LinFormsMatrix      # 3 x 3, linear forms in the 4 target coordinates
-    maps: list[Matrix]               # maps[a][b, i] = tensor[i][a][b], three 4 x 3 slices
+    monad: MonadData                 # maps[a][b, i] = tensor[i][a][b], kernel-route form
     surface: HomPoly                 # det of target_grid, canonical
-    _derived: dict = dataclasses.field(default_factory=dict, compare=False,
-                                       repr=False)
-
-    def _once(self, key, build):
-        if key not in self._derived:
-            self._derived[key] = build()
-        return self._derived[key]
 
     def image_point(self, p) -> Point:
         """Image of a plane point under the cubic system."""
@@ -81,33 +76,26 @@ class DetRep:
             raise PreconditionError("point is one of the six base points")
         return vec_canonical(img)
 
-    def first_projection(self, x) -> Point:
-        """Plane point under the surface point x: right kernel of the 3 x 3 grid."""
+    def _grid_kernel_point(self, x, kernel) -> Point:
         x = tuple(self.field.coerce(c) for c in x)
         if not self.surface.evaluate(x).is_zero():
             raise PreconditionError("point is not on the surface")
-        kern = self.target_grid.evaluate(x).kernel_basis()
+        kern = kernel(self.target_grid.evaluate(x))
         if len(kern) != 1:
             raise PreconditionError("projection undefined: kernel is not a single point")
         return vec_canonical(kern[0])
+
+    def first_projection(self, x) -> Point:
+        """Plane point under the surface point x: right kernel of the 3 x 3 grid."""
+        return self._grid_kernel_point(x, Matrix.kernel_basis)
 
     def second_projection(self, x) -> Point:
         """Relation-space point under x: left kernel of the 3 x 3 grid."""
-        x = tuple(self.field.coerce(c) for c in x)
-        if not self.surface.evaluate(x).is_zero():
-            raise PreconditionError("point is not on the surface")
-        kern = self.target_grid.evaluate(x).left_kernel_basis()
-        if len(kern) != 1:
-            raise PreconditionError("projection undefined: kernel is not a single point")
-        return vec_canonical(kern[0])
-
-    def pencil(self, k: int) -> PencilPoint:
-        """Kernel data of the pencil of the three slices over input point k."""
-        return self._once(("pencil", k), lambda: pencil_at(self.maps, self.points[k]))
+        return self._grid_kernel_point(x, Matrix.left_kernel_basis)
 
     def a_line(self, k: int) -> ProjSubspace:
         """Line over input point k: left kernel of the pencil there."""
-        line = self.pencil(k).left
+        line = self.monad.at(self.points[k]).left
         if line.dim != 1:
             raise ClaimError("right kernel over an input point is not a line")
         return line
@@ -115,7 +103,7 @@ class DetRep:
     def b_line(self, k: int) -> ProjSubspace:
         """Partner line over input point k: the contracted space of the
         pencil there."""
-        pencil = self.pencil(k)
+        pencil = self.monad.at(self.points[k])
         if len(pencil.right) != 1:
             raise ClaimError("left kernel over an input point is not a single point")
         if pencil.contracted.dim != 1:
@@ -134,19 +122,15 @@ class DetRep:
             raise ClaimError("image of a joining line is not a line")
         return line
 
-    def grid_minors(self) -> list[HomPoly]:
-        """The four signed maximal minors of the 4 x 3 pencil, plane cubics."""
-        return self._once("grid_minors", lambda: LinFormsMatrix.from_coefficient_matrices(
-            self.maps).signed_maximal_minors())
-
     def recover_points(self) -> ZeroLocus:
-        """Common zeros of the signed maximal minors of the 4 x 3 pencil."""
-        return resolved_common_zeros(self.grid_minors())
+        """Common zeros of the signed maximal minors of the 4 x 3 pencil:
+        the induced monad's jumping points."""
+        return self.monad.jumping_points()
 
     def minors_span_cubics(self) -> bool:
         """The four signed maximal minors span the same space as the cubics."""
         cub = [list(c.coefficient_vector()) for c in self.cubics]
-        mnr = [list(m.coefficient_vector()) for m in self.grid_minors()]
+        mnr = [list(m.coefficient_vector()) for m in self.monad.signed_minors()]
         if Matrix(self.field, mnr).rank() != 4:
             return False
         return Matrix(self.field, cub + mnr).rank() == 4
@@ -179,9 +163,31 @@ def _check_hexad(field: Field, pts) -> None:
             "smooth cubic and the construction does not apply")
 
 
+def kernel_form(field: Field, tensor) -> SymForm:
+    """Kernel route to the Schur quadric.  Unknowns are the ten entries of a
+    symmetric 4 x 4 tensor; each of the nine equations pairs a 2 x 2 pattern
+    of relation and plane indices against the symmetrized wedge of the
+    tensor slices."""
+    g = tensor
+    rows = []
+    for i, ip in combinations(range(3), 2):
+        for a, ap in combinations(range(3), 2):
+            def wedge(b, bp):
+                return (g[i][a][b] * g[ip][ap][bp] - g[ip][a][b] * g[i][ap][bp]
+                        - g[i][ap][b] * g[ip][a][bp] + g[ip][ap][b] * g[i][a][bp])
+            rows.append(sym_row(4, wedge))
+    kern = Matrix(field, rows).kernel_basis()
+    if len(kern) != 1:
+        raise ClaimError(f"kernel route: expected a unique form, kernel dim {len(kern)}")
+    form = SymForm.from_pairs(field, 4, kern[0])
+    if not form.is_nondegenerate():
+        raise ClaimError("kernel route produced a degenerate form")
+    return form.canonical()
+
+
 def build_detrep(field: Field, points) -> DetRep:
-    """The determinantal data of an admissible hexad; the one place a hexad
-    is checked for admissibility."""
+    """The determinantal data of an admissible hexad and its induced monad;
+    the one place a hexad is checked for admissibility."""
     pts = [tuple(field.coerce(c) for c in p) for p in points]
     if len(pts) != 6 or any(len(p) != 3 for p in pts):
         raise PreconditionError("exactly six plane points with three coordinates required")
@@ -223,8 +229,8 @@ def build_detrep(field: Field, points) -> DetRep:
     surface = target_grid.det()
     if surface.is_zero():
         raise ClaimError("the 3 x 3 grid has identically zero determinant")
-    return DetRep(field, pts, cubics, tensor, target_grid, maps,
-                  surface.canonical())
+    return DetRep(field, pts, cubics, tensor, target_grid,
+                  MonadData(maps, kernel_form(field, tensor)), surface.canonical())
 
 
 @dataclass

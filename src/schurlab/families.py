@@ -45,7 +45,7 @@ from .exact_math import (QQ, Field, Matrix, ProjSubspace, SymForm,
 from .hulek_monad import (MonadData, middle_rank_at, select_compatible_form,
                           validate_monad)
 from .logbundle import build_logbundle, check_general_position
-from .polyring import (HomPoly, gram, monomials, multivariate_gcd, quadric,
+from .polyring import (HomPoly, monomials, multivariate_gcd, quadric,
                        solve_pair)
 from .schurform import orthogonal_form_for_pairs, schur_pair
 
@@ -669,34 +669,20 @@ def hulsbergen_instance_5(seed: int = 0) -> FamilyInstance:
 # six tangents of a conic
 
 
-def schwarzenberger_detect(conic: HomPoly | None = None, points=None,
-                           field: Field = QQ) -> FamilyInstance:
-    """Log-bundle pipeline on six lines dual to points of a smooth conic.
+def schwarzenberger_detect() -> FamilyInstance:
+    """Log-bundle pipeline on six lines dual to points of the smooth conic
+    x0*x2 - x1^2.
 
     The jumping scheme must fail to be zero-dimensional, with the conic as
     the common factor of the minors and its cube as the curve.
     """
-    if conic is None:
-        conic = HomPoly.zero(field, 3, 2) + \
-            HomPoly.monomial(field, (1, 0, 1), field.one) - \
-            HomPoly.monomial(field, (0, 2, 0), field.one)
-        if points is None:
-            points = [(field.one, field.scalar(t), field.scalar(t * t))
-                      for t in (0, 1, -1, 2, -2, 3)]
-    if points is None:
-        raise PreconditionError(
-            "a custom conic needs six explicit rational points on it")
-    if not gram(conic).is_nondegenerate():
-        raise PreconditionError("conic is singular")
-    points = [tuple(field.coerce(c) for c in p) for p in points]
-    if len(points) != 6:
-        raise PreconditionError("exactly six points required")
-    for p in points:
-        if not conic.evaluate(p).is_zero():
-            raise PreconditionError("point does not lie on the conic")
+    field = QQ
+    conic = HomPoly.monomial(field, (1, 0, 1), field.one) - \
+        HomPoly.monomial(field, (0, 2, 0), field.one)
+    points = [(field.one, field.scalar(t), field.scalar(t * t))
+              for t in (0, 1, -1, 2, -2, 3)]
 
-    lines = [list(p) for p in points]
-    bundle = build_logbundle(field, lines)
+    bundle = build_logbundle(field, [list(p) for p in points])
     monad = bundle.monad
 
     checks = {}

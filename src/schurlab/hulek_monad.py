@@ -4,7 +4,7 @@ nondegenerate symmetric n x n form.
 The three matrices assemble into a pencil-like grid a(z) = sum z_k A_k of
 linear forms on the dual plane.  Lines z where a(z) drops below its generic
 rank n-1 are the jumping lines.  Every pointwise report reads the kernel data
-of a(z) from ``pencil_at``; for the monad of a hexad (see schurform) its left
+of a(z) from ``pencil_at``; for the monad of a hexad (see detrep) its left
 kernel and contracted space at the k-th point are the double-six lines a_k
 and b_k.  The curve of jumping lines of the second kind is the determinant
 of the symmetric (n-1) x (n-1) grid s(z) = a(z)^T B a(z), of degree 2n-2.  An
@@ -12,52 +12,59 @@ independent route to the same curve evaluates the inverse form on the vector
 of signed maximal minors of a(z).
 
 Compatibility (each A_i^T B A_j symmetric) is exactly what makes s(z)
-symmetric; it is checked literally.  Pointwise exactness of the monad cannot
-be checked at every point by finitely many evaluations, so it is probed at
-seeded sample vectors and at kernel vectors of the jumping points, and
-reported as probed rather than passed.
+symmetric; it is checked literally.  Generic injectivity of a(z) is decided
+exactly, by the signed minors: some minor is nonzero.  Only pointwise
+surjectivity is probed, since it cannot be checked at every point by
+finitely many evaluations: at seeded sample vectors and at kernel vectors of
+the jumping points, and reported as probed rather than passed.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb, factorial
 
 from .errors import ClaimError, PreconditionError
 from .exact_math import (Field, Matrix, ProjSubspace, Scalar, SymForm, sym_pairs,
                          sym_row, vec_canonical)
-from .polyring import (HomPoly, LinFormsMatrix, ZeroLocus, LocalSingularity,
+from .polyring import (HomPoly, LinFormsMatrix, ZeroLocus,
                        line_intersection_order, local_singularity, poly_det,
                        resolved_common_zeros)
 
 
-def _pencil_matrix(maps, z) -> Matrix:
-    """a(z) = z_0 A_0 + z_1 A_1 + z_2 A_2."""
-    return maps[0].scale(z[0]) + maps[1].scale(z[1]) + maps[2].scale(z[2])
-
-
-@dataclass
 class PencilPoint:
-    """a(z) at one point: rank, left kernel in P^(n-1), a right kernel basis
-    h, and the contracted space where every A_k h vanishes."""
-    rank: int
-    left: ProjSubspace
-    right: list
-    contracted: ProjSubspace
+    """a(z) at one point: its rank and a right kernel basis h; the left
+    kernel in P^(n-1) and the contracted space where every A_k h vanishes
+    are built when first read."""
+
+    def __init__(self, maps, az: Matrix):
+        self.maps, self.az = maps, az
+        self.right = az.kernel_basis()
+        self.rank = az.cols - len(self.right)
+
+    @cached_property
+    def left(self) -> ProjSubspace:
+        return ProjSubspace(self.az.field, self.az.cols, self.az.left_kernel_basis())
+
+    @cached_property
+    def contracted(self) -> ProjSubspace:
+        return ProjSubspace.from_equations(
+            self.az.field, self.az.cols,
+            [m.apply(h) for h in self.right for m in self.maps])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PencilPoint) and all(
+            getattr(self, k) == getattr(other, k)
+            for k in ("rank", "left", "right", "contracted"))
 
 
 def pencil_at(maps, z) -> PencilPoint:
     """Kernel data of a(z) for three n x (n-1) matrices A_k."""
-    field = maps[0].field
-    az = _pencil_matrix(maps, tuple(field.coerce(c) for c in z))
-    n = az.rows
-    right = az.kernel_basis()
-    contracted = ProjSubspace.from_equations(
-        field, n - 1, [m.apply(h) for h in right for m in maps])
-    return PencilPoint(n - 1 - len(right),
-                       ProjSubspace(field, n - 1, az.left_kernel_basis()),
-                       right, contracted)
+    z = tuple(maps[0].field.coerce(c) for c in z)
+    return PencilPoint(maps, maps[0].scale(z[0]) + maps[1].scale(z[1])
+                       + maps[2].scale(z[2]))
 
 
 class MonadData:
@@ -336,47 +343,33 @@ class MonadReport:
                 and self.compatibility == "pass")
 
 
-PROBE_SAMPLES = 25  # seeded sample points, then seeded probe vectors
+PROBE_SAMPLES = 25  # seeded probe vectors, before those at the jumping points
 
 
 def validate_monad(monad: MonadData, seed: int = 0) -> MonadReport:
     field = monad.field
     rng = random.Random(seed)
-    ok3 = monad.compatibility_ok()
-
-    ok1 = False
-    for _ in range(PROBE_SAMPLES):
-        z = tuple(field.scalar(rng.randint(-9, 9)) for _ in range(3))
-        if (any(not c.is_zero() for c in z)
-                and _pencil_matrix(monad.maps, z).rank() == monad.n - 1):
-            ok1 = True
-            break
-    if not ok1:
-        ok1 = any(not m.is_zero() for m in monad.signed_minors())
-
-    probes = 0
-    ok2 = True
-    hs = []
-    for _ in range(PROBE_SAMPLES):
-        hs.append(tuple(field.scalar(rng.randint(-9, 9))
-                        for _ in range(monad.n - 1)))
+    # a(z) has generic rank n-1 exactly when some maximal minor is nonzero
+    injective = any(not m.is_zero() for m in monad.signed_minors())
+    hs = [tuple(field.scalar(rng.randint(-9, 9)) for _ in range(monad.n - 1))
+          for _ in range(PROBE_SAMPLES)]
     try:
-        locus = monad.jumping_points()
-        for z in locus.points:
-            hs.extend(_pencil_matrix(monad.maps, z).kernel_basis())
+        for z in monad.jumping_points().points:
+            hs.extend(monad.at(z).right)
     except PreconditionError:
         pass
+    probes = 0
+    surjective = True
     for h in hs:
         if all(c.is_zero() for c in h):
             continue
         probes += 1
         if Matrix(field, [m.apply(h) for m in monad.maps]).rank() < 2:
-            ok2 = False
+            surjective = False
             break
-    return MonadReport("pass" if ok1 else "fail",
-                       "probed" if ok2 else "fail",
-                       "pass" if ok3 else "fail",
-                       probes)
+    return MonadReport("pass" if injective else "fail",
+                       "probed" if surjective else "fail",
+                       "pass" if monad.compatibility_ok() else "fail", probes)
 
 
 def middle_rank_at(monad: MonadData, mu) -> int:

@@ -5,7 +5,9 @@ purpose so each validates the other:
 
   * kernel route: the unique (up to scale) symmetric tensor annihilated by
     the wedge-square of the defining 3 x 3 x 4 tensor; computed as the kernel
-    of a 9 x 10 scalar system.
+    of a 9 x 10 scalar system.  It is built in build_detrep
+    (detrep.kernel_form), because it completes the induced monad, and read
+    here as rep.monad.form.
   * orthogonality route: the unique symmetric bilinear form on the target
     4-space that pairs the two line sextuples of the double six to zero,
     member against same-index member; a 24 x 10 scalar system.
@@ -15,40 +17,11 @@ scale, and the polarity of either swaps the two sextuples of the double six.
 """
 from __future__ import annotations
 
-from itertools import combinations
-
 from .detrep import DetRep
 from .errors import ClaimError
 from .exact_math import Matrix, SymForm, sym_row, vec_dot
 from .hulek_monad import MonadData
 from .polyring import gram
-
-
-def schur_kernel_form(rep: DetRep) -> SymForm:
-    """Kernel route.  Unknowns are the ten entries of a symmetric 4 x 4
-    tensor; each of the nine equations pairs a 2 x 2 pattern of relation and
-    plane indices against the symmetrized wedge of the tensor slices.  Built
-    once per DetRep."""
-    return rep._once("schur_kernel_form", lambda: _build_kernel_form(rep))
-
-
-def _build_kernel_form(rep: DetRep) -> SymForm:
-    field = rep.field
-    g = rep.tensor
-    rows = []
-    for i, ip in combinations(range(3), 2):
-        for a, ap in combinations(range(3), 2):
-            def wedge(b, bp):
-                return (g[i][a][b] * g[ip][ap][bp] - g[ip][a][b] * g[i][ap][bp]
-                        - g[i][ap][b] * g[ip][a][bp] + g[ip][ap][b] * g[i][a][bp])
-            rows.append(sym_row(4, wedge))
-    kern = Matrix(field, rows).kernel_basis()
-    if len(kern) != 1:
-        raise ClaimError(f"kernel route: expected a unique form, kernel dim {len(kern)}")
-    form = SymForm.from_pairs(field, 4, kern[0])
-    if not form.is_nondegenerate():
-        raise ClaimError("kernel route produced a degenerate form")
-    return form.canonical()
 
 
 def orthogonal_form_for_pairs(field, pairs) -> SymForm:
@@ -80,7 +53,7 @@ def schur_orthogonal_form(rep: DetRep) -> SymForm:
 def schur_pair(rep: DetRep) -> tuple[SymForm, SymForm]:
     """Both routes, with the mutual-inverse claim enforced.  Returns (B, C)
     with B from the kernel route and C from the orthogonality route."""
-    B = schur_kernel_form(rep)
+    B = rep.monad.form
     C = schur_orthogonal_form(rep)
     if not B.inverse().proportional(C):
         raise ClaimError("quadric routes disagree: kernel form is not inverse "
@@ -112,5 +85,6 @@ def polarity_swaps_sextuples(rep: DetRep, B: SymForm) -> bool:
 def induced_monad(rep: DetRep) -> MonadData:
     """Monad over the plane whose middle space is the target 4-space: the
     three coordinate slices of the defining tensor paired with the kernel
-    form.  Its jumping points recover the original hexad."""
-    return MonadData(rep.maps, schur_kernel_form(rep))
+    form, built once by build_detrep.  Its jumping points recover the
+    original hexad."""
+    return rep.monad

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from schurlab import detrep, hulek_monad, schurform
+from schurlab import detrep, hulek_monad
 from schurlab.cli_io import (FAIL, PASS, PROBED, SCHEMA, UNRESOLVED,
                              canonical_json, claim, exit_code_for,
                              instance_digest, main, overall_status,
@@ -309,23 +309,22 @@ def _count_calls(monkeypatch, calls, owner, name):
 
 
 def test_cubic_resolves_each_locus_once(tmp_path, monkeypatch, capsys):
-    # once for the base points, once for the jumping points
+    # the base points are the induced monad's jumping points
     calls = []
-    for module in (detrep, hulek_monad):
-        _count_calls(monkeypatch, calls, module, "resolved_common_zeros")
+    _count_calls(monkeypatch, calls, hulek_monad, "resolved_common_zeros")
     code, _ = run(["cubic", "--in", write(tmp_path, "h.json", HEXAD)], capsys)
     assert code == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_cubic_builds_each_hexad_object_once(tmp_path, monkeypatch, capsys):
-    # signed minors: once for the 3 x 4 grid, once for the induced monad
+    # the 4 x 3 pencil's minors are the induced monad's signed minors
     minors, kernel_forms = [], []
     _count_calls(monkeypatch, minors, LinFormsMatrix, "signed_maximal_minors")
-    _count_calls(monkeypatch, kernel_forms, schurform, "_build_kernel_form")
+    _count_calls(monkeypatch, kernel_forms, detrep, "kernel_form")
     code, _ = run(["cubic", "--in", write(tmp_path, "h.json", HEXAD)], capsys)
     assert code == 0
-    assert len(minors) == 2
+    assert len(minors) == 1
     assert len(kernel_forms) == 1
 
 

@@ -8,6 +8,7 @@ from schurlab.errors import ClaimError, PreconditionError
 from schurlab.exact_math import QQ, Field, Matrix, ProjSubspace, vec_canonical
 from schurlab.families import sorted_points
 from schurlab.polyring import LinFormsMatrix
+from schurlab.schurform import induced_monad
 from test_golden import CLEBSCH_HEXAD
 
 COCONIC = [(1, 0, 0), (1, 1, 1), (1, 2, 4), (1, 3, 9), (1, 4, 16), (0, 0, 1)]
@@ -40,6 +41,11 @@ def test_base_points_recovered(std_rep):
     assert sorted_points(loc.points) == sorted_points(
         [vec_canonical(tuple(QQ.coerce(c) for c in p))
          for p in std_rep.points])
+
+
+def test_induced_monad_is_owned_by_the_rep(std_rep):
+    assert induced_monad(std_rep) is std_rep.monad
+    assert std_rep.recover_points() is std_rep.monad.jumping_points()
 
 
 def test_ab_lines_on_surface_and_disjointness(std_rep):

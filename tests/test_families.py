@@ -3,7 +3,6 @@ from math import comb
 
 import pytest
 
-from schurlab.errors import PreconditionError
 from schurlab.families import (EXAMPLES, bring_instance, clebsch_instance,
                                hulsbergen_instance_4, hulsbergen_instance_5,
                                n2_instance, schwarzenberger_detect,
@@ -84,14 +83,6 @@ def test_schwarzenberger_positive_dimensional():
     assert inst.checks["jumping_scheme_positive_dimensional"]
     assert inst.checks["common_factor_is_conic"]
     assert inst.checks["curve_is_conic_cubed"]
-
-
-def test_schwarzenberger_custom_conic_needs_points():
-    from schurlab.polyring import HomPoly
-    from schurlab.exact_math import QQ
-    x = [HomPoly.variable(QQ, 3, i) for i in range(3)]
-    with pytest.raises(PreconditionError):
-        schwarzenberger_detect(conic=x[0] * x[2] - x[1] * x[1] - x[1] * x[1])
 
 
 def test_builders_deterministic():

@@ -4,8 +4,8 @@ import pytest
 from schurlab.errors import ClaimError
 from schurlab.exact_math import QQ, SymForm
 from schurlab.schurform import (minor_apolarity, orthogonal_form_for_pairs,
-                                polarity_swaps_sextuples, schur_kernel_form,
-                                schur_orthogonal_form, schur_pair)
+                                polarity_swaps_sextuples, schur_orthogonal_form,
+                                schur_pair)
 
 # frozen regression value for the standard hexad, confirmed by both routes
 STD_C_ROWS = [["1/1", "-8/3", "-5/2", "25/3"],
@@ -46,7 +46,7 @@ def test_non_partner_lines_not_orthogonal(std_rep):
 
 
 def test_minor_apolarity(std_rep):
-    B = schur_kernel_form(std_rep)
+    B = std_rep.monad.form
     assert minor_apolarity(std_rep, B)
     # a generic form fails the same pairing
     other = SymForm.from_rows(QQ, [[1, 0, 0, 0], [0, 2, 0, 0],
@@ -55,7 +55,7 @@ def test_minor_apolarity(std_rep):
 
 
 def test_polarity_swaps_sextuples(std_rep):
-    B = schur_kernel_form(std_rep)
+    B = std_rep.monad.form
     assert polarity_swaps_sextuples(std_rep, B)
 
 
