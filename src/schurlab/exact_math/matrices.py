@@ -463,15 +463,20 @@ class Matrix:
     def solve(self, b):
         """One solution of self * x = b, or None if inconsistent."""
         assert len(b) == self.rows
-        aug = Matrix(self.field, [list(r) + [bb] for r, bb in zip(self.data, b)])
+        x = self.solve_columns(Matrix.from_cols(self.field, [b]))
+        return None if x is None else x.col(0)
+
+    def solve_columns(self, rhs: Matrix):
+        """One solution X of self * X = rhs, free unknowns zero, from one
+        elimination of [self | rhs]; None if some column is inconsistent."""
+        aug = Matrix(self.field, [r + s for r, s in zip(self.data, rhs.data, strict=True)])
         R, pivots = aug.rref()
-        if self.cols in pivots:
+        if pivots and pivots[-1] >= self.cols:
             return None
-        z = self.field.zero
-        x = [z] * self.cols
+        x = [[self.field.zero] * rhs.cols for _ in range(self.cols)]
         for i, pc in enumerate(pivots):
-            x[pc] = R.data[i][self.cols]
-        return tuple(x)
+            x[pc] = R.data[i][self.cols:]
+        return Matrix(self.field, x)
 
     def submatrix(self, row_idx, col_idx) -> Matrix:
         return Matrix(self.field, [[self.data[i][j] for j in col_idx] for i in row_idx])

@@ -23,7 +23,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import ClaimError, PreconditionError
-from .exact_math import (Field, Matrix, Scalar, SymForm, sym_pairs, sym_row,
+from .exact_math import (Field, Matrix, Scalar, SymForm, sym_row,
                          vec_canonical)
 from .hulek_monad import MonadData
 from .polyring import HomPoly, monomials
@@ -131,34 +131,51 @@ def _contraction_matrix(field: Field, src_basis, dst_basis, dim_i: int,
 def recover_cup_form(field: Field, a_maps, b_maps) -> tuple[SymForm, Matrix]:
     """The symmetric form B on the middle space, together with the change of
     basis P identifying the third kernel with the dual of the first, solving
-    A_k^T B = P b_k for all k.  The joint solution space must be exactly
-    one-dimensional; B is returned canonically scaled and P scaled to match."""
+    A_k^T B = P b_k for all k.
+
+    P is eliminated first.  Bcat = [b_0 | b_1 | b_2] must have full row rank
+    n - 1, so P is unique given B, and B solves the system exactly when each
+    row of [A_0^T B | A_1^T B | A_2^T B] is annihilated by a kernel basis N
+    of Bcat: (n - 1)(2n + 1) conditions on the n(n + 1)/2 entries of B,
+    whose solution space must be exactly one-dimensional.  B is returned
+    scaled so its first nonzero entry is 1; P comes from one solve against
+    Bcat^T and is checked exactly against A_k^T B = P b_k for every k."""
     n = a_maps[0].rows
-    zero = field.zero
+    bcat = Matrix(field, [sum((b.row(i) for b in b_maps), ()) for i in range(n - 1)])
+    null = bcat.kernel_basis()
+    if len(null) != 2 * n + 1:
+        raise ClaimError(f"[b_0 | b_1 | b_2] has rank {3 * n - len(null)}, expected {n - 1}")
     rows = []
-    for k in range(3):
-        A, b = a_maps[k], b_maps[k]
-        for i in range(n - 1):
-            for r in range(n):
-                # (A_k^T B)[i][r] - (P b_k)[i][r]
-                row = sym_row(n, lambda u, v: A[u, i] if v == r else zero)
-                for ii in range(n - 1):
-                    row.extend(-b[j, r] if ii == i else zero for j in range(n - 1))
-                rows.append(row)
+    for i in range(n - 1):
+        for v in null:
+            # entry (i, v) of [A_k^T B]_k N as a functional of B: the pairing
+            # with W[u][r] = sum over k of A_k[u, i] v[k n + r]
+            w = [[field.zero] * n for _ in range(n)]
+            for k, A in enumerate(a_maps):
+                for u in range(n):
+                    a = A[u, i]
+                    if a.is_zero():
+                        continue
+                    for r in range(n):
+                        c = v[k * n + r]
+                        if not c.is_zero():
+                            w[u][r] = w[u][r] + a * c
+            rows.append(sym_row(n, lambda u, r: w[u][r]))
     kern = Matrix(field, rows).kernel_basis()
     if len(kern) != 1:
         raise ClaimError(f"cup-form system kernel has dimension {len(kern)}, expected 1")
-    split = len(sym_pairs(n))
-    form_part, ident_part = kern[0][:split], kern[0][split:]
-    pivot = next((val for val in form_part if not val.is_zero()), None)
-    if pivot is None:
-        raise ClaimError("cup-form solution has vanishing symmetric part")
-    scale = pivot.inverse()
-    form = SymForm.from_pairs(field, n, [val * scale for val in form_part])
+    scale = next(val for val in kern[0] if not val.is_zero()).inverse()
+    form = SymForm.from_pairs(field, n, [val * scale for val in kern[0]])
     if not form.is_nondegenerate():
         raise ClaimError("cup form is degenerate")
-    P = Matrix(field, [ident_part[at:at + n - 1]
-                       for at in range(0, len(ident_part), n - 1)]).scale(scale)
+    images = [A.transpose() * form.matrix for A in a_maps]
+    acat = Matrix(field, [sum((m.row(i) for m in images), ()) for i in range(n - 1)])
+    p_t = bcat.transpose().solve_columns(acat.transpose())
+    if p_t is None:
+        raise ClaimError("no dual identification solves A_k^T B = P b_k")
+    P = p_t.transpose()
+    if any(m != P * b for m, b in zip(images, b_maps)):
+        raise ClaimError("dual identification fails A_k^T B = P b_k")
     if P.det().is_zero():
         raise ClaimError("dual identification is singular")
     return form, P

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from math import factorial
 
 from ..errors import ClaimError, PreconditionError
 from ..exact_math import Field, Matrix, Scalar, SymForm, sym_pairs, sym_row
@@ -491,34 +492,86 @@ def interpolation_nodes(field, count):
     return [field.scalar(k) for k in _node_ints(count)]
 
 
+def _row_degree(row) -> int | None:
+    """The common degree of a grid row's nonzero entries; None for a zero row."""
+    degrees = {p.degree for p in row if not p.is_zero()}
+    if len(degrees) > 1:
+        raise PreconditionError(f"a determinant row mixes degrees {sorted(degrees)}")
+    return degrees.pop() if degrees else None
+
+
+def _forward_differences(values: list) -> list:
+    """[f(0), (Delta f)(0), (Delta^2 f)(0), ...] from [f(0), f(1), ...]."""
+    out = list(values)
+    for k in range(1, len(out)):
+        for a in range(len(out) - 1, k - 1, -1):
+            out[a] -= out[a - 1]
+    return out
+
+
+def _falling(shift: int, count: int) -> list[int]:
+    """Ascending coefficients of (x + shift)(x + shift - 1)...(x + shift - count + 1)."""
+    out = [1]
+    for t in range(count):
+        out = [(shift - t) * c + lower for c, lower in zip(out + [0], [0] + out)]
+    return out
+
+
+def _lattice_interpolant(values: dict, deg: int, offset: int) -> dict:
+    """Integer coefficients {(i, j): c} of (deg!)^2 * p, for the polynomial
+    p(x, y) of total degree <= deg with p(a - offset, b - offset) equal to
+    the integer values[a, b] at every node a + b <= deg.  With u = x + offset
+    and v = y + offset, Newton's form on the principal lattice is
+    p = sum over i + j <= deg of (Delta_u^i Delta_v^j p)(0, 0) C(u, i) C(v, j),
+    and (deg!)^2 C(u, i) C(v, j) has integer coefficients in x and y."""
+    diffs = {}
+    for b in range(deg + 1):
+        column = _forward_differences([values[a, b] for a in range(deg + 1 - b)])
+        diffs.update(((i, b), d) for i, d in enumerate(column))
+    weights = [factorial(deg) // factorial(i) for i in range(deg + 1)]
+    falling = [_falling(offset, i) for i in range(deg + 1)]
+    out: dict = {}
+    for i in range(deg + 1):
+        row = _forward_differences([diffs[i, b] for b in range(deg + 1 - i)])
+        in_y = [0] * (deg + 1 - i)
+        for j, d in enumerate(row):
+            if d:
+                for q, c in enumerate(falling[j]):
+                    in_y[q] += d * weights[j] * c
+        for p, c in enumerate(falling[i]):
+            for q, cy in enumerate(in_y):
+                out[p, q] = out.get((p, q), 0) + weights[i] * c * cy
+    return out
+
+
 def poly_det(grid) -> HomPoly:
     """Determinant of a square grid of homogeneous polynomials in 3 variables
-    (all entries one ring).  Small sizes go by cofactors; larger ones by
-    evaluate-and-interpolate, which is exact because the result is homogeneous
-    of known degree: dehomogenize at x2=1, interpolate the bivariate values on
-    a grid, rehomogenize.  Each row's coefficients are cleared to integers
-    once, so every grid value is an integral Bareiss determinant divided by
-    the product of the row multipliers."""
+    (all entries one ring, the nonzero entries of each row of one degree,
+    else PreconditionError).  Small sizes go by cofactors; larger ones by
+    evaluate-and-interpolate, which is exact because the result is
+    homogeneous of known degree deg: dehomogenize at x2 = 1, evaluate at the
+    C(deg + 2, 2) nodes (a - o, b - o), a + b <= deg, o = deg // 3, of the
+    principal lattice, which are unisolvent for degree deg (Chung-Yao), and
+    interpolate in integers by Newton forward differences
+    (_lattice_interpolant).  Each row's coefficients are cleared to integers
+    once, so every node value is an integral Bareiss determinant over the
+    product of the row multipliers, and only the final coefficients become
+    Scalars.  The interpolant must also match one more determinant, taken at
+    the check node (-1 - o, -1 - o) off the lattice, or ClaimError: every
+    Lagrange polynomial of the lattice is a product of lines through nodes
+    and is nonzero there, so a wrong value at any one node shows."""
     n = len(grid)
     field = grid[0][0].field
     nv = grid[0][0].nvars
+    row_degrees = [_row_degree(row) for row in grid]
     if n <= 3:
         return _poly_det_direct(grid)
-    deg = 0
-    for i in range(n):
-        row_deg = None
-        for j in range(n):
-            if not grid[i][j].is_zero():
-                row_deg = grid[i][j].degree
-                break
-        if row_deg is None:
-            return HomPoly.zero(field, nv, 0)
-        deg += row_deg
+    if None in row_degrees:
+        return HomPoly.zero(field, nv, 0)
+    deg = sum(row_degrees)
     if nv != 3:
         raise PreconditionError("interpolated determinant implemented for 3 variables")
-    m = deg + 1
-    nodes = _node_ints(m)
-    xs = interpolation_nodes(field, m)
+    offset = deg // 3
     # tables[i][j]: (e0, e1, integral coefficient) per monomial of row i cleared
     scale = 1
     tables = []
@@ -527,7 +580,7 @@ def poly_det(grid) -> HomPoly:
         scale *= mult
         cleared = iter(ints)
         tables.append([[(e[0], e[1], next(cleared)) for e in p.coeffs] for p in row])
-    powers = {k: [k ** e for e in range(deg + 1)] for k in nodes}
+    powers = {k: [k ** e for e in range(deg + 1)] for k in range(-1 - offset, deg + 1 - offset)}
     s = field.s
     if s is None:
         def value(table, pa, pb):
@@ -536,22 +589,27 @@ def poly_det(grid) -> HomPoly:
         def value(table, pa, pb):
             return (sum(c[0] * pa[i] * pb[j] for i, j, c in table),
                     sum(c[1] * pa[i] * pb[j] for i, j, c in table))
-    # values[i][j] = det at (x0=xs[i], x1=xs[j], x2=1)
-    per_x1 = []
-    for b in nodes:
-        col_polys = []
-        for a in nodes:
-            mat = [[value(t, powers[a], powers[b]) for t in row] for row in tables]
-            col_polys.append(from_integral(field, integral_det(mat, s), scale))
-        per_x1.append(lagrange_coeffs(field, xs, col_polys))
-    # per_x1[j][i] = coefficient of x0^i in det(x0, xs[j], 1)
-    coeffs = {}
-    for i in range(m):
-        vals = [per_x1[j][i] for j in range(len(xs))]
-        ci = lagrange_coeffs(field, xs, vals)
-        for j, c in enumerate(ci):
-            if not c.is_zero():
-                if i + j > deg:
-                    raise ClaimError("interpolation produced degree overflow")
-                coeffs[(i, j, deg - i - j)] = c
-    return HomPoly(field, 3, deg, coeffs)
+
+    def det_at(x, y):
+        return integral_det([[value(t, powers[x], powers[y]) for t in row]
+                             for row in tables], s)
+
+    nodes = [(a, b) for b in range(deg + 1) for a in range(deg + 1 - b)]
+    dets = [det_at(a - offset, b - offset) for a, b in nodes]
+    check = det_at(-1 - offset, -1 - offset)
+    if s is None:
+        dets, check = [(x,) for x in dets], (check,)
+    square = factorial(deg) ** 2
+    at = powers[-1 - offset]
+    parts = []
+    for part, want in zip(zip(*dets), check):
+        coeffs = _lattice_interpolant(dict(zip(nodes, part)), deg, offset)
+        if sum(c * at[i] * at[j] for (i, j), c in coeffs.items()) != want * square:
+            raise ClaimError("interpolated determinant misses its check node")
+        parts.append(coeffs)
+    out = {}
+    for i, j in parts[0]:
+        c = tuple(part[i, j] for part in parts)
+        out[i, j, deg - i - j] = from_integral(field, c[0] if s is None else c,
+                                               square * scale)
+    return HomPoly(field, 3, deg, out)

@@ -6,12 +6,18 @@ import pytest
 import sympy
 from sympy.polys.rings import PolyElement
 
+import random
+
 from schurlab.errors import ClaimError, PreconditionError
 from schurlab.exact_math import Field, Matrix, QQ
+from schurlab.exact_math.matrices import (clear_denominators, from_integral,
+                                          integral_det)
 from schurlab.polyring import (HomPoly, LinFormsMatrix, exact_div,
-                               factor_univar, monomials, multivariate_gcd,
+                               factor_univar, interpolation_nodes,
+                               lagrange_coeffs, monomials, multivariate_gcd,
                                poly_det, roots_with_multiplicity,
                                try_exact_div)
+from schurlab.polyring import homopoly
 from schurlab.polyring.univar import from_domain, to_domain
 
 
@@ -65,6 +71,122 @@ def test_poly_det_interpolation_route():
             [y, zero, zero, x]]
     det = poly_det(rows)
     assert det == x ** 4 - y ** 4
+
+
+def reference_poly_det(grid) -> HomPoly:
+    """The full-grid interpolated determinant: integral Bareiss values on the
+    (deg + 1)^2 grid of nodes 0, 1, -1, 2, -2, ..., then one univariate
+    Lagrange solve per x1 node and one per power of x0."""
+    field = grid[0][0].field
+    deg = sum(next(p.degree for p in row if not p.is_zero()) for row in grid)
+    m = deg + 1
+    xs = interpolation_nodes(field, m)
+    nodes = [int(x.a) for x in xs]
+    scale = 1
+    tables = []
+    for row in grid:
+        mult, ints = clear_denominators(field, [c for p in row for c in p.coeffs.values()])
+        scale *= mult
+        cleared = iter(ints)
+        tables.append([[(e[0], e[1], next(cleared)) for e in p.coeffs] for p in row])
+    s = field.s
+
+    def value(table, a, b):
+        if s is None:
+            return sum(c * a ** i * b ** j for i, j, c in table)
+        return (sum(c[0] * a ** i * b ** j for i, j, c in table),
+                sum(c[1] * a ** i * b ** j for i, j, c in table))
+
+    per_x1 = []
+    for b in nodes:
+        col = [from_integral(field, integral_det([[value(t, a, b) for t in row]
+                                                  for row in tables], s), scale)
+               for a in nodes]
+        per_x1.append(lagrange_coeffs(field, xs, col))
+    coeffs = {}
+    for i in range(m):
+        ci = lagrange_coeffs(field, xs, [per_x1[j][i] for j in range(m)])
+        for j, c in enumerate(ci):
+            if not c.is_zero():
+                assert i + j <= deg
+                coeffs[(i, j, deg - i - j)] = c
+    return HomPoly(field, 3, deg, coeffs)
+
+
+def _random_form(rng, field, degree):
+    coeffs = {}
+    for e in monomials(3, degree):
+        if rng.random() < 0.6:
+            b = rng.randint(-2, 2) if field.s is not None else 0
+            coeffs[e] = field.scalar(rng.randint(-4, 4), b) / rng.choice([1, 1, 2, 3])
+    return HomPoly(field, 3, degree, coeffs)
+
+
+def _seeded_grid(k):
+    """Case k of 120: size 4-7 over Q, Q(sqrt 5), Q(sqrt -1), rows linear or
+    quadratic; every fifth grid singular, every seventh with a zero row."""
+    rng = random.Random(k)
+    field = (QQ, Field(5), Field(-1))[k % 3]
+    n = 4 + (k // 3) % 4
+    degrees = [rng.choice([1, 1, 2]) for _ in range(n)]
+    grid = [[_random_form(rng, field, d) for _ in range(n)] for d in degrees]
+    if k % 5 == 0:
+        # last row = a linear form times a linear row, plus a multiple of row 0
+        lin = next((r for r in range(n - 1) if degrees[r] == 1), None)
+        if lin is None:
+            degrees[0] = 1
+            grid[0] = [_random_form(rng, field, 1) for _ in range(n)]
+            lin = 0
+        factor = HomPoly.linear_form(field, [1, rng.randint(-3, 3), 2])
+        grid[-1] = [factor * p for p in grid[lin]]
+        if degrees[0] == 2:
+            grid[-1] = [p + q.scale(3) for p, q in zip(grid[-1], grid[0])]
+    if k % 7 == 0:
+        grid[rng.randrange(n)] = [HomPoly.zero(field, 3, 1) for _ in range(n)]
+    return grid
+
+
+def test_lattice_poly_det_matches_full_grid_reference():
+    singular = zero_row = 0
+    for k in range(120):
+        grid = _seeded_grid(k)
+        det = poly_det(grid)
+        if any(all(p.is_zero() for p in row) for row in grid):
+            assert det.is_zero()
+            zero_row += 1
+            continue
+        ref = reference_poly_det(grid)
+        assert det == ref and det.degree == ref.degree, k
+        singular += det.is_zero()
+    assert (singular, zero_row) == (20, 18)
+
+
+@pytest.mark.parametrize("wrong_call", range(16))
+def test_poly_det_wrong_node_value_caught(monkeypatch, wrong_call):
+    # a 4 x 4 linear grid has 15 lattice nodes and one check node
+    x, y, z = vars3()
+    rows = [[x + z, y, z, x], [y, x - z, y, z],
+            [z, x, y + z, y], [x, z, y, x + y + z]]
+    calls = []
+
+    def wrong(mat, s):
+        calls.append(1)
+        value = integral_det(mat, s)
+        return value + 1 if len(calls) == wrong_call + 1 else value
+
+    monkeypatch.setattr(homopoly, "integral_det", wrong)
+    with pytest.raises(ClaimError):
+        poly_det(rows)
+    assert len(calls) == 16
+
+
+def test_poly_det_rejects_row_of_mixed_degrees():
+    x, y, z = vars3()
+    for size in (3, 4):
+        rows = [[x if i == j else y for j in range(size)] for i in range(size)]
+        rows[1][0] = x * y
+        with pytest.raises(PreconditionError):
+            poly_det(rows)
 
 
 def test_exact_division():
