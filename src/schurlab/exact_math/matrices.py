@@ -28,15 +28,21 @@ Hadamard bound the core raises ClaimError rather than return anything
 unverified.
 
 Determinants use Bareiss's fraction-free elimination over the same
-row-cleared integral entries, each division checked to be exact.
-Vectors are plain tuples of Scalars.
+row-cleared integral entries, each division checked to be exact.  Products
+clear each row of the left factor and each column of the right factor and
+take integral dot products; the one division per entry happens when
+from_integral makes it a Scalar.  IntegralRing is the one owner of the
+arithmetic of Z and Z[sqrt(s)], for these kernels and for those of
+polyring.  Vectors are plain tuples of Scalars.
 """
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import gcd, isqrt, lcm
+from typing import Callable, NamedTuple
 
 from ..errors import ClaimError, PreconditionError
 from .scalars import Field, Scalar, canonical_scalar
@@ -106,24 +112,67 @@ def _exact_quotient(x, y, s):
     return q
 
 
+class IntegralRing(NamedTuple):
+    """Arithmetic of the ring clear_denominators clears into: Z (s None;
+    ints, with the builtin operators) or Z[sqrt(s)] (pairs (a, b) meaning
+    a + b*sqrt(s)).  Every integral kernel takes its arithmetic from here."""
+    zero: object
+    one: object
+    embed: Callable      # an int as a ring element
+    add: Callable
+    sub: Callable
+    mul: Callable
+    dot: Callable        # sum of x * y over two sequences of ring elements
+    combine: Callable    # sum of x * k over ring elements x and ints k
+
+
+def _int_dot(xs, ys) -> int:
+    return sum(map(operator.mul, xs, ys))
+
+
+@lru_cache(maxsize=None)
+def integral_ring(s: int | None) -> IntegralRing:
+    if s is None:
+        return IntegralRing(0, 1, int, operator.add, operator.sub, operator.mul,
+                            _int_dot, _int_dot)
+
+    def embed(k):
+        return (k, 0)
+
+    def add(x, y):
+        return (x[0] + y[0], x[1] + y[1])
+
+    def sub(x, y):
+        return (x[0] - y[0], x[1] - y[1])
+
+    def mul(x, y):
+        return (x[0] * y[0] + s * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    def dot(xs, ys):
+        rational = surd = cross = 0
+        for x, y in zip(xs, ys):
+            rational += x[0] * y[0]
+            surd += x[1] * y[1]
+            cross += x[0] * y[1] + x[1] * y[0]
+        return (rational + s * surd, cross)
+
+    def combine(xs, ks):
+        return (sum(x[0] * k for x, k in zip(xs, ks)),
+                sum(x[1] * k for x, k in zip(xs, ks)))
+
+    return IntegralRing((0, 0), (1, 0), embed, add, sub, mul, dot, combine)
+
+
 def integral_det(rows, s: int | None):
     """Determinant of a square matrix over Z (s None) or over Z[sqrt(s)]
     (entries (a, b) = a + b*sqrt(s)) by Bareiss's fraction-free
     elimination: every entry stays a minor, so every division is exact."""
     n = len(rows)
-    if s is None:
-        zero, one, mul, sub = 0, 1, int.__mul__, int.__sub__
-    else:
-        zero, one = (0, 0), (1, 0)
-
-        def mul(x, y):
-            return (x[0] * y[0] + s * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-        def sub(x, y):
-            return (x[0] - y[0], x[1] - y[1])
+    ring = integral_ring(s)
+    zero, mul, sub = ring.zero, ring.mul, ring.sub
     work = [list(r) for r in rows]
     negate = False
-    prev = one
+    prev = ring.one
     for k in range(n):
         sel = next((r for r in range(k, n) if work[r][k] != zero), None)
         if sel is None:
@@ -137,10 +186,8 @@ def integral_det(rows, s: int | None):
             row[k + 1:] = [_exact_quotient(sub(mul(piv[k], x), mul(c, y)), prev, s)
                            for x, y in zip(row[k + 1:], piv[k + 1:])]
         prev = piv[k]
-    det = work[n - 1][n - 1] if n else one
-    if negate:
-        det = -det if s is None else (-det[0], -det[1])
-    return det
+    det = work[n - 1][n - 1] if n else ring.one
+    return sub(zero, det) if negate else det
 
 
 def _rref_mod(work, p: int):
@@ -370,8 +417,12 @@ class Matrix:
     def __mul__(self, other):
         if isinstance(other, Matrix):
             assert self.cols == other.rows
-            ot = other.transpose()
-            return Matrix(self.field, [[vec_dot(r, c) for c in ot.data] for r in self.data])
+            field = self.field
+            dot = integral_ring(field.s).dot
+            left = [clear_denominators(field, r) for r in self.data]
+            right = [clear_denominators(field, c) for c in zip(*other.data)]
+            return Matrix(field, [[from_integral(field, dot(r, c), lr * lc)
+                                   for lc, c in right] for lr, r in left])
         return NotImplemented
 
     def apply(self, v):

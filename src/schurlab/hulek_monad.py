@@ -71,9 +71,10 @@ class MonadData:
     """Three n x (n-1) matrices over one field plus a nondegenerate symmetric
     form on the n-dimensional middle space.
 
-    The grid, its signed minors, the second-kind curve, the jumping locus and
-    the pencil at each point are each built once per instance and shared by
-    every caller; treat them as read-only."""
+    The grid, its signed minors, the products A_k^T B A_l with the
+    compatibility verdict read from them, the second-kind curve, the jumping
+    locus and the pencil at each point are each built once per instance and
+    shared by every caller; treat them as read-only."""
 
     __slots__ = ("field", "n", "maps", "form", "_derived")
 
@@ -121,34 +122,36 @@ class MonadData:
         return self._once("signed_minors",
                           lambda: self.a_V().signed_maximal_minors())
 
+    def products(self) -> dict[tuple[int, int], Matrix]:
+        """A_k^T B A_l for k <= l; A_l^T B A_k is its transpose, B being
+        symmetric."""
+        def build():
+            right = [self.form.matrix * m for m in self.maps]
+            return {(k, l): self.maps[k].transpose() * right[l]
+                    for k in range(3) for l in range(k, 3)}
+        return self._once("products", build)
+
     def compatibility_ok(self) -> bool:
         """Each A_i^T B A_j symmetric, i < j (i = j is automatic)."""
-        B = self.form.matrix
-        for i, j in combinations(range(3), 2):
-            P = self.maps[i].transpose() * (B * self.maps[j])
-            if P != P.transpose():
-                return False
-        return True
+        return self._once("compatible", lambda: all(
+            P == P.transpose() for (i, j), P in self.products().items() if i < j))
 
     def s_grid(self) -> list[list[HomPoly]]:
         """The (n-1) x (n-1) grid of quadratic forms a(z)^T B a(z)."""
-        B = self.form.matrix
-        P = [[self.maps[k].transpose() * (B * self.maps[l]) for l in range(3)]
-             for k in range(3)]
+        products = self.products()
         m = self.n - 1
         grid = []
         for c in range(m):
             row = []
             for cp in range(m):
                 coeffs = {}
-                for k in range(3):
-                    for l in range(k, 3):
-                        exp = [0, 0, 0]
-                        exp[k] += 1
-                        exp[l] += 1
-                        val = P[k][l][c, cp] if k == l else P[k][l][c, cp] + P[l][k][c, cp]
-                        if not val.is_zero():
-                            coeffs[tuple(exp)] = val
+                for (k, l), P in products.items():
+                    exp = [0, 0, 0]
+                    exp[k] += 1
+                    exp[l] += 1
+                    val = P[c, cp] if k == l else P[c, cp] + P[cp, c]
+                    if not val.is_zero():
+                        coeffs[tuple(exp)] = val
                 row.append(HomPoly(self.field, 3, 2, coeffs))
             grid.append(row)
         return grid

@@ -102,12 +102,12 @@ def _contraction_kernel(field: Field, forms, relations: Matrix, m: int) -> list[
 def _contraction_matrix(field: Field, src_basis, dst_basis, dim_i: int,
                         src_deg: int, k: int) -> Matrix:
     """Matrix of coordinate contraction d/dx_k from the span of src_basis
-    (degree src_deg) to the span of dst_basis (degree src_deg - 1)."""
+    (degree src_deg) to the span of dst_basis (degree src_deg - 1): the
+    coordinates of every image in dst_basis, from one elimination."""
     src = monomials(3, src_deg)
     dst = monomials(3, src_deg - 1)
     dst_idx = {e: r for r, e in enumerate(dst)}
-    dst_mat = Matrix.from_cols(field, [list(v) for v in dst_basis])
-    cols = []
+    images = []
     for vec in src_basis:
         img = [field.zero] * (len(dst) * dim_i)
         for mi, mu in enumerate(src):
@@ -121,11 +121,12 @@ def _contraction_matrix(field: Field, src_basis, dst_basis, dim_i: int,
                 if not c.is_zero():
                     img[dst_idx[tuple(nu)] * dim_i + t] = \
                         img[dst_idx[tuple(nu)] * dim_i + t] + factor * c
-        sol = dst_mat.solve(img)
-        if sol is None:
-            raise ClaimError("contraction image left the target kernel")
-        cols.append(list(sol))
-    return Matrix.from_cols(field, cols)
+        images.append(img)
+    dst_mat = Matrix.from_cols(field, [list(v) for v in dst_basis])
+    sol = dst_mat.solve_columns(Matrix.from_cols(field, images))
+    if sol is None:
+        raise ClaimError("contraction image left the target kernel")
+    return sol
 
 
 def recover_cup_form(field: Field, a_maps, b_maps) -> tuple[SymForm, Matrix]:

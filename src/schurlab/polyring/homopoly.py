@@ -7,16 +7,27 @@ scaling divides by the leading coefficient, so proportional polynomials have
 identical canonical forms.
 
 The zero polynomial carries a nominal degree but combines with any degree.
+
+Evaluation, restriction to a line (restrict_univar), substitution and the
+interpolated determinant run in integers: each clears the coefficients, and
+the point or the targets, to Z or Z[sqrt(s)] once (clear_denominators),
+works with IntegralRing's arithmetic, and divides once per output, when
+from_integral makes it a Scalar.  Homogeneity puts every output over one
+denominator: den * pden^degree for a value or a restriction at a point
+cleared over pden, den * L^m for a form of degree m substituted with targets
+cleared over L.  Sums, products and scaling of forms stay on Scalars.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+import operator
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import factorial
 
 from ..errors import ClaimError, PreconditionError
 from ..exact_math import Field, Matrix, Scalar, SymForm, sym_pairs, sym_row
-from ..exact_math.matrices import clear_denominators, from_integral, integral_det
+from ..exact_math.matrices import (clear_denominators, from_integral, integral_det,
+                                   integral_ring)
 
 
 @lru_cache(maxsize=None)
@@ -29,6 +40,18 @@ def monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
         for rest in monomials(nvars - 1, degree - e0):
             out.append((e0,) + rest)
     return tuple(out)
+
+
+def _product(ring, p: dict, q: dict) -> dict:
+    """Product of two integral polynomials keyed by packed exponents."""
+    add, mul = ring.add, ring.mul
+    out: dict = {}
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            k = k1 + k2
+            got = out.get(k)
+            out[k] = mul(c1, c2) if got is None else add(got, mul(c1, c2))
+    return out
 
 
 class HomPoly:
@@ -166,14 +189,8 @@ class HomPoly:
     def evaluate(self, point) -> Scalar:
         point = [self.field.coerce(x) for x in point]
         assert len(point) == self.nvars
-        total = self.field.zero
-        for exp, c in self.coeffs.items():
-            term = c
-            for x, e in zip(point, exp):
-                if e:
-                    term = term * (x ** e)
-            total = total + term
-        return total
+        ints, scale = self.integral_restriction(point, None)
+        return from_integral(self.field, ints[0], scale)
 
     def partial(self, i: int) -> HomPoly:
         """d/dx_i."""
@@ -210,24 +227,41 @@ class HomPoly:
         e = targets[0].degree
         for t in targets:
             assert t.field == f and t.nvars == nv and (t.degree == e or t.is_zero())
-        out = HomPoly.zero(f, nv, self.degree * e)
-        pow_cache: dict[tuple[int, int], HomPoly] = {}
+        deg = self.degree * e
+        if self.is_zero():
+            return HomPoly.zero(f, nv, deg)
+        ring = integral_ring(f.s)
+        den, cs = clear_denominators(f, self.coeffs.values())
+        mult, flat = clear_denominators(f, [c for t in targets for c in t.coeffs.values()])
+        # the exponents (e_0, e_1, ...) of a result monomial pack into the
+        # integer key sum of e_i * base^i, so multiplying monomials adds keys
+        base = deg + 1
+        weights = [base ** i for i in range(nv)]
+        cleared = iter(flat)
+        powers = [[{0: ring.one},
+                   {sum(map(operator.mul, exp, weights)): next(cleared) for exp in t.coeffs}]
+                  for t in targets]
 
-        def tpow(i, n):
-            key = (i, n)
-            got = pow_cache.get(key)
-            if got is None:
-                got = targets[i] ** n
-                pow_cache[key] = got
-            return got
+        def power(i, p):
+            table = powers[i]
+            while len(table) <= p:
+                table.append(_product(ring, table[-1], table[1]))
+            return table[p]
 
-        for exp, c in self.coeffs.items():
-            term = HomPoly.constant(f, nv, c)
+        out: dict = {}
+        add = ring.add
+        for exp, c in zip(self.coeffs, cs):
+            term = {0: c}
             for i, p in enumerate(exp):
                 if p:
-                    term = term * tpow(i, p)
-            out = out + term
-        return out
+                    term = _product(ring, term, power(i, p))
+            for k, v in term.items():
+                got = out.get(k)
+                out[k] = v if got is None else add(got, v)
+        scale = den * mult ** self.degree
+        return HomPoly._closed(f, nv, deg, {
+            tuple(k // w % base for w in weights): from_integral(f, v, scale)
+            for k, v in out.items() if v != ring.zero})
 
     def leading(self) -> tuple[tuple[int, ...], Scalar]:
         exp = max(self.coeffs)
@@ -269,15 +303,35 @@ class HomPoly:
         coefficient list [c_0, ..., c_d] of the resulting polynomial in x_free."""
         values = list(values)
         assert len(values) == self.nvars and values[free] is None
-        vals = [None if i == free else self.field.coerce(values[i]) for i in range(self.nvars)]
-        out = [self.field.zero] * (self.degree + 1)
-        for exp, c in self.coeffs.items():
-            term = c
-            for i, e in enumerate(exp):
-                if i != free and e:
-                    term = term * (vals[i] ** e)
-            out[exp[free]] = out[exp[free]] + term
-        return out
+        ints, scale = self.integral_restriction(
+            [None if i == free else self.field.coerce(x) for i, x in enumerate(values)], free)
+        return [from_integral(self.field, x, scale) for x in ints]
+
+    def integral_restriction(self, point, free: int | None):
+        """(ints, scale) with ints[k] / scale the coefficient of x_free^k
+        after putting the scalars of point in for every other variable (all
+        of them when free is None: then ints has one entry, the value).
+        The coefficients and the point are cleared to integers once, over
+        den and pden; the free variable is put in as pden itself, so by
+        homogeneity every coefficient lies over scale = den * pden^degree."""
+        field = self.field
+        ring = integral_ring(field.s)
+        den, cs = clear_denominators(field, self.coeffs.values())
+        pden, xs = clear_denominators(field, [x for i, x in enumerate(point) if i != free])
+        if free is not None:
+            xs.insert(free, ring.embed(pden))
+        add, mul = ring.add, ring.mul
+        tables = []
+        for x in xs:
+            table = [ring.one]
+            for _ in range(self.degree):
+                table.append(mul(table[-1], x))
+            tables.append(table)
+        out = [ring.zero] * (1 if free is None else self.degree + 1)
+        for exp, c in zip(self.coeffs, cs):
+            k = 0 if free is None else exp[free]
+            out[k] = add(out[k], reduce(mul, map(operator.getitem, tables, exp), c))
+        return out, den * pden ** self.degree
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HomPoly):
@@ -572,27 +626,24 @@ def poly_det(grid) -> HomPoly:
     if nv != 3:
         raise PreconditionError("interpolated determinant implemented for 3 variables")
     offset = deg // 3
-    # tables[i][j]: (e0, e1, integral coefficient) per monomial of row i cleared
+    # tables[i][j]: the exponents (e0, e1) and the integral coefficients of
+    # the entry (i, j), cleared per row
     scale = 1
     tables = []
     for row in grid:
         mult, ints = clear_denominators(field, [c for p in row for c in p.coeffs.values()])
         scale *= mult
         cleared = iter(ints)
-        tables.append([[(e[0], e[1], next(cleared)) for e in p.coeffs] for p in row])
+        tables.append([([e[:2] for e in p.coeffs], [next(cleared) for _ in p.coeffs])
+                       for p in row])
     powers = {k: [k ** e for e in range(deg + 1)] for k in range(-1 - offset, deg + 1 - offset)}
     s = field.s
-    if s is None:
-        def value(table, pa, pb):
-            return sum(c * pa[i] * pb[j] for i, j, c in table)
-    else:
-        def value(table, pa, pb):
-            return (sum(c[0] * pa[i] * pb[j] for i, j, c in table),
-                    sum(c[1] * pa[i] * pb[j] for i, j, c in table))
+    combine = integral_ring(s).combine
 
     def det_at(x, y):
-        return integral_det([[value(t, powers[x], powers[y]) for t in row]
-                             for row in tables], s)
+        pa, pb = powers[x], powers[y]
+        return integral_det([[combine(cs, [pa[i] * pb[j] for i, j in exps])
+                              for exps, cs in row] for row in tables], s)
 
     nodes = [(a, b) for b in range(deg + 1) for a in range(deg + 1 - b)]
     dets = [det_at(a - offset, b - offset) for a, b in nodes]

@@ -21,10 +21,11 @@ from itertools import combinations, count
 from sympy.polys.rings import PolyRing
 
 from ..errors import ClaimError, PreconditionError
-from ..exact_math import Field, Matrix, Scalar, vec_canonical
+from ..exact_math import Scalar, vec_canonical
+from ..exact_math.matrices import from_integral, integral_det, integral_ring
 from .homopoly import HomPoly, exact_div, interpolation_nodes, lagrange_coeffs, try_exact_div
-from .univar import (degree, from_domain, roots_with_multiplicity, sympy_domain,
-                     to_domain, trim, univar_gcd)
+from .univar import (degree, eval_univar, from_domain, roots_with_multiplicity,
+                     sympy_domain, to_domain, trim, univar_gcd)
 
 Point = tuple[Scalar, ...]
 
@@ -87,24 +88,24 @@ def _find_shear(f: HomPoly, g: HomPoly):
     raise ClaimError("no admissible shear found")
 
 
-def _sylvester_det(field: Field, a, b) -> Scalar:
-    """Resultant of two scalar polynomials given with exact degrees."""
+def _sylvester(zero, a, b) -> list[list]:
+    """Sylvester matrix of two coefficient lists (ascending, exact degrees)."""
     m, n = len(a) - 1, len(b) - 1
-    size = m + n
-    if size == 0:
-        return field.one
     rows = []
-    for i in range(n):
-        row = [field.zero] * size
-        for j, c in enumerate(reversed(a)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [field.zero] * size
-        for j, c in enumerate(reversed(b)):
-            row[i + j] = c
-        rows.append(row)
-    return Matrix(field, rows).det()
+    for coeffs, count in ((a, n), (b, m)):
+        top = coeffs[::-1]
+        rows.extend([zero] * i + top + [zero] * (count - 1 - i) for i in range(count))
+    return rows
+
+
+def _eliminant_at(fs: HomPoly, gs: HomPoly, t: Scalar) -> Scalar:
+    """Resultant in x2 of fs(t, 1, x2) and gs(t, 1, x2): an integral Sylvester
+    determinant of the cleared restrictions, over their multipliers."""
+    field = fs.field
+    a, ma = fs.integral_restriction((t, field.one, None), 2)
+    b, mb = gs.integral_restriction((t, field.one, None), 2)
+    det = integral_det(_sylvester(integral_ring(field.s).zero, a, b), field.s)
+    return from_integral(field, det, ma ** (len(b) - 1) * mb ** (len(a) - 1))
 
 
 @dataclass
@@ -132,13 +133,12 @@ def solve_pair(f: HomPoly, g: HomPoly) -> PairSolution:
     shear = _find_shear(f, g)
     fs, gs = _apply_shear(f, shear), _apply_shear(g, shear)
     total = f.degree * g.degree
-    ts = interpolation_nodes(field, total + 1)
-    vals = []
-    for t in ts:
-        a = fs.restrict_univar((t, field.one, None), 2)
-        b = gs.restrict_univar((t, field.one, None), 2)
-        vals.append(_sylvester_det(field, a, b))
-    rc = list(lagrange_coeffs(field, ts, vals))
+    # one node past the interpolation nodes checks the interpolant: its
+    # Lagrange polynomials are all nonzero there, so a wrong value shows
+    *ts, check = interpolation_nodes(field, total + 2)
+    rc = list(lagrange_coeffs(field, ts, [_eliminant_at(fs, gs, t) for t in ts]))
+    if eval_univar(rc, check) != _eliminant_at(fs, gs, check):
+        raise ClaimError("interpolated eliminant misses its check node")
     if not trim(rc):
         raise ClaimError("zero eliminant: the forms were not coprime")
 
