@@ -233,7 +233,7 @@ def cmd_example(run: Run, name: str | None) -> None:
     if not name:
         raise PreconditionError(
             "example command needs --name; known: " + ", ".join(sorted(EXAMPLES)))
-    if name not in EXAMPLES:
+    if not isinstance(name, str) or name not in EXAMPLES:
         raise PreconditionError(
             f"unknown example {name!r}; known: " + ", ".join(sorted(EXAMPLES)))
     builder = EXAMPLES[name]

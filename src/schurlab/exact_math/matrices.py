@@ -587,7 +587,7 @@ class SymForm:
         return self.matrix.rows
 
     def apply(self, u, v):
-        """B(u, v); the coordinates may be Scalars or polynomials."""
+        """B(u, v)."""
         return vec_dot(u, self.matrix.apply(v))
 
     def is_nondegenerate(self) -> bool:

@@ -31,7 +31,7 @@ from .exact_math import (Field, Matrix, ProjSubspace, Scalar, SymForm, sym_pairs
                          sym_row, vec_canonical)
 from .polyring import (HomPoly, LinFormsMatrix, ZeroLocus,
                        line_intersection_order, local_singularity, poly_det,
-                       resolved_common_zeros)
+                       quadric, resolved_common_zeros)
 
 
 class PencilPoint:
@@ -170,8 +170,7 @@ class MonadData:
     def jlsk_via_form(self) -> HomPoly:
         """Independent route: the inverse form evaluated on the signed minor
         vector, canonical."""
-        sigma = self.signed_minors()
-        acc = self.form.inverse().apply(sigma, sigma)
+        acc = quadric(self.form.inverse()).substitute(self.signed_minors())
         if acc.is_zero():
             raise ClaimError("form route degenerated to zero")
         return acc.canonical()

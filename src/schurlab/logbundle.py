@@ -165,8 +165,7 @@ def recover_cup_form(field: Field, a_maps, b_maps) -> tuple[SymForm, Matrix]:
     kern = Matrix(field, rows).kernel_basis()
     if len(kern) != 1:
         raise ClaimError(f"cup-form system kernel has dimension {len(kern)}, expected 1")
-    scale = next(val for val in kern[0] if not val.is_zero()).inverse()
-    form = SymForm.from_pairs(field, n, [val * scale for val in kern[0]])
+    form = SymForm.from_pairs(field, n, kern[0]).canonical()
     if not form.is_nondegenerate():
         raise ClaimError("cup form is degenerate")
     images = [A.transpose() * form.matrix for A in a_maps]

@@ -16,13 +16,15 @@ from_integral makes it a Scalar.  Homogeneity puts every output over one
 denominator: den * pden^degree for a value or a restriction at a point
 cleared over pden, den * L^m for a form of degree m substituted with targets
 cleared over L.  Sums, products and scaling of forms stay on Scalars.
+lagrange_coeffs is the one interpolation kernel, in integers on consecutive
+nodes: poly_det calls it per lattice row, solve_pair for the eliminant.
 """
 from __future__ import annotations
 
 import operator
 from functools import lru_cache, reduce
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
 from ..errors import ClaimError, PreconditionError
 from ..exact_math import Field, Matrix, Scalar, SymForm, sym_pairs, sym_row
@@ -219,12 +221,12 @@ class HomPoly:
         return out
 
     def substitute(self, targets: list[HomPoly]) -> HomPoly:
-        """Substitute x_i -> targets[i]; all targets share one ring and one
-        degree e, giving a homogeneous result of degree m*e."""
+        """Substitute x_i -> targets[i]; all targets share one ring and the
+        nonzero ones one degree e, giving a homogeneous result of degree m*e."""
         assert len(targets) == self.nvars
         f = targets[0].field
         nv = targets[0].nvars
-        e = targets[0].degree
+        e = next((t.degree for t in targets if not t.is_zero()), targets[0].degree)
         for t in targets:
             assert t.field == f and t.nvars == nv and (t.degree == e or t.is_zero())
         deg = self.degree * e
@@ -514,38 +516,6 @@ def _poly_det_direct(grid) -> HomPoly:
     return out
 
 
-def lagrange_coeffs(field, xs, ys):
-    """Coefficients (ascending) of the unique poly of degree < len(xs) through
-    the data: Newton divided differences, then Horner's rule in the nested
-    form c0 + (x - x0)(c1 + (x - x1)(c2 + ...)).  O(n^2) field operations."""
-    xs = [field.coerce(x) for x in xs]
-    if len(set(xs)) != len(xs):
-        raise PreconditionError("interpolation nodes must be distinct")
-    newton = [field.coerce(y) for y in ys]
-    n = len(newton)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            newton[i] = (newton[i] - newton[i - 1]) / (xs[i] - xs[i - j])
-    out = []
-    for k in range(n - 1, -1, -1):
-        # out <- out * (x - xs[k]) + newton[k]
-        shifted = [field.zero] + out
-        for d, c in enumerate(out):
-            shifted[d] = shifted[d] - xs[k] * c
-        shifted[0] = shifted[0] + newton[k]
-        out = shifted
-    return out
-
-
-def _node_ints(count):
-    """0, 1, -1, 2, -2, ... (count of them)."""
-    return [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(count)]
-
-
-def interpolation_nodes(field, count):
-    return [field.scalar(k) for k in _node_ints(count)]
-
-
 def _row_degree(row) -> int | None:
     """The common degree of a grid row's nonzero entries; None for a zero row."""
     degrees = {p.degree for p in row if not p.is_zero()}
@@ -563,11 +533,30 @@ def _forward_differences(values: list) -> list:
     return out
 
 
-def _falling(shift: int, count: int) -> list[int]:
-    """Ascending coefficients of (x + shift)(x + shift - 1)...(x + shift - count + 1)."""
-    out = [1]
+def _falling(shift: int, count: int) -> list[list[int]]:
+    """Ascending coefficients of the falling factorials
+    (x + shift)(x + shift - 1)...(x + shift - j + 1), j = 0, ..., count."""
+    out = [[1]]
     for t in range(count):
-        out = [(shift - t) * c + lower for c, lower in zip(out + [0], [0] + out)]
+        last = out[-1]
+        out.append([(shift - t) * c + lower for c, lower in zip(last + [0], [0] + last)])
+    return out
+
+
+def lagrange_coeffs(values: list[int], offset: int) -> list[int]:
+    """Ascending integer coefficients of m! * p, for the polynomial p of
+    degree <= m = len(values) - 1 with p(a - offset) = values[a] at the
+    consecutive nodes a = 0, ..., m.  With u = x + offset, Newton's form is
+    p = sum over j of (Delta^j p)(0) C(u, j), and m! C(u, j) is m! / j!
+    times the falling factorial u (u - 1) ... (u - j + 1), which has integer
+    coefficients in x."""
+    m = len(values) - 1
+    out = [0] * (m + 1)
+    for j, (d, falling) in enumerate(zip(_forward_differences(values), _falling(offset, m))):
+        if d:
+            d *= factorial(m) // factorial(j)
+            for q, c in enumerate(falling):
+                out[q] += d * c
     return out
 
 
@@ -575,26 +564,22 @@ def _lattice_interpolant(values: dict, deg: int, offset: int) -> dict:
     """Integer coefficients {(i, j): c} of (deg!)^2 * p, for the polynomial
     p(x, y) of total degree <= deg with p(a - offset, b - offset) equal to
     the integer values[a, b] at every node a + b <= deg.  With u = x + offset
-    and v = y + offset, Newton's form on the principal lattice is
-    p = sum over i + j <= deg of (Delta_u^i Delta_v^j p)(0, 0) C(u, i) C(v, j),
-    and (deg!)^2 C(u, i) C(v, j) has integer coefficients in x and y."""
+    and v = y + offset, Newton's form in u is p = sum over i <= deg of
+    C(u, i) q_i, where q_i(v) = (Delta_u^i p)(0, v) has degree <= deg - i
+    and is known at v = 0, ..., deg - i from the forward differences of the
+    lattice columns; lagrange_coeffs gives (deg - i)! q_i in y, and
+    (deg!)^2 C(u, i) / (deg - i)! = deg! C(deg, i) times a falling factorial."""
     diffs = {}
     for b in range(deg + 1):
         column = _forward_differences([values[a, b] for a in range(deg + 1 - b)])
         diffs.update(((i, b), d) for i, d in enumerate(column))
-    weights = [factorial(deg) // factorial(i) for i in range(deg + 1)]
-    falling = [_falling(offset, i) for i in range(deg + 1)]
     out: dict = {}
-    for i in range(deg + 1):
-        row = _forward_differences([diffs[i, b] for b in range(deg + 1 - i)])
-        in_y = [0] * (deg + 1 - i)
-        for j, d in enumerate(row):
-            if d:
-                for q, c in enumerate(falling[j]):
-                    in_y[q] += d * weights[j] * c
-        for p, c in enumerate(falling[i]):
+    for i, falling in enumerate(_falling(offset, deg)):
+        weight = factorial(deg) * comb(deg, i)
+        in_y = lagrange_coeffs([diffs[i, b] for b in range(deg + 1 - i)], offset)
+        for p, c in enumerate(falling):
             for q, cy in enumerate(in_y):
-                out[p, q] = out.get((p, q), 0) + weights[i] * c * cy
+                out[p, q] = out.get((p, q), 0) + weight * c * cy
     return out
 
 

@@ -17,15 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, count
+from math import factorial
 
 from sympy.polys.rings import PolyRing
 
 from ..errors import ClaimError, PreconditionError
 from ..exact_math import Scalar, vec_canonical
 from ..exact_math.matrices import from_integral, integral_det, integral_ring
-from .homopoly import HomPoly, exact_div, interpolation_nodes, lagrange_coeffs, try_exact_div
-from .univar import (degree, eval_univar, from_domain, roots_with_multiplicity,
-                     sympy_domain, to_domain, trim, univar_gcd)
+from .homopoly import HomPoly, exact_div, lagrange_coeffs, try_exact_div
+from .univar import (degree, from_domain, roots_with_multiplicity, sympy_domain,
+                     to_domain, trim, univar_gcd)
 
 Point = tuple[Scalar, ...]
 
@@ -98,14 +99,16 @@ def _sylvester(zero, a, b) -> list[list]:
     return rows
 
 
-def _eliminant_at(fs: HomPoly, gs: HomPoly, t: Scalar) -> Scalar:
-    """Resultant in x2 of fs(t, 1, x2) and gs(t, 1, x2): an integral Sylvester
-    determinant of the cleared restrictions, over their multipliers."""
+def _eliminant_at(fs: HomPoly, gs: HomPoly, t) -> tuple:
+    """Resultant in x2 of fs(t, 1, x2) and gs(t, 1, x2): the integral
+    Sylvester determinant of the cleared restrictions and its denominator,
+    the product of their multipliers."""
     field = fs.field
-    a, ma = fs.integral_restriction((t, field.one, None), 2)
-    b, mb = gs.integral_restriction((t, field.one, None), 2)
+    point = (field.coerce(t), field.one, None)
+    a, ma = fs.integral_restriction(point, 2)
+    b, mb = gs.integral_restriction(point, 2)
     det = integral_det(_sylvester(integral_ring(field.s).zero, a, b), field.s)
-    return from_integral(field, det, ma ** (len(b) - 1) * mb ** (len(a) - 1))
+    return det, ma ** (len(b) - 1) * mb ** (len(a) - 1)
 
 
 @dataclass
@@ -133,12 +136,21 @@ def solve_pair(f: HomPoly, g: HomPoly) -> PairSolution:
     shear = _find_shear(f, g)
     fs, gs = _apply_shear(f, shear), _apply_shear(g, shear)
     total = f.degree * g.degree
-    # one node past the interpolation nodes checks the interpolant: its
-    # Lagrange polynomials are all nonzero there, so a wrong value shows
-    *ts, check = interpolation_nodes(field, total + 2)
-    rc = list(lagrange_coeffs(field, ts, [_eliminant_at(fs, gs, t) for t in ts]))
-    if eval_univar(rc, check) != _eliminant_at(fs, gs, check):
-        raise ClaimError("interpolated eliminant misses its check node")
+    # the eliminant at total + 2 consecutive nodes a - h, all over one
+    # denominator since (t, 1) clears over 1 at an integer t.  The last node
+    # checks the others: the interpolant's top coefficient, the last forward
+    # difference, must be 0, and every value enters it, so a wrong one shows.
+    h = total // 2
+    values = [_eliminant_at(fs, gs, a - h) for a in range(total + 2)]
+    dets, s = [v for v, _ in values], field.s
+    parts = []
+    for part in [dets] if s is None else zip(*dets):
+        coeffs = lagrange_coeffs(list(part), h)
+        if coeffs.pop():
+            raise ClaimError("interpolated eliminant misses its check node")
+        parts.append(coeffs)
+    rc = [from_integral(field, c[0] if s is None else c, factorial(total + 1) * values[0][1])
+          for c in zip(*parts)]
     if not trim(rc):
         raise ClaimError("zero eliminant: the forms were not coprime")
 

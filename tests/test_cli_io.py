@@ -243,6 +243,16 @@ def test_example_commands(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("name", [["clebsch"], {"a": 1}, 3, True])
+def test_example_non_string_name_rejected(tmp_path, capsys, name):
+    path = write(tmp_path, "example.json", {"name": name})
+    code, out = run(["example", "--in", path, "--format", "structured"], capsys)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["status"] == "fail" and doc["error"]["kind"] == "precondition"
+    assert "unknown example" in doc["error"]["message"]
+
+
 def test_missing_input(capsys):
     code, out = run(["cubic"], capsys)
     assert code == 2

@@ -197,3 +197,22 @@ def test_monad_constructor_validation():
     degenerate = SymForm.from_rows(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
     with pytest.raises(PreconditionError):
         MonadData(maps, degenerate)
+
+
+def test_form_route_with_a_zero_row():
+    # five rows, the last zero in every map: the four minors that keep it are
+    # zero polynomials of nominal degree 0, the fifth is l_1 l_2 l_3 l_4
+    def diagonal(values):
+        rows = [[0] * 4 for _ in range(5)]
+        for i, v in enumerate(values):
+            rows[i][i] = v
+        return Matrix.from_rows(QQ, rows)
+
+    maps = [diagonal([1, 1, 1, 1]), diagonal([0, 1, 2, 3]), diagonal([0, 1, 4, 9])]
+    monad = MonadData(maps, SymForm(Matrix.identity(QQ, 5)))
+    sigma = monad.signed_minors()
+    assert [p.is_zero() for p in sigma] == [True] * 4 + [False]
+    via_form = monad.jlsk_via_form()
+    assert via_form.degree == 8
+    assert via_form == (sigma[4] * sigma[4]).canonical()
+    assert via_form.proportional(monad.jlsk_curve())

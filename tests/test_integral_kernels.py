@@ -1,7 +1,9 @@
 """The integral kernels against the Scalar loops they replaced.
 
 HomPoly.evaluate, restrict_univar and substitute, the pair eliminant of
-solve_pair and Matrix.__mul__ clear denominators once and work in Z or
+solve_pair, its interpolation by lagrange_coeffs (integer forward
+differences on consecutive nodes, the kernel poly_det uses on each lattice
+row) and Matrix.__mul__ clear denominators once and work in Z or
 Z[sqrt(s)].  The reference_* functions below are the Scalar-by-Scalar
 implementations they replaced, kept here as the definition of the result;
 each kernel must give equal canonical Scalars over Q, Q(sqrt 5),
@@ -12,13 +14,13 @@ import random
 
 import pytest
 
-from schurlab.errors import ClaimError
+from schurlab.errors import ClaimError, PreconditionError
 from schurlab.exact_math import Field, Matrix, QQ, vec_dot
 from schurlab.exact_math.matrices import (clear_denominators, from_integral,
                                           integral_det, integral_ring)
 from schurlab.hulek_monad import MonadData
 from schurlab.logbundle import _contraction_matrix, build_logbundle
-from schurlab.polyring import HomPoly, lagrange_coeffs, monomials, solve_pair
+from schurlab.polyring import HomPoly, monomials, multivariate_gcd, solve_pair
 from schurlab.polyring import zeros
 from schurlab.polyring.zeros import _apply_shear, _eliminant_at, _find_shear
 
@@ -81,6 +83,34 @@ def reference_product(left, right):
     cols = [right.col(j) for j in range(right.cols)]
     return Matrix(left.field, [[vec_dot(r, c) for c in cols]
                                for r in left.data])
+
+
+def reference_lagrange_coeffs(field, xs, ys):
+    """Coefficients (ascending) of the unique poly of degree < len(xs) through
+    the data: Newton divided differences, then Horner's rule in the nested
+    form c0 + (x - x0)(c1 + (x - x1)(c2 + ...)).  O(n^2) field operations."""
+    xs = [field.coerce(x) for x in xs]
+    if len(set(xs)) != len(xs):
+        raise PreconditionError("interpolation nodes must be distinct")
+    newton = [field.coerce(y) for y in ys]
+    n = len(newton)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            newton[i] = (newton[i] - newton[i - 1]) / (xs[i] - xs[i - j])
+    out = []
+    for k in range(n - 1, -1, -1):
+        # out <- out * (x - xs[k]) + newton[k]
+        shifted = [field.zero] + out
+        for d, c in enumerate(out):
+            shifted[d] = shifted[d] - xs[k] * c
+        shifted[0] = shifted[0] + newton[k]
+        out = shifted
+    return out
+
+
+def reference_nodes(field, count):
+    """0, 1, -1, 2, -2, ... (count of them)."""
+    return [field.scalar((k + 1) // 2 * (1 if k % 2 else -1)) for k in range(count)]
 
 
 def rand_scalar(rng, field, zero_share=0.2):
@@ -203,9 +233,26 @@ def test_eliminant_matches_sylvester_reference():
         for t in [field.zero, field.one, rand_scalar(rng, field, 0)]:
             a = f.restrict_univar((t, field.one, None), 2)
             b = g.restrict_univar((t, field.one, None), 2)
-            assert _eliminant_at(f, g, t) == reference_sylvester_det(field, a, b), k
+            got = from_integral(field, *_eliminant_at(f, g, t))
+            assert got == reference_sylvester_det(field, a, b), k
+        # at integer nodes the denominator does not depend on the node
+        dens = {_eliminant_at(f, g, t)[1] for t in range(-3, 4)}
+        assert len(dens) == 1, k
         const = HomPoly.constant(field, 3, 3)
-        assert _eliminant_at(const, const, field.one) == field.one
+        assert from_integral(field, *_eliminant_at(const, const, field.one)) == field.one
+
+
+def reference_resultant(f, g, shear):
+    """The eliminant of solve_pair as it was computed before: Scalar
+    Sylvester determinants at the nodes 0, 1, -1, 2, ..., interpolated by
+    Newton divided differences."""
+    field = f.field
+    fs, gs = _apply_shear(f, shear), _apply_shear(g, shear)
+    ts = reference_nodes(field, f.degree * g.degree + 1)
+    vals = [reference_sylvester_det(field, fs.restrict_univar((t, field.one, None), 2),
+                                    gs.restrict_univar((t, field.one, None), 2))
+            for t in ts]
+    return reference_lagrange_coeffs(field, ts, vals)
 
 
 def test_solve_pair_eliminant_matches_reference():
@@ -215,15 +262,40 @@ def test_solve_pair_eliminant_matches_reference():
         f = (x - z) * (y + z.scale(2 + k))
         g = x * x + y * y - z * z.scale(5 + k) + x * y
         ps = solve_pair(f, g)
-        fs, gs = _apply_shear(f, ps.shear), _apply_shear(g, ps.shear)
         assert ps.shear == _find_shear(f, g)
-        ts = [field.scalar(t) for t in (0, 1, -1, 2, -2)]
-        vals = [reference_sylvester_det(field, fs.restrict_univar((t, field.one, None), 2),
-                                        gs.restrict_univar((t, field.one, None), 2))
-                for t in ts]
-        assert ps.resultant_coeffs == lagrange_coeffs(field, ts, vals)
+        assert ps.resultant_coeffs == reference_resultant(f, g, ps.shear)
         for p in ps.points:
             assert f.evaluate(p).is_zero() and g.evaluate(p).is_zero()
+    # seeded coprime pairs of degrees up to 3 and 2 with large coefficients
+    checked = 0
+    for k, rng, field in cases():
+        f = rand_form(rng, field, 3, 1 + k % 3)
+        g = rand_form(rng, field, 3, 1 + (k // 4) % 2)
+        if f.is_zero() or g.is_zero() or multivariate_gcd(f, g).degree:
+            continue
+        ps = solve_pair(f, g)
+        assert ps.resultant_coeffs == reference_resultant(f, g, ps.shear), k
+        checked += 1
+    assert checked >= 30
+
+
+def test_eight_line_eliminant_matches_reference(eight_line_bundle, monkeypatch):
+    """The degree-64 eliminant of the minor pair the 8-line jumping locus
+    is solved from."""
+    pairs = []
+    solve = zeros.solve_pair
+
+    def recorded(f, g):
+        ps = solve(f, g)
+        pairs.append((f, g, ps))
+        return ps
+
+    monkeypatch.setattr(zeros, "solve_pair", recorded)
+    zeros.resolved_common_zeros(eight_line_bundle.monad.signed_minors())
+    assert len(pairs) == 1
+    f, g, ps = pairs[0]
+    assert ps.total_degree == 64
+    assert ps.resultant_coeffs == reference_resultant(f, g, ps.shear)
 
 
 @pytest.mark.parametrize("wrong_call", range(6))

@@ -13,12 +13,12 @@ from schurlab.exact_math import Field, Matrix, QQ
 from schurlab.exact_math.matrices import (clear_denominators, from_integral,
                                           integral_det)
 from schurlab.polyring import (HomPoly, LinFormsMatrix, exact_div,
-                               factor_univar, interpolation_nodes,
-                               lagrange_coeffs, monomials, multivariate_gcd,
+                               factor_univar, monomials, multivariate_gcd,
                                poly_det, roots_with_multiplicity,
                                try_exact_div)
 from schurlab.polyring import homopoly
 from schurlab.polyring.univar import from_domain, to_domain
+from test_integral_kernels import reference_lagrange_coeffs, reference_nodes
 
 
 def vars3(field=QQ):
@@ -80,7 +80,7 @@ def reference_poly_det(grid) -> HomPoly:
     field = grid[0][0].field
     deg = sum(next(p.degree for p in row if not p.is_zero()) for row in grid)
     m = deg + 1
-    xs = interpolation_nodes(field, m)
+    xs = reference_nodes(field, m)
     nodes = [int(x.a) for x in xs]
     scale = 1
     tables = []
@@ -102,10 +102,10 @@ def reference_poly_det(grid) -> HomPoly:
         col = [from_integral(field, integral_det([[value(t, a, b) for t in row]
                                                   for row in tables], s), scale)
                for a in nodes]
-        per_x1.append(lagrange_coeffs(field, xs, col))
+        per_x1.append(reference_lagrange_coeffs(field, xs, col))
     coeffs = {}
     for i in range(m):
-        ci = lagrange_coeffs(field, xs, [per_x1[j][i] for j in range(m)])
+        ci = reference_lagrange_coeffs(field, xs, [per_x1[j][i] for j in range(m)])
         for j, c in enumerate(ci):
             if not c.is_zero():
                 assert i + j <= deg

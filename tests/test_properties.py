@@ -5,17 +5,16 @@ list of case indices that violated the property; the tests assert emptiness.
 """
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import factorial, gcd, isqrt
 
-import pytest
-
-from schurlab.errors import PreconditionError
 from schurlab.exact_math import (Field, Matrix, ProjSubspace, QQ, Scalar, SymForm,
                                  sym_pairs, sym_row, vec_canonical, vec_dot)
+from schurlab.exact_math.matrices import from_integral
 from schurlab.hulek_monad import MonadData
 from schurlab.polyring import HomPoly, LinFormsMatrix, gram, lagrange_coeffs, quadric
 from schurlab.polyring.univar import from_domain, to_domain
 from test_exact_math import elimination_mismatches
+from test_integral_kernels import reference_lagrange_coeffs
 
 QSQRT5 = Field(5)
 
@@ -192,27 +191,26 @@ def rand_element(rng, field, bound=6):
 
 
 def interpolation_suite(cases=CASES, seed=606):
-    """lagrange_coeffs reproduces the data at every node, over Q and Q(sqrt 5),
-    with up to twenty distinct nodes."""
+    """lagrange_coeffs on integer values at 1 to 21 consecutive nodes
+    a - offset, with a random offset, is m! times the interpolant of the
+    divided-difference reference; over Q(sqrt s) each of the two integer
+    parts of the values is interpolated on its own."""
     rng = random.Random(seed)
+    fields = [QQ, QSQRT5, Field(-1)]
     bad = []
     for case in range(cases):
-        field = QSQRT5 if case % 2 else QQ
-        n = rng.randint(1, 20)
-        xs = []
-        while len(xs) < n:
-            x = rand_element(rng, field, 9)
-            if x not in xs:
-                xs.append(x)
-        ys = [rand_element(rng, field) for _ in range(n)]
-        coeffs = lagrange_coeffs(field, xs, ys)
-        ok = len(coeffs) == n
-        for x, y in zip(xs, ys):
-            value = field.zero
-            for c in reversed(coeffs):
-                value = value * x + c
-            ok = ok and value == y
-        if not ok:
+        field = fields[case % 3]
+        n = rng.randint(1, 21)
+        offset = rng.randint(-30, 30)
+        bound = rng.choice([3, 10 ** 6])
+        parts = [[rng.randint(-bound, bound) for _ in range(n)]
+                 for _ in range(1 if field.is_rational else 2)]
+        coeffs = [lagrange_coeffs(part, offset) for part in parts]
+        got = [from_integral(field, c[0] if field.is_rational else c, factorial(n - 1))
+               for c in zip(*coeffs)]
+        xs = [field.scalar(a - offset) for a in range(n)]
+        ys = [field.scalar(*value) for value in zip(*parts)]
+        if got != reference_lagrange_coeffs(field, xs, ys):
             bad.append(case)
     return bad
 
@@ -506,12 +504,6 @@ def incidence_suite(cases=CASES, seed=707):
 
 def test_interpolation_reproduces_the_data():
     assert interpolation_suite() == []
-
-
-def test_interpolation_rejects_repeated_nodes():
-    xs = [QQ.scalar(0), QQ.scalar(1), QQ.scalar(0)]
-    with pytest.raises(PreconditionError, match="distinct"):
-        lagrange_coeffs(QQ, xs, [QQ.one, QQ.zero, QQ.one])
 
 
 def test_domain_round_trip():
