@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from schurlab.cli_io import main
+from schurlab.families import EXAMPLES
 from test_cli_io import HEXAD, SIX_LINES, TRIANGLE_MAPS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -50,6 +51,8 @@ CASES = {
     "example_hulsbergen4": (["example", "--name", "hulsbergen4"], None),
     "example_hulsbergen5": (["example", "--name", "hulsbergen5"], None),
     "example_clebsch": (["example", "--name", "clebsch"], None),
+    "example_bring": (["example", "--name", "bring"], None),
+    "example_schwarzenberger": (["example", "--name", "schwarzenberger"], None),
     "cubic_coincident_rejected": (["cubic"], _hexad(
         [[1, 2, 3], [2, 4, 6], [0, 0, 1], [1, 1, 1], [1, 0, 0], [1, 4, 9]])),
     "cubic_collinear_rejected": (["cubic"], _hexad(
@@ -81,6 +84,11 @@ def certificate(name: str, workdir: Path) -> bytes:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_certificate_matches_golden(name, tmp_path):
     assert certificate(name, tmp_path) == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_every_example_has_a_golden():
+    covered = {argv[2] for argv, _ in CASES.values() if argv[0] == "example"}
+    assert covered == set(EXAMPLES)
 
 
 def test_certificates_do_not_depend_on_asserts(tmp_path):
