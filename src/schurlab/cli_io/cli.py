@@ -23,7 +23,7 @@ import sys
 from ..detrep import build_detrep, double_six
 from ..errors import ClaimError, PreconditionError
 from ..exact_math import Field, vec_canonical
-from ..families import EXAMPLES, sorted_points
+from ..families import EXAMPLES
 from ..hulek_monad import (MonadData, biflex_reports, orthogonality_report,
                            select_compatible_form, validate_monad)
 from ..logbundle import arrangement_jump_check, build_logbundle
@@ -65,11 +65,9 @@ def _locus_witness(locus: ZeroLocus) -> dict:
 
 
 def _support_claim(run: Run, claim_id: str, locus: ZeroLocus, expected) -> None:
-    if locus.fully_resolved and locus.zero_dimensional:
-        run.add(claim_id, sorted_points(locus.points) == sorted_points(expected),
-                _locus_witness(locus))
-    else:
-        run.add(claim_id, UNRESOLVED, _locus_witness(locus))
+    resolved = locus.fully_resolved and locus.zero_dimensional
+    run.add(claim_id, locus.is_exactly(expected) if resolved else UNRESOLVED,
+            _locus_witness(locus))
 
 
 def _point_claims(run: Run, monad: MonadData, points, orthogonality_id: str,
@@ -207,21 +205,13 @@ def cmd_monad(run: Run, doc: dict) -> None:
     if not isinstance(raw, list) or len(raw) != 3:
         raise PreconditionError("monad input needs exactly three matrices")
     maps = [parse_matrix(field, m) for m in raw]
-    n = maps[0].rows
-    for m in maps:
-        if (m.rows, m.cols) != (n, n - 1):
-            raise PreconditionError("matrices must share one n x (n-1) shape")
 
     if "form" in doc:
-        form = parse_symmetric(field, doc["form"])
-        if not form.is_nondegenerate():
-            raise PreconditionError("supplied form is degenerate")
-        run.add("form-supplied", True, {"form": form.serialize()})
+        monad = MonadData(maps, parse_symmetric(field, doc["form"]))
+        run.add("form-supplied", True, {"form": monad.form.serialize()})
     else:
-        form = select_compatible_form(field, maps, seed=run.seed)
-        run.add("form-selected", True, {"form": form.serialize()})
-
-    monad = MonadData(maps, form)
+        monad = MonadData(maps, select_compatible_form(field, maps, seed=run.seed))
+        run.add("form-selected", True, {"form": monad.form.serialize()})
     compat = run.add("monad-compatibility", monad.compatibility_ok())
     if compat == FAIL:
         return

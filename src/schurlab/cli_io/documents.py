@@ -79,7 +79,7 @@ def parse_vector(field: Field, entries, length: int | None = None):
     return out
 
 
-def parse_matrix(field: Field, rows, shape=None) -> Matrix:
+def parse_matrix(field: Field, rows) -> Matrix:
     if not isinstance(rows, list) or not rows:
         raise PreconditionError("matrix must be a nonempty list of rows")
     width = None
@@ -91,11 +91,7 @@ def parse_matrix(field: Field, rows, shape=None) -> Matrix:
         elif len(vec) != width:
             raise PreconditionError("ragged matrix rows")
         data.append(vec)
-    mat = Matrix.from_rows(field, data)
-    if shape is not None and (mat.rows, mat.cols) != shape:
-        raise PreconditionError(
-            f"matrix shape {mat.rows}x{mat.cols}, expected {shape[0]}x{shape[1]}")
-    return mat
+    return Matrix.from_rows(field, data)
 
 
 def parse_symmetric(field: Field, rows) -> SymForm:

@@ -42,8 +42,9 @@ def _eval_mono(exp, point, field) -> Scalar:
 
 
 def evaluation_matrix(field: Field, points, degree: int) -> Matrix:
-    """Rows evaluate the degree-d monomial basis (descending lex) at the points."""
-    monos = monomials(3, degree)
+    """Rows evaluate the degree-d monomial basis (descending lex) at the
+    points, in as many variables as the points have coordinates."""
+    monos = monomials(len(points[0]), degree)
     return Matrix(field, [[_eval_mono(e, p, field) for e in monos] for p in points])
 
 

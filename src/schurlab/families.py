@@ -4,16 +4,22 @@ Each builder synthesizes one classical configuration, runs the matching
 pipeline, and returns a FamilyInstance whose ``checks`` dict records every
 verified claim by a short stable key.  Builders raise on structural failure
 (wrong orbit size, missing incidence) and record softer expectations as
-booleans, so a test run can show exactly which claim broke.
+booleans, so a test run can show exactly which claim broke.  They reuse the
+library's own pieces: lines and quadrics come from ProjSubspace and
+``detrep.evaluation_matrix``, the monads from ``select_compatible_form``,
+``MonadData`` and ``validate_monad``, and the support checks from
+``ZeroLocus.is_exactly``.
 
 The instances:
 
   * ``clebsch_instance``: the diagonal cubic surface cut on the hyperplane
-    {sum x_i = 0} in 5-space, over the golden-ratio field.  Generates the
-    two six-line orbits of the even permutation group, pairs them by
-    disjointness into a double six, and checks that the orthogonality-route
-    quadric is the restriction of sum x_i*y_i.  Then blows the surface down
-    to a plane hexad through a quadric net and confirms the hexad pipeline
+    {sum x_i = 0} in 5-space, over the golden-ratio field.  Permutes the
+    coordinates of two conjugate seed lines into the two six-line orbits of
+    the even permutation group, pairs them by disjointness into a double
+    six, and checks that the orthogonality-route quadric is the
+    restriction of sum x_i*y_i.  Then blows the surface down
+    to a plane hexad through a quadric net (the quadrics vanishing at three
+    points of each of three lines) and confirms the hexad pipeline
     reproduces the same surface and the same quadric through an explicit
     change of coordinates.
   * ``bring_instance``: the curve cut on the diagonal cubic by its invariant
@@ -36,9 +42,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
+from operator import mul
 
-from .detrep import build_detrep, is_double_six, line_on_hypersurface
+from .detrep import (build_detrep, evaluation_matrix, is_double_six,
+                     line_on_hypersurface)
 from .errors import ClaimError, PreconditionError
 from .exact_math import (QQ, Field, Matrix, ProjSubspace, SymForm,
                          vec_canonical)
@@ -102,19 +111,15 @@ def _lift(field: Field, u):
     return u + [-(u[0] + u[1] + u[2] + u[3])]
 
 
-def _permute_covector(cov, perm):
-    out = [None] * 5
-    for i, c in enumerate(cov):
-        out[perm[i]] = c
-    return out
-
-
-def _orbit_of_line(field: Field, eqs) -> list[ProjSubspace]:
+def _orbit_of_line(line: ProjSubspace) -> list[ProjSubspace]:
+    """The even-permutation orbit of a line in the hyperplane: a permutation
+    p moves a lifted point x to y with y_m = x_(p^-1(m))."""
+    lifted = [_lift(line.field, u) for u in line.basis]
     seen = {}
     for p in _even_permutations():
-        line = _line_from_equations(
-            field, [_permute_covector(e, p) for e in eqs])
-        seen.setdefault(str(line.serialize()), line)
+        image = ProjSubspace(line.field, 3,
+                             [[x[p.index(m)] for m in range(4)] for x in lifted])
+        seen.setdefault(str(image.serialize()), image)
     return [seen[k] for k in sorted(seen)]
 
 
@@ -131,18 +136,11 @@ def diagonal_cubic(field: Field) -> HomPoly:
 
 
 def _gram_form(field: Field) -> SymForm:
-    """Restriction of sum x_i*y_i to the hyperplane, on the internal basis."""
-    rows = []
-    for m in range(4):
-        em = [field.one if i == m else field.zero for i in range(4)]
-        bm = _lift(field, em)
-        row = []
-        for n in range(4):
-            en = [field.one if i == n else field.zero for i in range(4)]
-            bn = _lift(field, en)
-            row.append(sum((a * b for a, b in zip(bm, bn)), field.zero))
-        rows.append(row)
-    return SymForm.from_rows(field, rows)
+    """Restriction of sum x_i*y_i to the hyperplane, on the internal basis:
+    L^T L for the 5 x 4 matrix L whose columns lift that basis."""
+    lift = Matrix.from_cols(
+        field, [_lift(field, e) for e in Matrix.identity(field, 4).data])
+    return SymForm(lift.transpose() * lift)
 
 
 def _pair_by_disjointness(first, second):
@@ -172,20 +170,10 @@ def _cross_join_line(a1, b2, a2, b1) -> ProjSubspace:
 
 
 def _quadrics_through_lines(field: Field, lines) -> list[HomPoly]:
-    """Basis of the quadrics on the 4-space vanishing on the given lines."""
-    order = monomials(4, 2)
-    rows = []
-    for line in lines:
-        pvec, qvec = line.basis
-        cols = []
-        for exp in order:
-            mono = HomPoly.monomial(field, exp, field.one)
-            targets = [HomPoly.linear_form(field, [pvec[m], qvec[m]])
-                       for m in range(4)]
-            cols.append(mono.substitute(targets).coefficient_vector())
-        for k in range(3):
-            rows.append([c[k] for c in cols])
-    kern = Matrix.from_rows(field, rows).kernel_basis()
+    """Basis of the quadrics on the 4-space vanishing on the given lines: a
+    quadric vanishes on a line once it vanishes at three of its points."""
+    points = [x for line in lines for x in _line_sample_points(field, line, 3)]
+    kern = evaluation_matrix(field, points, 2).kernel_basis()
     return [HomPoly.from_coefficient_vector(field, 4, 2, v) for v in kern]
 
 
@@ -249,8 +237,8 @@ def clebsch_instance() -> FamilyInstance:
     eqs_l = [[one, phi, one, zero, zero], [zero, one, phi, one, zero]]
     eqs_lp = [[one, psi, one, zero, zero], [zero, one, psi, one, zero]]
 
-    first = _orbit_of_line(field, eqs_l)
-    second = _orbit_of_line(field, eqs_lp)
+    first = _orbit_of_line(_line_from_equations(field, eqs_l))
+    second = _orbit_of_line(_line_from_equations(field, eqs_lp))
     if len(first) != 6 or len(second) != 6:
         raise ClaimError(
             f"orbit sizes {len(first)}, {len(second)}: expected 6 and 6")
@@ -334,11 +322,7 @@ def clebsch_instance() -> FamilyInstance:
     pulled = tmat.transpose() * cform.matrix * tmat
     checks["quadric_pullback_matches_gram"] = SymForm(pulled).proportional(standard)
 
-    payload = {"cubic": cubic, "first": first, "second": second,
-               "net": net, "hexad": hexad, "rep": rep,
-               "kernel_form": bform, "orthogonal_form": cform,
-               "coordinate_change": tmat}
-    return FamilyInstance("clebsch", field, payload, checks)
+    return FamilyInstance("clebsch", field, {}, checks)
 
 
 def bring_instance(seed: int = 0) -> FamilyInstance:
@@ -396,19 +380,24 @@ def bring_instance(seed: int = 0) -> FamilyInstance:
                 s = sum((c ** power for c in x), field.zero)
                 power_ok = power_ok and s.is_zero()
         checks["resolved_points_satisfy_power_sums"] = power_ok
-        payload = {"cubic": cubic, "quadric": invariant, "plane": cov,
-                   "section": sol}
         notes = ("resolved section points: %d of 6; curve points need a "
                  "larger field, so the power sums are also checked as the "
                  "polynomial identities above" % resolved,
                  "the six contraction images form one orbit of the even "
                  "permutations; recorded, not asserted",)
-        return FamilyInstance("bring", field, payload, checks, notes)
+        return FamilyInstance("bring", field, {}, checks, notes)
     raise ClaimError("no usable plane section found")
 
 
 # ---------------------------------------------------------------------------
 # small monads
+
+
+def _selected_monad(field: Field, maps, seed: int):
+    """The monad of the maps with their seeded compatible form, and whether
+    it validates."""
+    monad = MonadData(maps, select_compatible_form(field, maps, seed=seed))
+    return monad, validate_monad(monad, seed=seed).valid
 
 
 def triangle_monad_n3(seed: int = 0) -> FamilyInstance:
@@ -418,11 +407,8 @@ def triangle_monad_n3(seed: int = 0) -> FamilyInstance:
     maps = [Matrix.from_rows(field, [[1, 0], [0, 0], [0, 0]]),
             Matrix.from_rows(field, [[0, 0], [0, 1], [0, 0]]),
             Matrix.from_rows(field, [[0, 0], [0, 0], [1, -1]])]
-    form = select_compatible_form(field, maps, seed=seed)
-    monad = MonadData(maps, form)
-    report = validate_monad(monad, seed=seed)
-
-    checks = {"monad_valid": report.valid}
+    monad, valid = _selected_monad(field, maps, seed)
+    checks = {"monad_valid": valid}
     curve = monad.jlsk_curve()
     expected_curve = _sum_of_products(field, [(0, 1), (0, 2), (1, 2)])
     checks["curve_matches"] = curve.proportional(expected_curve)
@@ -430,9 +416,7 @@ def triangle_monad_n3(seed: int = 0) -> FamilyInstance:
     loc = monad.jumping_points()
     coord_points = [tuple(field.coerce(c) for c in p)
                     for p in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]]
-    checks["jumping_points_are_coordinate_points"] = (
-        loc.fully_resolved and loc.zero_dimensional
-        and sorted_points(loc.points) == sorted_points(coord_points))
+    checks["jumping_points_are_coordinate_points"] = loc.is_exactly(coord_points)
 
     lines_ok = True
     opp_ok = True
@@ -447,8 +431,8 @@ def triangle_monad_n3(seed: int = 0) -> FamilyInstance:
     checks["left_kernels_are_coordinate_lines"] = lines_ok
     checks["partner_spaces_are_opposite_points"] = opp_ok
 
-    payload = {"monad": monad, "curve": curve, "locus": loc}
-    return FamilyInstance("triangle", field, payload, checks)
+    return FamilyInstance("triangle", field, {"curve": curve, "monad": monad},
+                          checks)
 
 
 def _sum_of_products(field: Field, index_pairs) -> HomPoly:
@@ -461,10 +445,6 @@ def _sum_of_products(field: Field, index_pairs) -> HomPoly:
     return out
 
 
-def sorted_points(points):
-    return sorted(tuple(c.serialize() for c in p) for p in points)
-
-
 def n2_instance(seed: int = 0) -> FamilyInstance:
     """Smallest monad: one jumping point, curve a pair of distinct lines
     through it, middle quadric a pair of distinct points."""
@@ -472,35 +452,23 @@ def n2_instance(seed: int = 0) -> FamilyInstance:
     maps = [Matrix.from_rows(field, [[1], [0]]),
             Matrix.from_rows(field, [[0], [1]]),
             Matrix.from_rows(field, [[0], [0]])]
-    form = select_compatible_form(field, maps, seed=seed)
-    monad = MonadData(maps, form)
-    report = validate_monad(monad, seed=seed)
-
-    checks = {"monad_valid": report.valid}
-    loc = monad.jumping_points()
+    monad, valid = _selected_monad(field, maps, seed)
+    checks = {"monad_valid": valid}
     z0 = tuple(field.coerce(c) for c in (0, 0, 1))
-    checks["single_jumping_point"] = (
-        loc.fully_resolved and loc.zero_dimensional
-        and sorted_points(loc.points) == sorted_points([z0]))
+    checks["single_jumping_point"] = monad.jumping_points().is_exactly([z0])
 
     curve = monad.jlsk_curve()
     expected_curve = HomPoly.monomial(field, (1, 1, 0), field.one)
     checks["curve_two_lines_through_point"] = curve.proportional(expected_curve)
 
-    b = form.matrix
+    b = monad.form.matrix
     disc = b[0, 1] * b[0, 1] - b[0, 0] * b[1, 1]
     checks["middle_quadric_two_distinct_points"] = not disc.is_zero()
-
-    payload = {"monad": monad, "curve": curve, "locus": loc}
-    return FamilyInstance("n2", field, payload, checks)
+    return FamilyInstance("n2", field, {}, checks)
 
 
 # ---------------------------------------------------------------------------
 # nearly-diagonal shape on n lines
-
-
-def _coeff_triple(form: HomPoly):
-    return [form.coeff((1, 0, 0)), form.coeff((0, 1, 0)), form.coeff((0, 0, 1))]
 
 
 def hulsbergen_shape(field: Field, forms, seed: int = 0) -> FamilyInstance:
@@ -519,7 +487,7 @@ def hulsbergen_shape(field: Field, forms, seed: int = 0) -> FamilyInstance:
     for f in forms:
         if f.nvars != 3 or f.degree != 1 or f.is_zero():
             raise PreconditionError("forms must be nonzero ternary linear forms")
-    coeffs = Matrix.from_rows(field, [_coeff_triple(f) for f in forms])
+    coeffs = Matrix.from_rows(field, [f.coefficient_vector() for f in forms])
     check_general_position(field, coeffs.data)
 
     # general position leaves three independent forms, so n - 3 relations
@@ -534,11 +502,10 @@ def hulsbergen_shape(field: Field, forms, seed: int = 0) -> FamilyInstance:
         rows.append([coeffs[n - 1, k]] * (n - 1))
         maps.append(Matrix.from_rows(field, rows))
 
-    form = select_compatible_form(field, maps, seed=seed)
-    monad = MonadData(maps, form)
+    monad, valid = _selected_monad(field, maps, seed)
     checks = {}
     minors = monad.signed_minors()
-    big = [_complement_product(forms, j) for j in range(n)]
+    big = [reduce(mul, forms[:j] + forms[j + 1:]) for j in range(n)]
     ratios = []
     minors_ok = True
     for v, f in zip(minors, big):
@@ -553,20 +520,11 @@ def hulsbergen_shape(field: Field, forms, seed: int = 0) -> FamilyInstance:
 
     # cleared-denominator hypersurface equations from the relation vectors,
     # in coordinates where the image point is (F_0 : ... : F_{n-1})
-    sigma_ok = True
-    for rel in relations:
-        total = HomPoly.zero(field, 3, (n - 1) * (n - 1))
-        for i in range(n):
-            term = HomPoly.constant(field, 3, rel[i])
-            for l in range(n):
-                if l != i:
-                    term = term * big[l]
-            total = total + term
-        sigma_ok = sigma_ok and total.is_zero()
-    checks["cleared_equations_vanish_on_image"] = sigma_ok
-
-    report = validate_monad(monad, seed=seed)
-    checks["monad_valid"] = report.valid
+    checks["cleared_equations_vanish_on_image"] = all(
+        sum((reduce(mul, big[:i] + big[i + 1:]).scale(rel[i]) for i in range(n)),
+            HomPoly.zero(field, 3, (n - 1) * (n - 1))).is_zero()
+        for rel in relations)
+    checks["monad_valid"] = valid
 
     sigma_polys = [_cleared_equation(field, rel, ratios, n)
                    for rel in relations]
@@ -582,25 +540,19 @@ def hulsbergen_shape(field: Field, forms, seed: int = 0) -> FamilyInstance:
             for c in cubics:
                 span.append(mono * c)
         checks["image_equations_in_minor_ideal_degree"] = all(
-            _in_span(field, g, span) for g in sigma_polys)
+            _solve_membership(field, g, span) is not None for g in sigma_polys)
         checks["image_equations_vanish_parametrically"] = all(
-            _vanishes_on_minor_image(g, minors) for g in sigma_polys)
+            g.substitute(minors).is_zero() for g in sigma_polys)
 
-    curve = monad.jlsk_curve()
-    sq = [f * f for f in big]
-    combo = _solve_membership(field, curve, sq)
-    checks["curve_in_span_of_squares"] = combo is not None
+    checks["curve_in_span_of_squares"] = _solve_membership(
+        field, monad.jlsk_curve(), [f * f for f in big]) is not None
 
     loc = monad.jumping_points()
     expected_points = []
     for i, j in combinations(range(n), 2):
-        kern = Matrix.from_rows(
-            field, [_coeff_triple(forms[i]), _coeff_triple(forms[j])]
-        ).kernel_basis()
+        kern = Matrix.from_rows(field, [coeffs.row(i), coeffs.row(j)]).kernel_basis()
         expected_points.append(vec_canonical(kern[0]))
-    checks["support_is_pairwise_intersections"] = (
-        loc.fully_resolved and loc.zero_dimensional
-        and sorted_points(loc.points) == sorted_points(expected_points))
+    checks["support_is_pairwise_intersections"] = loc.is_exactly(expected_points)
     checks["support_count"] = len(loc.points) == n * (n - 1) // 2
 
     checks["coordinate_points_nearly_collapse"] = all(
@@ -608,20 +560,10 @@ def hulsbergen_shape(field: Field, forms, seed: int = 0) -> FamilyInstance:
                                for s in range(n)]) <= 1
         for r in range(n))
 
-    payload = {"forms": forms, "monad": monad, "curve": curve, "locus": loc,
-               "square_combination": combo, "relations": relations}
     notes = ("the shape is not generically two-collapsing: whole lines of "
              "the image hypersurface drop rank, recorded, not asserted",)
-    return FamilyInstance(f"hulsbergen{n}", field, payload, checks, notes)
-
-
-def _complement_product(forms, j: int) -> HomPoly:
-    field = forms[0].field
-    out = HomPoly.constant(field, 3, field.one)
-    for i, f in enumerate(forms):
-        if i != j:
-            out = out * f
-    return out
+    return FamilyInstance(f"hulsbergen{n}", field,
+                          {"monad": monad, "locus": loc}, checks, notes)
 
 
 def _cleared_equation(field: Field, rel, ratios, n: int) -> HomPoly:
@@ -644,14 +586,6 @@ def _solve_membership(field: Field, target: HomPoly, span):
     cols = [list(p.coefficient_vector(order)) for p in span]
     mat = Matrix.from_cols(field, cols)
     return mat.solve(list(target.coefficient_vector(order)))
-
-
-def _in_span(field: Field, target: HomPoly, span) -> bool:
-    return _solve_membership(field, target, span) is not None
-
-
-def _vanishes_on_minor_image(g: HomPoly, minors) -> bool:
-    return g.substitute(list(minors)).is_zero()
 
 
 def hulsbergen_instance_4(seed: int = 0) -> FamilyInstance:
@@ -694,9 +628,7 @@ def schwarzenberger_detect() -> FamilyInstance:
     curve = monad.jlsk_curve()
     checks["curve_is_conic_cubed"] = curve.proportional(conic * conic * conic)
 
-    payload = {"conic": conic, "points": points, "bundle": bundle,
-               "curve": curve, "locus": loc}
-    return FamilyInstance("schwarzenberger", field, payload, checks)
+    return FamilyInstance("schwarzenberger", field, {"locus": loc}, checks)
 
 
 # ---------------------------------------------------------------------------

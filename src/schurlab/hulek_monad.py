@@ -67,6 +67,28 @@ def pencil_at(maps, z) -> PencilPoint:
                        + maps[2].scale(z[2]))
 
 
+def check_monad_input(maps, form: SymForm | None = None) -> int:
+    """The admissibility check of monad data: three n x (n-1) matrices over
+    one field with n >= 2 and, when given, a nondegenerate symmetric n x n
+    form over that field.  Returns n."""
+    if len(maps) != 3:
+        raise PreconditionError("three matrices required")
+    n = maps[0].rows
+    for m in maps:
+        if not isinstance(m, Matrix) or m.rows != n or m.cols != n - 1:
+            raise PreconditionError("matrices must all be n x (n-1)")
+        if m.field != maps[0].field:
+            raise PreconditionError("matrices live over different fields")
+    if n < 2:
+        raise PreconditionError("need n >= 2")
+    if form is not None:
+        if form.dim != n or form.field != maps[0].field:
+            raise PreconditionError("form must be symmetric n x n over the same field")
+        if not form.is_nondegenerate():
+            raise PreconditionError("form must be nondegenerate")
+    return n
+
+
 class MonadData:
     """Three n x (n-1) matrices over one field plus a nondegenerate symmetric
     form on the n-dimensional middle space.
@@ -79,22 +101,8 @@ class MonadData:
     __slots__ = ("field", "n", "maps", "form", "_derived")
 
     def __init__(self, maps, form: SymForm):
-        if len(maps) != 3:
-            raise PreconditionError("three matrices required")
-        n = maps[0].rows
-        for m in maps:
-            if not isinstance(m, Matrix) or m.rows != n or m.cols != n - 1:
-                raise PreconditionError("matrices must all be n x (n-1)")
-            if m.field != maps[0].field:
-                raise PreconditionError("matrices live over different fields")
-        if n < 2:
-            raise PreconditionError("need n >= 2")
-        if form.dim != n or form.field != maps[0].field:
-            raise PreconditionError("form must be symmetric n x n over the same field")
-        if not form.is_nondegenerate():
-            raise PreconditionError("form must be nondegenerate")
+        self.n = check_monad_input(maps, form)
         self.field = maps[0].field
-        self.n = n
         self.maps = list(maps)
         self.form = form
         self._derived = {}
@@ -303,6 +311,7 @@ def select_compatible_form(field: Field, maps, seed: int = 0) -> SymForm:
     """Deterministically pick a nondegenerate compatible form: first sums of
     basis subsets ordered by size then position, then seeded integer
     combinations."""
+    check_monad_input(maps)
     basis = compatible_form_space(field, maps)
     if not basis:
         raise ClaimError("no compatible symmetric forms at all")

@@ -5,7 +5,7 @@ from .local import LocalSingularity, line_intersection_order, local_singularity
 from .univar import (degree, eval_univar, factor_univar, monic,
                      roots_with_multiplicity, trim, univar_gcd)
 from .zeros import (PairSolution, ZeroLocus, gcd_many, multivariate_gcd,
-                    resolved_common_zeros, solve_pair)
+                    resolved_common_zeros, solve_pair, sorted_points)
 
 __all__ = [
     "HomPoly", "LinFormsMatrix", "exact_div", "try_exact_div", "monomials",
@@ -13,6 +13,6 @@ __all__ = [
     "degree", "eval_univar", "factor_univar", "monic", "roots_with_multiplicity",
     "trim", "univar_gcd",
     "PairSolution", "ZeroLocus", "gcd_many", "multivariate_gcd",
-    "resolved_common_zeros", "solve_pair",
+    "resolved_common_zeros", "solve_pair", "sorted_points",
     "LocalSingularity", "local_singularity", "line_intersection_order",
 ]

@@ -194,13 +194,22 @@ def solve_pair(f: HomPoly, g: HomPoly) -> PairSolution:
                         _dedupe_points(points), _dedupe_forms(unresolved_forms))
 
 
+def _point_key(p: Point) -> tuple:
+    return tuple(c.serialize() for c in p)
+
+
+def sorted_points(points) -> list[tuple]:
+    """Serialized points in one order, for comparing point sets."""
+    return sorted(map(_point_key, points))
+
+
 def _dedupe_points(points: list[Point]) -> list[Point]:
     seen, out = set(), []
     for p in points:
         if p not in seen:
             seen.add(p)
             out.append(p)
-    out.sort(key=lambda p: tuple(c.serialize() for c in p))
+    out.sort(key=_point_key)
     return out
 
 
@@ -274,6 +283,11 @@ class ZeroLocus:
     @property
     def fully_resolved(self) -> bool:
         return not self.unresolved_forms
+
+    def is_exactly(self, points) -> bool:
+        """Resolved, zero-dimensional, and the given canonical points."""
+        return (self.fully_resolved and self.zero_dimensional
+                and sorted_points(self.points) == sorted_points(points))
 
 
 def resolved_common_zeros(polys: list[HomPoly]) -> ZeroLocus:

@@ -15,11 +15,11 @@ from schurlab.errors import PreconditionError
 from schurlab.exact_math import QQ, vec_canonical
 from schurlab.families import (clebsch_instance, hulsbergen_instance_4,
                                hulsbergen_instance_5, schwarzenberger_detect,
-                               sorted_points, triangle_monad_n3)
+                               triangle_monad_n3)
 from schurlab.hulek_monad import (biflex_reports, determinantal_degree,
                                   orthogonality_report)
 from schurlab.logbundle import arrangement_jump_check, build_logbundle
-from schurlab.polyring import HomPoly
+from schurlab.polyring import HomPoly, sorted_points
 from schurlab.schurform import induced_monad, schur_pair
 
 EIGHT_LINES = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1),

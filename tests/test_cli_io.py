@@ -216,6 +216,27 @@ def test_monad_non_symmetric_form(tmp_path, capsys):
     assert "symmetric" in out
 
 
+@pytest.mark.parametrize("doc", [
+    {"maps": TRIANGLE_MAPS, "form": [["1", "0"], ["0", "1"]]},
+    {"maps": TRIANGLE_MAPS,
+     "form": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "0"]]},
+    {"maps": TRIANGLE_MAPS[:2] + [[["0"], ["0"], ["1"]]],
+     "form": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+    {"maps": TRIANGLE_MAPS[:2] + [[["0"], ["0"], ["1"]]]},
+], ids=["form_size", "form_degenerate", "map_shapes", "map_shapes_no_form"])
+def test_monad_inadmissible_input_claims_no_form(doc, tmp_path):
+    # rejected before any claim: a form is never certified for a monad
+    # that cannot be built
+    target = tmp_path / "cert.json"
+    code = main(["monad", "--in",
+                 write(tmp_path, "m.json", {"field": {"type": "rational"}, **doc}),
+                 "--out", str(target), "--format", "structured"])
+    assert code == 2
+    cert = json.loads(target.read_text())
+    assert cert["error"]["kind"] == "precondition"
+    assert cert["claims"] == []
+
+
 def test_monad_incompatible_form(tmp_path, capsys):
     doc = {"field": {"type": "rational"}, "maps": TRIANGLE_MAPS,
            "form": [["1", "1", "0"], ["1", "2", "0"], ["0", "0", "1"]]}

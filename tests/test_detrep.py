@@ -6,8 +6,7 @@ import pytest
 from schurlab.detrep import build_detrep, double_six, line_on_hypersurface
 from schurlab.errors import ClaimError, PreconditionError
 from schurlab.exact_math import QQ, Field, Matrix, ProjSubspace, vec_canonical
-from schurlab.families import sorted_points
-from schurlab.polyring import LinFormsMatrix
+from schurlab.polyring import LinFormsMatrix, sorted_points
 from schurlab.schurform import induced_monad
 from test_golden import CLEBSCH_HEXAD
 

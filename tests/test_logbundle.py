@@ -4,11 +4,10 @@ import pytest
 from schurlab.errors import ClaimError, PreconditionError
 from schurlab.exact_math import (Field, Matrix, QQ, SymForm, sym_pairs,
                                  sym_row, vec_canonical)
-from schurlab.families import sorted_points
 from schurlab.hulek_monad import MonadData, orthogonality_report, validate_monad
 from schurlab.logbundle import (arrangement_jump_check, build_logbundle,
                                 recover_cup_form)
-from schurlab.polyring import homopoly
+from schurlab.polyring import homopoly, sorted_points
 
 SIX = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (1, 4, 9)]
 

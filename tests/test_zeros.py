@@ -95,3 +95,29 @@ def test_cubic_with_node_branch_orders():
     orders = [line_intersection_order(nodal, t, (0, 0, 1))
               for t in ls.tangent_lines]
     assert orders == [3, 3]
+
+
+def canonical(seq):
+    return [vec_canonical(tuple(QQ.coerce(c) for c in p)) for p in seq]
+
+
+def test_locus_is_exactly_its_points_in_any_order():
+    x, y, z = vars3()
+    loc = resolved_common_zeros([x * y, (x - z) * (y - z)])
+    four = canonical([(1, 0, 1), (0, 1, 0), (1, 0, 0), (0, 1, 1)])
+    assert loc.is_exactly(four)
+    assert not loc.is_exactly(four[:3])            # a point missing
+    assert not loc.is_exactly(four + canonical([(1, 1, 1)]))  # an extra point
+
+
+def test_locus_is_exactly_needs_a_resolved_zero_dimensional_locus():
+    x, y, z = vars3()
+    # y = 0, x^2 = 2 z^2: no rational point, one unresolved form
+    unresolved = resolved_common_zeros([y, x * x - z * z.scale(2)])
+    assert unresolved.points == [] and not unresolved.fully_resolved
+    assert not unresolved.is_exactly([])
+    # x y and x z share the line x = 0; the residual y = z = 0 is one point
+    curve = resolved_common_zeros([x * y, x * z])
+    assert not curve.zero_dimensional
+    assert curve.points == canonical([(1, 0, 0)])
+    assert not curve.is_exactly(curve.points)
