@@ -206,12 +206,13 @@ def cmd_monad(run: Run, doc: dict) -> None:
         raise PreconditionError("monad input needs exactly three matrices")
     maps = [parse_matrix(field, m) for m in raw]
 
-    if "form" in doc:
-        monad = MonadData(maps, parse_symmetric(field, doc["form"]))
-        run.add("form-supplied", True, {"form": monad.form.serialize()})
-    else:
-        monad = MonadData(maps, select_compatible_form(field, maps, seed=run.seed))
-        run.add("form-selected", True, {"form": monad.form.serialize()})
+    supplied = "form" in doc
+    form = (parse_symmetric(field, doc["form"]) if supplied
+            else select_compatible_form(field, maps, seed=run.seed))
+    # claimed only once MonadData has accepted the maps and the form
+    monad = MonadData(maps, form)
+    run.add("form-supplied" if supplied else "form-selected", True,
+            {"form": form.serialize()})
     compat = run.add("monad-compatibility", monad.compatibility_ok())
     if compat == FAIL:
         return
