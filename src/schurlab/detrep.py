@@ -26,7 +26,7 @@ from itertools import combinations
 
 from .errors import ClaimError, PreconditionError
 from .exact_math import (Field, Matrix, ProjSubspace, Scalar, SymForm, sym_row,
-                         vec_canonical)
+                         vec_canonical, vec_is_zero)
 from .hulek_monad import MonadData
 from .polyring import HomPoly, LinFormsMatrix, ZeroLocus, monomials, poly_det
 
@@ -149,11 +149,11 @@ class DetRep:
 
 
 def _check_hexad(field: Field, pts) -> None:
-    """The six points are distinct (a zero vector counts as coinciding), no
-    three are collinear and not all six lie on a conic."""
+    """The six canonical points are distinct (a zero vector counts as
+    coinciding), no three are collinear and not all six lie on a conic."""
     for i in range(6):
         for j in range(i + 1, 6):
-            if Matrix(field, [pts[i], pts[j]]).rank() < 2:
+            if pts[i] == pts[j] or vec_is_zero(pts[i]) or vec_is_zero(pts[j]):
                 raise PreconditionError(f"points {i} and {j} coincide")
             for k in range(j + 1, 6):
                 if Matrix(field, [pts[i], pts[j], pts[k]]).det().is_zero():
@@ -189,11 +189,10 @@ def kernel_form(field: Field, tensor) -> SymForm:
 def build_detrep(field: Field, points) -> DetRep:
     """The determinantal data of an admissible hexad and its induced monad;
     the one place a hexad is checked for admissibility."""
-    pts = [tuple(field.coerce(c) for c in p) for p in points]
+    pts = [vec_canonical([field.coerce(c) for c in p]) for p in points]
     if len(pts) != 6 or any(len(p) != 3 for p in pts):
         raise PreconditionError("exactly six plane points with three coordinates required")
     _check_hexad(field, pts)
-    pts = [vec_canonical(p) for p in pts]
 
     ev = evaluation_matrix(field, pts, 3)
     kern = ev.kernel_basis()

@@ -2,7 +2,8 @@
 
 A ProjSubspace of P^N keeps a reduced-echelon basis of its affine cone in
 F^(N+1); equality of subspaces is literal equality of those canonical bases.
-The empty subspace has an empty basis.
+The empty subspace has an empty basis.  Subspaces of complementary dimension,
+such as two lines of P^3, meet when one determinant vanishes.
 """
 from __future__ import annotations
 
@@ -83,11 +84,12 @@ class ProjSubspace:
         return Matrix(self.field, self.basis + tuple(vectors)).rank()
 
     def incident(self, other: ProjSubspace) -> bool:
-        """The cones meet in a nonzero vector: by the Grassmann formula,
-        exactly when the stacked cone bases have rank below the sum of their
-        sizes."""
+        """Complementary subspaces (basis sizes summing to ambient + 1) meet
+        exactly when the square stack of their bases is singular; others end
+        in PreconditionError.  For two lines of P^3, Laplace expansion along
+        the first two rows is the Plucker pairing."""
         self._require_same_space(other)
-        return self._stacked_rank(other.basis) < len(self.basis) + len(other.basis)
+        return Matrix(self.field, self.basis + other.basis).det().is_zero()
 
     def contains_vector(self, v) -> bool:
         v = tuple(self.field.coerce(x) for x in v)

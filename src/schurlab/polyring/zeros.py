@@ -241,10 +241,6 @@ def _solve(gens: list[HomPoly]) -> tuple[list[Point], list[HomPoly]]:
     if not uniq:
         raise ClaimError("empty generating system")
     uniq.sort(key=_gen_key)
-    overall = gcd_many(uniq)
-    if overall.degree != 0:
-        raise ClaimError("system is not zero-dimensional")
-
     split = None
     for i, j in combinations(range(len(uniq)), 2):
         d = multivariate_gcd(uniq[i], uniq[j])
@@ -255,6 +251,8 @@ def _solve(gens: list[HomPoly]) -> tuple[list[Point], list[HomPoly]]:
             return _dedupe_points(pts), ps.unresolved_forms
         if split is None:
             split = (i, j, d)
+    if split is None:
+        raise ClaimError("system is not zero-dimensional")
     i, j, d = split
     others = [uniq[k] for k in range(len(uniq)) if k not in (i, j)]
     a = exact_div(uniq[i], d)

@@ -15,7 +15,7 @@ from schurlab.cli_io import (FAIL, PASS, PROBED, SCHEMA, UNRESOLVED,
                              parse_field, parse_symmetric)
 from schurlab.errors import PreconditionError
 from schurlab.exact_math import QQ
-from schurlab.polyring import LinFormsMatrix
+from schurlab.polyring import LinFormsMatrix, zeros
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -100,6 +100,14 @@ def test_cubic_collinear_rejected(tmp_path, capsys):
     code, out = run(["cubic", "--in", write(tmp_path, "bad.json", bad)], capsys)
     assert code == 2
     assert "collinear" in out
+
+
+def test_cubic_zero_point_rejected(tmp_path, capsys):
+    bad = dict(HEXAD)
+    bad["points"] = [["0", "0", "0"]] + HEXAD["points"][1:]
+    code, out = run(["cubic", "--in", write(tmp_path, "zero.json", bad)], capsys)
+    assert code == 2
+    assert "points 0 and 1 coincide" in out
 
 
 @pytest.mark.parametrize("literal", ["x", "1/0", "[1/0, 1]"])
@@ -346,6 +354,15 @@ def test_cubic_resolves_each_locus_once(tmp_path, monkeypatch, capsys):
     code, _ = run(["cubic", "--in", write(tmp_path, "h.json", HEXAD)], capsys)
     assert code == 0
     assert len(calls) == 1
+
+
+def test_cubic_takes_two_gcds(tmp_path, monkeypatch, capsys):
+    # one proves the minors coprime; the pair loop takes the other
+    calls = []
+    _count_calls(monkeypatch, calls, zeros, "multivariate_gcd")
+    code, _ = run(["cubic", "--in", write(tmp_path, "h.json", HEXAD)], capsys)
+    assert code == 0
+    assert len(calls) == 2
 
 
 def test_cubic_builds_each_hexad_object_once(tmp_path, monkeypatch, capsys):

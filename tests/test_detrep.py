@@ -1,5 +1,6 @@
 """Determinantal cubic surfaces from plane hexads and their line geometry."""
 import random
+from itertools import combinations
 
 import pytest
 
@@ -9,6 +10,7 @@ from schurlab.exact_math import QQ, Field, Matrix, ProjSubspace, vec_canonical
 from schurlab.polyring import LinFormsMatrix, sorted_points
 from schurlab.schurform import induced_monad
 from test_golden import CLEBSCH_HEXAD
+from test_properties import reference_incident
 
 COCONIC = [(1, 0, 0), (1, 1, 1), (1, 2, 4), (1, 3, 9), (1, 4, 16), (0, 0, 1)]
 
@@ -74,6 +76,31 @@ def test_double_six_verifications(std_rep):
     assert ds.verify_c_incidences()
 
 
+def clebsch_rep():
+    field = Field(5)
+    return build_detrep(field, [[field.parse(c) for c in p]
+                                for p in CLEBSCH_HEXAD["points"]])
+
+
+def test_line_incidence_matches_stacked_rank(std_rep):
+    # all 351 pairs of the 27 lines, on the standard and the Clebsch hexad
+    for rep in (std_rep, clebsch_rep()):
+        pairs = list(combinations(double_six(rep).all_lines(), 2))
+        assert len(pairs) == 351
+        assert all(a.incident(b) == reference_incident(a, b) for a, b in pairs)
+
+
+def test_double_six_incidences_take_no_elimination(std_rep, monkeypatch):
+    ds = double_six(std_rep)
+
+    def refuse(self):
+        raise AssertionError("incidence ran an elimination")
+
+    monkeypatch.setattr(Matrix, "rref", refuse)
+    assert ds.verify_double_six()
+    assert ds.verify_c_incidences()
+
+
 def test_second_projection_contracts_b_lines(std_rep):
     # two distinct points of one contracted line share their image
     b = std_rep.b_line(2)
@@ -129,10 +156,7 @@ def seeded_hexad_reps(count=5, seed=7):
 
 
 def test_pencil_lines_match_grid_reference(std_rep):
-    field = Field(5)
-    clebsch = build_detrep(field, [[field.parse(c) for c in p]
-                                   for p in CLEBSCH_HEXAD["points"]])
-    reps = [std_rep, clebsch] + seeded_hexad_reps()
+    reps = [std_rep, clebsch_rep()] + seeded_hexad_reps()
     assert len(reps) == 7
     for rep in reps:
         for k in range(6):

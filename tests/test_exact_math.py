@@ -136,7 +136,9 @@ def test_subspace_join_meet_dimensions():
     meet = plane1.meet(plane2)
     assert meet.dim == 1
     assert meet == line
-    assert line.incident(p)
+    assert line.contains(p)
+    with pytest.raises(PreconditionError):
+        line.incident(p)
     assert not line.contains_vector((0, 0, 1, 0))
 
 

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 from math import factorial, gcd, isqrt
 
+from schurlab.errors import PreconditionError
 from schurlab.exact_math import (Field, Matrix, ProjSubspace, QQ, Scalar, SymForm,
                                  sym_pairs, sym_row, vec_canonical, vec_dot)
 from schurlab.exact_math.matrices import from_integral
@@ -479,18 +480,54 @@ def rand_subspace(rng, field, shared=()):
     return ProjSubspace(field, 3, vectors + list(shared))
 
 
+def rand_subspace_of_size(rng, field, size, shared=()):
+    """A random subspace of P^3 whose cone basis has the given size: the
+    shared vectors plus small random ones, redrawn until independent."""
+    while True:
+        vectors = [tuple(rand_element(rng, field, 2) for _ in range(4))
+                   for _ in range(size - len(shared))]
+        sub = ProjSubspace(field, 3, list(shared) + vectors)
+        if len(sub.basis) == size:
+            return sub
+
+
+def reference_incident(first, second) -> bool:
+    """The stacked-rank incidence that ProjSubspace.incident replaced: by the
+    Grassmann formula the cones meet in a nonzero vector exactly when their
+    stacked bases have rank below the sum of their sizes."""
+    sizes = len(first.basis) + len(second.basis)
+    return Matrix(first.field, first.basis + second.basis).rank() < sizes
+
+
 def incidence_suite(cases=CASES, seed=707):
-    """incident, contains and contains_vector agree with the meet and with
-    the vector-by-vector definition, empty subspaces included."""
+    """On complementary pairs (two lines, a point and a plane, or the empty
+    subspace and P^3, sharing vectors so that meeting pairs occur) incident
+    agrees with the stacked rank and with the meet; a nonempty
+    non-complementary pair raises PreconditionError.  contains and
+    contains_vector agree with the meet and with the vector-by-vector
+    definition, empty subspaces included."""
     rng = random.Random(seed)
     bad = []
     for case in range(cases):
         field = QSQRT5 if case % 4 == 3 else QQ
+        size = case % 5
+        left = rand_subspace_of_size(rng, field, size)
+        shared = left.basis[:rng.randint(0, min(size, 4 - size))]
+        right = rand_subspace_of_size(rng, field, 4 - size, shared)
+        meets = not left.meet(right).is_empty()
+        ok = left.incident(right) == right.incident(left) == meets
+        ok = ok and reference_incident(left, right) == meets
+
         first = rand_subspace(rng, field)
         shared = first.basis[:rng.randint(0, len(first.basis))]
         second = rand_subspace(rng, field, shared)
         meet = first.meet(second)
-        ok = first.incident(second) == second.incident(first) == (not meet.is_empty())
+        if len(first.basis) + len(second.basis) not in (0, 4):
+            try:
+                first.incident(second)
+                ok = False
+            except PreconditionError:
+                pass
         ok = ok and first.contains(second) == (meet == second)
         ok = ok and first.contains(second) == all(
             first.contains_vector(v) for v in second.basis)
@@ -518,7 +555,7 @@ def test_certified_elimination_matches_reference():
     assert elimination_suite() == []
 
 
-def test_incidence_by_rank_matches_meet():
+def test_incidence_matches_meet():
     assert incidence_suite() == []
 
 

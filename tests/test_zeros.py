@@ -1,8 +1,12 @@
 """Common zeros of ternary forms and local curve behaviour at a point."""
+import pytest
+
+from schurlab.errors import ClaimError
 from schurlab.exact_math import QQ, vec_canonical
 from schurlab.polyring import (HomPoly, line_intersection_order,
                                local_singularity, resolved_common_zeros,
                                solve_pair)
+from schurlab.polyring.zeros import _solve
 
 
 def vars3():
@@ -39,6 +43,14 @@ def test_common_factor_detected():
     assert not loc.zero_dimensional
     assert loc.common_factor.proportional(x)
     assert pts(loc.points) == pts([(1, -1, 1)])
+
+
+def test_solve_refuses_a_common_factor():
+    # its caller strips the common factor first; a system that still has
+    # one splits off the lone generator y + z, which has no pair to solve
+    x, y, z = vars3()
+    with pytest.raises(ClaimError, match="system is not zero-dimensional"):
+        _solve([x * (y + z), y * (y + z)])
 
 
 def test_three_generators_zero_dimensional():
