@@ -29,9 +29,8 @@ from math import comb, factorial
 from .errors import ClaimError, PreconditionError
 from .exact_math import (Field, Matrix, ProjSubspace, Scalar, SymForm, sym_pairs,
                          sym_row, vec_canonical)
-from .polyring import (HomPoly, LinFormsMatrix, ZeroLocus,
-                       line_intersection_order, local_singularity, poly_det,
-                       quadric, resolved_common_zeros)
+from .polyring import (HomPoly, LinFormsMatrix, ZeroLocus, local_singularity,
+                       poly_det, quadric, resolved_common_zeros)
 
 
 class PencilPoint:
@@ -253,17 +252,16 @@ class BiflexReport:
 def biflex_reports(monad: MonadData, points) -> list[BiflexReport]:
     """Local behaviour of the second-kind curve at the given jumping points:
     multiplicity at least the rank-drop bound; at splitting one, an honest
-    node whose resolved branch tangents meet the curve with order at least
-    four."""
+    node whose rational branch tangents meet the curve with contact order at
+    least four, read off the curve's layers in a chart at the point."""
     curve = monad.jlsk_curve()
     out = []
     for z in points:
         corank = monad.n - monad.at(z).rank
         ls = local_singularity(curve, z)
-        orders = [line_intersection_order(curve, line, z)
-                  for line in ls.tangent_lines]
         out.append(BiflexReport(ls.point, corank, corank - 1, ls.multiplicity,
-                                ls.is_node, orders, len(ls.unresolved_tangents)))
+                                ls.is_node, ls.tangent_orders,
+                                len(ls.unresolved_tangents)))
     return out
 
 

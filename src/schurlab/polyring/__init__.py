@@ -1,7 +1,7 @@
 """Exact homogeneous polynomial arithmetic, elimination, and local analysis."""
 from .homopoly import (HomPoly, LinFormsMatrix, exact_div, gram, lagrange_coeffs,
                        monomials, poly_det, quadric, try_exact_div)
-from .local import LocalSingularity, line_intersection_order, local_singularity
+from .local import LocalSingularity, local_singularity
 from .univar import (degree, eval_univar, factor_univar, monic,
                      roots_with_multiplicity, trim, univar_gcd)
 from .zeros import (PairSolution, ZeroLocus, gcd_many, multivariate_gcd,
@@ -14,5 +14,5 @@ __all__ = [
     "trim", "univar_gcd",
     "PairSolution", "ZeroLocus", "gcd_many", "multivariate_gcd",
     "resolved_common_zeros", "solve_pair", "sorted_points",
-    "LocalSingularity", "local_singularity", "line_intersection_order",
+    "LocalSingularity", "local_singularity",
 ]

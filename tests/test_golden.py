@@ -134,7 +134,6 @@ ASSERT_ALLOWLIST = Counter([
     ("polyring/homopoly.py", "p.degree == 1 or p.is_zero()"),
     ("polyring/homopoly.py", "p.nvars == nv"),
     ("polyring/local.py", "curve.nvars == 3 and (not curve.is_zero())"),
-    ("polyring/local.py", "curve.nvars == 3 and line.dim == 1"),
     ("polyring/zeros.py", "f.field == g.field and f.nvars == g.nvars"),
     ("polyring/zeros.py", "polys"),
     ("polyring/zeros.py", "polys"),

@@ -12,7 +12,8 @@ from schurlab.exact_math import (Field, Matrix, ProjSubspace, QQ, Scalar, SymFor
                                  sym_pairs, sym_row, vec_canonical, vec_dot)
 from schurlab.exact_math.matrices import from_integral
 from schurlab.hulek_monad import MonadData
-from schurlab.polyring import HomPoly, LinFormsMatrix, gram, lagrange_coeffs, quadric
+from schurlab.polyring import (HomPoly, LinFormsMatrix, gram, lagrange_coeffs,
+                               local_singularity, monomials, quadric)
 from schurlab.polyring.univar import from_domain, to_domain
 from test_exact_math import elimination_mismatches
 from test_integral_kernels import reference_lagrange_coeffs
@@ -36,7 +37,6 @@ def rand_nonzero_scalar(rng, bound=6):
 
 
 def rand_poly(rng, degree, nvars=3):
-    from schurlab.polyring import monomials
     coeffs = {}
     for exp in monomials(nvars, degree):
         if rng.random() < 0.6:
@@ -539,6 +539,78 @@ def incidence_suite(cases=CASES, seed=707):
     return bad
 
 
+def reference_contact_order(curve, point, direction) -> int:
+    """The restriction rule that tangent_orders replaced: the vanishing order
+    at t = 0 of the curve on the line s*point + t*direction, or deg + 1 when
+    the line lies in the curve."""
+    restricted = curve.substitute([HomPoly.linear_form(curve.field, pair)
+                                   for pair in zip(point, direction)])
+    if restricted.is_zero():
+        return curve.degree + 1
+    return restricted.min_exponent(1)
+
+
+def rand_binary(rng, field, degree):
+    """A random form of the given degree in the first two of three variables."""
+    return HomPoly(field, 3, degree, {(a, degree - a, 0): rand_element(rng, field, 3)
+                                      for a in range(degree + 1)})
+
+
+def rand_invertible(rng, field):
+    while True:
+        chart = Matrix.from_rows(field, [[rng.randint(-3, 3) for _ in range(3)]
+                                         for _ in range(3)])
+        if not chart.det().is_zero():
+            return chart
+
+
+# tangent directions (u : v) at the vertex (0 : 0 : 1), pairwise independent
+DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (3, -1)]
+
+
+def contact_order_suite(cases=CASES, seed=1212):
+    """Curves of degree 2 to 5 through a point, over Q and Q(sqrt 5), whose
+    tangent cone is a product of rational lines; the first of them meets
+    the curve with a forced order m + 1 .. d + 1 (d + 1: the line lies in
+    the curve).  A random change of coordinates moves the point off the
+    coordinate vertex.  tangent_orders agrees with the restriction rule,
+    one entry per distinct tangent."""
+    rng = random.Random(seed)
+    bad = []
+    for case in range(cases):
+        field = QSQRT5 if case % 2 else QQ
+        d = rng.randint(2, 5)
+        m = rng.randint(1, min(3, d))
+        dirs = rng.sample(DIRECTIONS, rng.randint(1, m))
+        exps = [1] * len(dirs)
+        for _ in range(m - len(dirs)):
+            exps[rng.randrange(len(dirs))] += 1
+        lines = [HomPoly.linear_form(field, (field.scalar(-v), field.scalar(u), 0))
+                 .scale(field.scalar(rng.randint(1, 4), rng.randint(0, 2) * bool(field.s)))
+                 for u, v in dirs]
+        cone = HomPoly.constant(field, 3, 1)
+        for line, e in zip(lines, exps):
+            cone = cone * line ** e
+        order = d + 1 if case % 5 == 0 else rng.randint(m + 1, d + 1)
+        local = cone * HomPoly.variable(field, 3, 2) ** (d - m)
+        for j in range(m + 1, d + 1):
+            layer = (lines[0] * rand_binary(rng, field, j - 1) if j < order
+                     else rand_binary(rng, field, j))
+            local = local + layer * HomPoly.variable(field, 3, 2) ** (d - j)
+        chart = rand_invertible(rng, field) if case % 4 else Matrix.identity(field, 3)
+        inverse = chart.inverse()
+        curve = local.substitute([HomPoly.linear_form(field, inverse.row(a))
+                                  for a in range(3)])
+        point = chart.col(2)
+        expected = sorted(reference_contact_order(curve, point,
+                                                  chart.apply((u, v, 0)))
+                          for u, v in dirs)
+        ls = local_singularity(curve, point)
+        if ls.multiplicity != m or sorted(ls.tangent_orders) != expected:
+            bad.append(case)
+    return bad
+
+
 def test_interpolation_reproduces_the_data():
     assert interpolation_suite() == []
 
@@ -557,6 +629,10 @@ def test_certified_elimination_matches_reference():
 
 def test_incidence_matches_meet():
     assert incidence_suite() == []
+
+
+def test_tangent_orders_match_the_restriction_rule():
+    assert contact_order_suite() == []
 
 
 def test_symmetric_form_helpers_agree():

@@ -3,8 +3,7 @@ import pytest
 
 from schurlab.errors import ClaimError
 from schurlab.exact_math import QQ, vec_canonical
-from schurlab.polyring import (HomPoly, line_intersection_order,
-                               local_singularity, resolved_common_zeros,
+from schurlab.polyring import (HomPoly, local_singularity, resolved_common_zeros,
                                solve_pair)
 from schurlab.polyring.zeros import _solve
 
@@ -65,7 +64,7 @@ def test_local_singularity_node():
     ls = local_singularity(x * y, (0, 0, 1))
     assert ls.multiplicity == 2
     assert ls.is_node
-    assert len(ls.tangent_lines) == 2
+    assert ls.tangent_orders == [3, 3]   # each branch is a line of the curve
     assert not ls.unresolved_tangents
 
 
@@ -74,7 +73,7 @@ def test_local_singularity_smooth_point():
     conic = y * z - x * x
     ls = local_singularity(conic, (0, 0, 1))
     assert ls.multiplicity == 1 and not ls.is_node
-    assert len(ls.tangent_lines) == 1
+    assert len(ls.tangent_orders) == 1
 
 
 def test_local_singularity_irrational_tangents():
@@ -89,13 +88,12 @@ def test_local_singularity_irrational_tangents():
 def test_line_intersection_order():
     x, y, z = vars3()
     conic = y * z - x * x
-    ls = local_singularity(conic, (0, 0, 1))
     # tangent line of a smooth conic meets with order exactly two
-    assert line_intersection_order(conic, ls.tangent_lines[0], (0, 0, 1)) == 2
+    assert local_singularity(conic, (0, 0, 1)).tangent_orders == [2]
     cusp = y * y * z - x * x * x
     cls = local_singularity(cusp, (0, 0, 1))
     assert cls.multiplicity == 2 and not cls.is_node
-    assert line_intersection_order(cusp, cls.tangent_lines[0], (0, 0, 1)) == 3
+    assert cls.tangent_orders == [3]
 
 
 def test_cubic_with_node_branch_orders():
@@ -103,10 +101,7 @@ def test_cubic_with_node_branch_orders():
     # nodal cubic: branches meet their tangents with order three
     nodal = y * y * z - x * x * z - x * x * x
     ls = local_singularity(nodal, (0, 0, 1))
-    assert ls.is_node and len(ls.tangent_lines) == 2
-    orders = [line_intersection_order(nodal, t, (0, 0, 1))
-              for t in ls.tangent_lines]
-    assert orders == [3, 3]
+    assert ls.is_node and ls.tangent_orders == [3, 3]
 
 
 def canonical(seq):
