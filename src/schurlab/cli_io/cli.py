@@ -87,8 +87,7 @@ def _point_claims(run: Run, monad: MonadData, points, orthogonality_id: str,
     run.add(singularity_id, all(r.passed for r in reports),
             {"points": [{"point": ser_vec(r.point), "corank": r.corank,
                          "multiplicity": r.multiplicity, "node": r.is_node,
-                         "tangent_orders": r.tangent_orders,
-                         "unresolved_tangents": r.unresolved_tangents}
+                         "tangent_orders": r.tangent_orders}
                         for r in reports], **coverage})
 
 

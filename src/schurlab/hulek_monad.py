@@ -235,7 +235,6 @@ class BiflexReport:
     multiplicity: int
     is_node: bool
     tangent_orders: list[int]
-    unresolved_tangents: int
 
     @property
     def passed(self) -> bool:
@@ -252,16 +251,16 @@ class BiflexReport:
 def biflex_reports(monad: MonadData, points) -> list[BiflexReport]:
     """Local behaviour of the second-kind curve at the given jumping points:
     multiplicity at least the rank-drop bound; at splitting one, an honest
-    node whose rational branch tangents meet the curve with contact order at
-    least four, read off the curve's layers in a chart at the point."""
+    node whose branch tangents, conjugate ones included, meet the curve with
+    contact order at least four, read off the curve's layers in a chart at
+    the point."""
     curve = monad.jlsk_curve()
     out = []
     for z in points:
         corank = monad.n - monad.at(z).rank
         ls = local_singularity(curve, z)
         out.append(BiflexReport(ls.point, corank, corank - 1, ls.multiplicity,
-                                ls.is_node, ls.tangent_orders,
-                                len(ls.unresolved_tangents)))
+                                ls.is_node, ls.tangent_orders))
     return out
 
 

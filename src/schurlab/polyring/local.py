@@ -8,7 +8,10 @@ sum_j q_j x_e^(d-j), with q_j binary of degree j in the other two variables.
 The tangent cone is the least nonzero layer.  The tangent line in direction
 w is s e + t w, on which the curve restricts to sum_j q_j(w) t^j s^(d-j): its
 contact order is the least j with q_j(w) nonzero, or d + 1 when the line
-lies in the curve.
+lies in the curve.  Over the base field the tangents come in conjugate
+families, one per irreducible factor q of the cone in t = the first chart
+variable over the second: they share the order, the least j with q not
+dividing q_j(t, 1).  A drop in the cone's degree is the tangent w = (1, 0).
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from ..errors import ClaimError, PreconditionError
 from ..exact_math import Matrix, Scalar, vec_canonical
 from .homopoly import HomPoly
 from .univar import degree as univar_degree
-from .univar import eval_univar, roots_with_multiplicity
+from .univar import factor_univar, univar_rem
 
 
 @dataclass
@@ -26,8 +29,7 @@ class LocalSingularity:
     point: tuple[Scalar, ...]
     multiplicity: int
     is_node: bool
-    tangent_orders: list[int]      # one per rational tangent direction
-    unresolved_tangents: list[list[Scalar]]  # irreducible binary factors, ascending coeffs
+    tangent_orders: list[int]      # one per branch tangent, conjugates included
 
 
 def _chart_matrix(field, point) -> tuple[Matrix, int]:
@@ -64,13 +66,12 @@ def local_singularity(curve: HomPoly, point) -> LocalSingularity:
     mult = min(layers)
     cone = layers[mult]
 
-    # factor the tangent cone q_mult(t, 1); a drop in degree is the direction (1, 0)
-    froots, funres = roots_with_multiplicity(field, cone)
-    orders = [next((j for j, q in layers.items() if not eval_univar(q, r).is_zero()),
-                   d + 1) for r, _m in froots]
+    orders = []
+    for fac, _m in factor_univar(field, cone)[1]:
+        order = next((j for j, q in layers.items() if univar_rem(q, fac)), d + 1)
+        orders += [order] * (len(fac) - 1)
     if univar_degree(cone) < mult:
         orders.append(next((j for j, q in layers.items() if not q[j].is_zero()), d + 1))
 
     is_node = mult == 2 and not (cone[1] * cone[1] - 4 * cone[0] * cone[2]).is_zero()
-    return LocalSingularity(vec_canonical(point), mult, is_node, orders,
-                            [f for f, _m in funres])
+    return LocalSingularity(vec_canonical(point), mult, is_node, orders)

@@ -45,23 +45,24 @@ def monic(coeffs: list[Scalar]) -> list[Scalar]:
     return [c * inv for c in t]
 
 
+def univar_rem(a, b) -> list[Scalar]:
+    """Remainder of a on division by a nonzero b, trimmed."""
+    r, b = trim(a), trim(b)
+    binv = b[-1].inverse()
+    while len(r) >= len(b):
+        shift = len(r) - len(b)
+        q = r[-1] * binv
+        for i, c in enumerate(b):
+            r[shift + i] = r[shift + i] - q * c
+        r = trim(r)
+    return r
+
+
 def univar_gcd(field: Field, a, b) -> list[Scalar]:
     """Monic gcd by the Euclid remainder loop."""
     a, b = trim(a), trim(b)
     while b:
-        # a mod b
-        r = list(a)
-        binv = b[-1].inverse()
-        while len(r) >= len(b) and trim(r):
-            r = trim(r)
-            if len(r) < len(b):
-                break
-            shift = len(r) - len(b)
-            q = r[-1] * binv
-            for i in range(len(b)):
-                r[shift + i] = r[shift + i] - q * b[i]
-            r.pop()
-        a, b = b, trim(r)
+        a, b = b, univar_rem(a, b)
     return monic(a)
 
 

@@ -83,6 +83,7 @@ def test_04_hexad_monad_support_and_six_nodes(std_rep, hexad_monad):
     assert len(reports) == 6
     for r in reports:
         assert r.multiplicity == 2 and r.is_node
+        assert len(r.tangent_orders) == 2
         assert all(order >= 4 for order in r.tangent_orders)
         assert r.passed
 

@@ -112,13 +112,17 @@ def test_orthogonality_refused_off_support(triangle):
         orthogonality_report(triangle, (1, 1, 1))
 
 
-def test_biflex_over_rationals_leaves_tangents_open(triangle):
+def test_biflex_over_rationals_orders_conjugate_tangents(triangle):
     reports = biflex_reports(triangle, triangle.jumping_points().points)
     assert len(reports) == 3
-    for r in reports:
+    fi = Field(-1)
+    maps = triangle_maps(fi)
+    monad = MonadData(maps, select_compatible_form(fi, maps))
+    split = biflex_reports(monad, monad.jumping_points().points)
+    for r, s in zip(reports, split):
         assert r.multiplicity == 2 and r.is_node
-        # the node branches form one conjugate pair: a single open factor
-        assert r.unresolved_tangents == 1 and not r.tangent_orders
+        # the node branches form one conjugate pair over Q, split over Q(i)
+        assert r.tangent_orders == s.tangent_orders == [4, 4]
         assert r.passed
 
 
@@ -127,7 +131,7 @@ def test_biflex_over_gauss_field_resolves_order_four():
     maps = triangle_maps(fi)
     monad = MonadData(maps, select_compatible_form(fi, maps))
     for r in biflex_reports(monad, monad.jumping_points().points):
-        assert r.is_node and r.unresolved_tangents == 0
+        assert r.is_node
         assert r.tangent_orders == [4, 4]
         assert r.passed
 

@@ -17,7 +17,7 @@ from schurlab.polyring import (HomPoly, LinFormsMatrix, exact_div,
                                poly_det, roots_with_multiplicity,
                                try_exact_div)
 from schurlab.polyring import homopoly
-from schurlab.polyring.univar import from_domain, to_domain
+from schurlab.polyring.univar import from_domain, to_domain, univar_rem
 from test_integral_kernels import reference_lagrange_coeffs, reference_nodes
 
 
@@ -218,6 +218,14 @@ def test_factor_univar_splits_over_extension():
     # t^2 - 2 stays irreducible over this field
     _u, hard = factor_univar(f5, [f5.scalar(-2), f5.zero, f5.one])
     assert [len(fac) for fac, _ in hard] == [3]
+
+
+def test_univar_rem():
+    poly = [QQ.scalar(c) for c in (1, -2, 0, 1)]            # t^3 - 2t + 1
+    assert univar_rem(poly, [QQ.scalar(-1), QQ.one]) == []  # t = 1 is a root
+    # t^3 - 2t + 1 = t (t^2 + 1) - 3t + 1
+    assert univar_rem(poly, [QQ.one, QQ.zero, QQ.one]) == [QQ.one, QQ.scalar(-3)]
+    assert univar_rem([QQ.scalar(5)], [QQ.zero, QQ.one]) == [QQ.scalar(5)]
 
 
 def test_roots_with_multiplicity():

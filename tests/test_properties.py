@@ -568,45 +568,66 @@ def rand_invertible(rng, field):
 DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (3, -1)]
 
 
+def over(field, poly):
+    """A form over Q read over the quadratic field."""
+    return HomPoly(field, poly.nvars, poly.degree,
+                   {e: field.scalar(c.u) for e, c in poly.coeffs.items()})
+
+
 def contact_order_suite(cases=CASES, seed=1212):
     """Curves of degree 2 to 5 through a point, over Q and Q(sqrt 5), whose
-    tangent cone is a product of rational lines; the first of them meets
-    the curve with a forced order m + 1 .. d + 1 (d + 1: the line lies in
-    the curve).  A random change of coordinates moves the point off the
-    coordinate vertex.  tangent_orders agrees with the restriction rule,
-    one entry per distinct tangent."""
+    tangent cone is a product of rational lines and, in every third case
+    over Q, of the conjugate pair u^2 - D v^2.  The first factor meets the
+    curve with a forced order m + 1 .. d + 1 (d + 1: it lies in the curve).
+    A random change of coordinates moves the point off the coordinate
+    vertex.  tangent_orders agrees with the restriction rule, one entry per
+    distinct tangent; a conjugate pair is restricted over Q(sqrt D)."""
     rng = random.Random(seed)
     bad = []
     for case in range(cases):
         field = QSQRT5 if case % 2 else QQ
         d = rng.randint(2, 5)
-        m = rng.randint(1, min(3, d))
-        dirs = rng.sample(DIRECTIONS, rng.randint(1, m))
+        conjugate = case % 6 == 0 and d >= 3
+        m = rng.randint(1 + conjugate, min(3 + conjugate, d))
+        rational = m - 2 * conjugate
+        dirs = rng.sample(DIRECTIONS, rng.randint(min(1, rational), rational))
         exps = [1] * len(dirs)
-        for _ in range(m - len(dirs)):
+        for _ in range(rational - len(dirs)):
             exps[rng.randrange(len(dirs))] += 1
-        lines = [HomPoly.linear_form(field, (field.scalar(-v), field.scalar(u), 0))
-                 .scale(field.scalar(rng.randint(1, 4), rng.randint(0, 2) * bool(field.s)))
-                 for u, v in dirs]
+        factors = [HomPoly.linear_form(field, (field.scalar(-v), field.scalar(u), 0))
+                   .scale(field.scalar(rng.randint(1, 4), rng.randint(0, 2) * bool(field.s)))
+                   for u, v in dirs]
+        if conjugate:
+            sqrt_of = rng.choice([2, 3, -1, -3])
+            factors.insert(0, HomPoly(field, 3, 2, {(2, 0, 0): field.one,
+                                                    (0, 2, 0): field.scalar(-sqrt_of)}))
+            exps.insert(0, 1)
         cone = HomPoly.constant(field, 3, 1)
-        for line, e in zip(lines, exps):
-            cone = cone * line ** e
+        for factor, e in zip(factors, exps):
+            cone = cone * factor ** e
         order = d + 1 if case % 5 == 0 else rng.randint(m + 1, d + 1)
         local = cone * HomPoly.variable(field, 3, 2) ** (d - m)
         for j in range(m + 1, d + 1):
-            layer = (lines[0] * rand_binary(rng, field, j - 1) if j < order
-                     else rand_binary(rng, field, j))
+            layer = (factors[0] * rand_binary(rng, field, j - factors[0].degree)
+                     if j < order else rand_binary(rng, field, j))
             local = local + layer * HomPoly.variable(field, 3, 2) ** (d - j)
         chart = rand_invertible(rng, field) if case % 4 else Matrix.identity(field, 3)
         inverse = chart.inverse()
         curve = local.substitute([HomPoly.linear_form(field, inverse.row(a))
                                   for a in range(3)])
         point = chart.col(2)
-        expected = sorted(reference_contact_order(curve, point,
-                                                  chart.apply((u, v, 0)))
-                          for u, v in dirs)
+        expected = [reference_contact_order(curve, point, chart.apply((u, v, 0)))
+                    for u, v in dirs]
+        if conjugate:
+            ext = Field(sqrt_of)
+            root = ext.scalar(0, 1)
+            ext_chart = Matrix.from_rows(ext, [[ext.scalar(c.u) for c in chart.row(a)]
+                                               for a in range(3)])
+            expected += [reference_contact_order(over(ext, curve), ext_chart.col(2),
+                                                 ext_chart.apply((sign * root, 1, 0)))
+                         for sign in (1, -1)]
         ls = local_singularity(curve, point)
-        if ls.multiplicity != m or sorted(ls.tangent_orders) != expected:
+        if ls.multiplicity != m or sorted(ls.tangent_orders) != sorted(expected):
             bad.append(case)
     return bad
 

@@ -65,7 +65,6 @@ def test_local_singularity_node():
     assert ls.multiplicity == 2
     assert ls.is_node
     assert ls.tangent_orders == [3, 3]   # each branch is a line of the curve
-    assert not ls.unresolved_tangents
 
 
 def test_local_singularity_smooth_point():
@@ -78,11 +77,24 @@ def test_local_singularity_smooth_point():
 
 def test_local_singularity_irrational_tangents():
     x, y, z = vars3()
-    # x^2 - 2 y^2 splits only over sqrt(2)
+    # x^2 - 2 y^2 splits only over sqrt(2): two conjugate lines of the curve
     curve = x * x - y * y - y * y
     ls = local_singularity(curve, (0, 0, 1))
-    assert ls.multiplicity == 2
-    assert ls.unresolved_tangents
+    assert ls.multiplicity == 2 and ls.is_node
+    assert ls.tangent_orders == [3, 3]
+
+
+def test_conjugate_tangents_share_one_order():
+    x, y, z = vars3()
+    pair = x * x - y * y - y * y
+    # the cubic layer y^3 is prime to the cone x^2 - 2 y^2
+    assert local_singularity(pair * z + y * y * y, (0, 0, 1)).tangent_orders == [3, 3]
+    # a layer divisible by the cone does not end the contact
+    quartic = pair * z * z + pair * y * z + y * y * y * y
+    assert local_singularity(quartic, (0, 0, 1)).tangent_orders == [4, 4]
+    # an irreducible cubic cone: three conjugate tangents
+    cone = x * x * x - y * y * y - y * y * y
+    assert local_singularity(cone * z + y ** 4, (0, 0, 1)).tangent_orders == [4, 4, 4]
 
 
 def test_line_intersection_order():
