@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb, factorial
 
 from .errors import ClaimError, PreconditionError
@@ -301,6 +301,7 @@ def compatible_form_space(field: Field, maps) -> list[Matrix]:
     return [SymForm.from_pairs(field, n, vec).matrix for vec in kern]
 
 
+FORM_SUBSETS = 401  # basis subset sums tried first
 FORM_TRIES = 200  # seeded combinations tried after the subset sums
 
 
@@ -313,19 +314,11 @@ def select_compatible_form(field: Field, maps, seed: int = 0) -> SymForm:
     if not basis:
         raise ClaimError("no compatible symmetric forms at all")
     k = len(basis)
-    budget = 0
-    for size in range(1, k + 1):
-        for subset in combinations(range(k), size):
-            cand = basis[subset[0]]
-            for s in subset[1:]:
-                cand = cand + basis[s]
-            if not cand.det().is_zero():
-                return SymForm(cand).canonical()
-            budget += 1
-            if budget > 400:
-                break
-        if budget > 400:
-            break
+    subsets = chain.from_iterable(combinations(range(k), size) for size in range(1, k + 1))
+    for subset in islice(subsets, FORM_SUBSETS):
+        cand = sum((basis[s] for s in subset[1:]), basis[subset[0]])
+        if not cand.det().is_zero():
+            return SymForm(cand).canonical()
     rng = random.Random(seed)
     for _ in range(FORM_TRIES):
         cand = None
