@@ -59,7 +59,9 @@ def local_singularity(curve: HomPoly, point) -> LocalSingularity:
     layers: dict[int, list[Scalar]] = {}
     for exp, c in moved.coeffs.items():
         j = d - exp[i0]
-        layers.setdefault(j, [field.zero] * (j + 1))[exp[others[0]]] = c
+        if j not in layers:
+            layers[j] = [field.zero] * (j + 1)
+        layers[j][exp[others[0]]] = c
     if 0 in layers:
         raise ClaimError("point is not on the curve after the chart change")
     layers = dict(sorted(layers.items()))
