@@ -3,7 +3,7 @@
 ``main`` is imported from ``cli`` on first access, not with the package, so
 that ``python -m schurlab.cli_io.cli`` runs the module once, as __main__.
 """
-from .documents import (FAIL, PASS, PROBED, SCHEMA, UNRESOLVED, atomic_write,
+from .documents import (FAIL, PASS, SCHEMA, UNRESOLVED, atomic_write,
                         canonical_json, claim, exit_code_for, field_decl,
                         instance_digest, make_certificate, overall_status,
                         parse_field, parse_matrix, parse_symmetric,
@@ -11,7 +11,7 @@ from .documents import (FAIL, PASS, PROBED, SCHEMA, UNRESOLVED, atomic_write,
 
 __all__ = [
     "main",
-    "SCHEMA", "PASS", "FAIL", "PROBED", "UNRESOLVED",
+    "SCHEMA", "PASS", "FAIL", "UNRESOLVED",
     "atomic_write", "canonical_json", "claim", "exit_code_for", "field_decl",
     "instance_digest", "make_certificate", "overall_status", "parse_field",
     "parse_matrix", "parse_symmetric", "parse_vector", "render_text",

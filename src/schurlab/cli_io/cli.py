@@ -30,7 +30,7 @@ from ..logbundle import arrangement_jump_check, build_logbundle
 from ..polyring import ZeroLocus
 from ..schurform import (induced_monad, minor_apolarity,
                          polarity_swaps_sextuples, schur_pair)
-from .documents import (FAIL, PASS, PROBED, UNRESOLVED, atomic_write,
+from .documents import (FAIL, PASS, UNRESOLVED, atomic_write,
                         canonical_json, claim, exit_code_for, make_certificate,
                         parse_field, parse_matrix, parse_symmetric,
                         parse_vector, render_text, ser_points, ser_vec)
@@ -107,13 +107,15 @@ def _jumping_locus_claims(run: Run, monad: MonadData, support_id: str,
 
 
 def _monad_core_claims(run: Run, monad: MonadData) -> None:
-    """Shared tail: exactness probes, curve by both routes."""
-    report = validate_monad(monad, seed=run.seed)
-    run.add("monad-exactness",
-            PROBED if report.valid else FAIL,
-            {"generic_injectivity": report.generic_injectivity,
-             "pointwise_surjectivity": report.pointwise_surjectivity,
-             "probes": report.probes})
+    """Shared tail: exactness, curve by both routes."""
+    report = validate_monad(monad)
+    witness = {"generic_injectivity": report.generic_injectivity,
+               "pointwise_surjectivity": report.pointwise_surjectivity}
+    if report.status == PASS:
+        witness["proof"] = "finite jumping locus"
+    elif report.status == UNRESOLVED:
+        witness["reason"] = "jumping locus has a curve component"
+    run.add("monad-exactness", report.status, witness)
     curve = monad.jlsk_curve()
     expected = 2 * monad.n - 2
     run.add("curve-degree", curve.degree == expected,
@@ -190,9 +192,9 @@ def cmd_logbundle(run: Run, doc: dict) -> None:
     if lb.d == 3:
         _jumping_locus_claims(run, lb.monad, "support-is-dual-points", duals)
     else:
-        # For d >= 4 the jumping locus is computed for the exactness probes
-        # but not claimed: its unresolved forms come from one coprime pair of
-        # minors only.  The support is probed at the dual points instead.
+        # For d >= 4 the jumping locus proves exactness but its support is
+        # not claimed: its unresolved forms come from one coprime pair of
+        # minors only.  The point claims are made at the dual points instead.
         _point_claims(run, lb.monad, duals, "orthogonality-at-dual-points",
                       "singularity-at-dual-points", True)
 
@@ -268,10 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", dest="output_path", metavar="PATH",
                         help="write the certificate here instead of stdout")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the monad exactness probes, the "
-                             "compatible form search when a monad document "
-                             "has no form, and the seeded example builders "
-                             "(default 0)")
+                        help="seed for the compatible form search when a "
+                             "monad document has no form, and for the seeded "
+                             "example builders (default 0)")
     parser.add_argument("--format", choices=["text", "structured"],
                         default="text")
     parser.add_argument("--name", help="worked example name (example command)")

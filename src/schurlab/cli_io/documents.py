@@ -18,7 +18,6 @@ SCHEMA = "schurlab-certificate/1"
 
 PASS = "pass"
 FAIL = "fail"
-PROBED = "probed"
 UNRESOLVED = "unresolved"
 
 
@@ -122,8 +121,6 @@ def overall_status(claims) -> str:
         return FAIL
     if UNRESOLVED in statuses:
         return UNRESOLVED
-    if PROBED in statuses:
-        return PROBED
     return PASS
 
 

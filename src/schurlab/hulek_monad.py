@@ -13,10 +13,12 @@ of signed maximal minors of a(z).
 
 Compatibility (each A_i^T B A_j symmetric) is exactly what makes s(z)
 symmetric; it is checked literally.  Generic injectivity of a(z) is decided
-exactly, by the signed minors: some minor is nonzero.  Only pointwise
-surjectivity is probed, since it cannot be checked at every point by
-finitely many evaluations: at seeded sample vectors and at kernel vectors of
-the jumping points, and reported as probed rather than passed.
+exactly, by the signed minors: some minor is nonzero.  Pointwise
+surjectivity is read off the jumping locus: if the 3 x n matrix with rows
+A_k h had rank at most one for some h != 0 over the algebraic closure, then
+a(z)h = 0 along a whole line of z, and every minor would vanish on that
+line.  A zero-dimensional locus therefore proves surjectivity everywhere; a
+locus with a curve component leaves it unresolved.
 """
 from __future__ import annotations
 
@@ -333,44 +335,32 @@ def select_compatible_form(field: Field, maps, seed: int = 0) -> SymForm:
 @dataclass
 class MonadReport:
     generic_injectivity: str       # "pass" or "fail"
-    pointwise_surjectivity: str    # "probed" or "fail"
+    pointwise_surjectivity: str    # "pass", or "unresolved" when not proven
     compatibility: str             # "pass" or "fail"
-    probes: int
+
+    @property
+    def status(self) -> str:
+        if "fail" in (self.generic_injectivity, self.compatibility):
+            return "fail"
+        return self.pointwise_surjectivity
 
     @property
     def valid(self) -> bool:
-        return (self.generic_injectivity == "pass"
-                and self.pointwise_surjectivity == "probed"
-                and self.compatibility == "pass")
+        return self.status == "pass"
 
 
-PROBE_SAMPLES = 25  # seeded probe vectors, before those at the jumping points
-
-
-def validate_monad(monad: MonadData, seed: int = 0) -> MonadReport:
-    field = monad.field
-    rng = random.Random(seed)
+def validate_monad(monad: MonadData) -> MonadReport:
+    """Generic injectivity and compatibility exactly, then pointwise
+    surjectivity from the jumping locus (see the module docstring).  The
+    locus is read only when the other two pass: otherwise the monad is
+    invalid anyway, and with every minor zero there is no locus to read."""
     # a(z) has generic rank n-1 exactly when some maximal minor is nonzero
     injective = any(not m.is_zero() for m in monad.signed_minors())
-    hs = [tuple(field.scalar(rng.randint(-9, 9)) for _ in range(monad.n - 1))
-          for _ in range(PROBE_SAMPLES)]
-    try:
-        for z in monad.jumping_points().points:
-            hs.extend(monad.at(z).right)
-    except PreconditionError:
-        pass
-    probes = 0
-    surjective = True
-    for h in hs:
-        if all(c.is_zero() for c in h):
-            continue
-        probes += 1
-        if Matrix(field, [m.apply(h) for m in monad.maps]).rank() < 2:
-            surjective = False
-            break
+    compatible = monad.compatibility_ok()
+    finite = injective and compatible and monad.jumping_points().zero_dimensional
     return MonadReport("pass" if injective else "fail",
-                       "probed" if surjective else "fail",
-                       "pass" if monad.compatibility_ok() else "fail", probes)
+                       "pass" if finite else "unresolved",
+                       "pass" if compatible else "fail")
 
 
 def middle_rank_at(monad: MonadData, mu) -> int:

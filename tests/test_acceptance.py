@@ -17,7 +17,7 @@ from schurlab.families import (clebsch_instance, hulsbergen_instance_4,
                                hulsbergen_instance_5, schwarzenberger_detect,
                                triangle_monad_n3)
 from schurlab.hulek_monad import (biflex_reports, determinantal_degree,
-                                  orthogonality_report)
+                                  orthogonality_report, validate_monad)
 from schurlab.logbundle import arrangement_jump_check, build_logbundle
 from schurlab.polyring import HomPoly, sorted_points
 from schurlab.schurform import induced_monad, schur_pair
@@ -134,6 +134,7 @@ def test_07_dual_point_bounds_for_six_and_eight_lines(six_line_bundle):
         assert r.bound == r.expected_bound == (lb4.d - 1) * (lb4.d - 2) // 2 == 3
     for f in lb4.forms:
         assert orthogonality_report(lb4.monad, f).contained
+    assert validate_monad(lb4.monad).valid
 
 
 def test_08_product_shape_grids_for_four_and_five_lines():

@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 
 from schurlab import detrep, hulek_monad
-from schurlab.cli_io import (FAIL, PASS, PROBED, SCHEMA, UNRESOLVED,
+from schurlab.cli_io import (FAIL, PASS, SCHEMA, UNRESOLVED,
                              canonical_json, claim, exit_code_for,
                              instance_digest, main, overall_status,
                              parse_field, parse_symmetric)
 from schurlab.errors import PreconditionError
 from schurlab.exact_math import QQ
+from schurlab.logbundle import build_logbundle
 from schurlab.polyring import LinFormsMatrix, zeros
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -52,11 +53,9 @@ def test_canonical_json_sorted_and_stable():
 
 def test_status_aggregation():
     assert overall_status([claim("a", PASS)]) == PASS
-    assert overall_status([claim("a", PASS), claim("b", PROBED)]) == PROBED
-    assert overall_status([claim("a", UNRESOLVED), claim("b", PROBED)]) == UNRESOLVED
+    assert overall_status([claim("a", UNRESOLVED), claim("b", PASS)]) == UNRESOLVED
     assert overall_status([claim("a", FAIL), claim("b", UNRESOLVED)]) == FAIL
     assert exit_code_for([claim("a", PASS)]) == 0
-    assert exit_code_for([claim("a", PROBED)]) == 0
     assert exit_code_for([claim("a", UNRESOLVED)]) == 4
     assert exit_code_for([claim("a", FAIL)]) == 3
 
@@ -78,11 +77,11 @@ def test_cubic_full_pass(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["schema"] == SCHEMA
-    assert doc["status"] == PROBED
+    assert doc["status"] == PASS
     statuses = {c["id"]: c["status"] for c in doc["claims"]}
     assert statuses["support-is-hexad"] == PASS
     assert statuses["polarity-routes-agree"] == PASS
-    assert statuses["monad-exactness"] == PROBED
+    assert statuses["monad-exactness"] == PASS
     assert len(doc["claims"]) == 19
 
 
@@ -258,9 +257,30 @@ def test_monad_unresolved_support(tmp_path, capsys):
            "maps": [[["1", "1"], ["-2", "0"], ["2", "1"]],
                     [["1", "0"], ["1", "0"], ["2", "-1"]],
                     [["2", "-1"], ["0", "-1"], ["-2", "2"]]]}
-    code, out = run(["monad", "--in", write(tmp_path, "m.json", doc)], capsys)
+    code, out = run(["monad", "--in", write(tmp_path, "m.json", doc),
+                     "--format", "structured"], capsys)
     assert code == 4
-    assert "UNRESOLVED" in out
+    claims = {c["id"]: c for c in json.loads(out)["claims"]}
+    assert claims["support-resolution"]["status"] == UNRESOLVED
+    # the locus is finite although its points do not split over Q
+    assert claims["monad-exactness"]["status"] == PASS
+    assert claims["monad-exactness"]["witness"]["proof"] == "finite jumping locus"
+
+
+def test_monad_exactness_unresolved_on_a_curve_component(tmp_path, capsys):
+    # six lines tangent to x0*x2 - x1^2: the minors share the dual conic
+    lb = build_logbundle(QQ, [(1, t, t * t) for t in (0, 1, -1, 2, -2, 3)])
+    doc = {"field": {"type": "rational"},
+           "maps": [m.serialize() for m in lb.monad.maps],
+           "form": lb.monad.form.serialize()}
+    code, out = run(["monad", "--in", write(tmp_path, "m.json", doc),
+                     "--format", "structured"], capsys)
+    assert code == 4
+    exactness = {c["id"]: c for c in json.loads(out)["claims"]}["monad-exactness"]
+    assert exactness["status"] == UNRESOLVED
+    assert exactness["witness"] == {"generic_injectivity": "pass",
+                                    "pointwise_surjectivity": "unresolved",
+                                    "reason": "jumping locus has a curve component"}
 
 
 def test_example_commands(capsys):
@@ -386,7 +406,7 @@ def test_logbundle_computes_signed_minors_once(tmp_path, monkeypatch, capsys):
 
 
 def test_monad_builds_pencil_once_per_jumping_point(tmp_path, monkeypatch, capsys):
-    # exactness probes, orthogonality and singularity reports share it
+    # orthogonality and singularity reports share it
     calls = []
     _count_calls(monkeypatch, calls, hulek_monad, "pencil_at")
     doc = {"field": {"type": "rational"}, "maps": TRIANGLE_MAPS}

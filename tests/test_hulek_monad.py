@@ -32,10 +32,11 @@ def test_compatible_form_selected(triangle):
 
 
 def test_validate_monad(triangle):
-    report = validate_monad(triangle, seed=0)
-    assert report.valid
+    report = validate_monad(triangle)
+    assert report.valid and report.status == "pass"
     assert report.generic_injectivity == "pass"
-    assert report.pointwise_surjectivity == "probed"
+    assert report.pointwise_surjectivity == "pass"
+    assert report.compatibility == "pass"
 
 
 def test_triangle_curve_closed_form(triangle):

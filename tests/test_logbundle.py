@@ -68,7 +68,7 @@ def test_cup_form_defining_relation(six_line_bundle):
 def test_monad_is_compatible_and_valid(six_line_bundle):
     monad = six_line_bundle.monad
     assert monad.compatibility_ok()
-    assert validate_monad(monad, seed=0).valid
+    assert validate_monad(monad).valid
 
 
 def test_curve_degree_and_route_identity(six_line_bundle):

@@ -4,14 +4,15 @@ Each suite runs at least one hundred cases from a fixed seed and returns the
 list of case indices that violated the property; the tests assert emptiness.
 """
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial, gcd, isqrt
 
-from schurlab.errors import PreconditionError
+from schurlab.errors import ClaimError, PreconditionError
 from schurlab.exact_math import (Field, Matrix, ProjSubspace, QQ, Scalar, SymForm,
                                  sym_pairs, sym_row, vec_canonical, vec_dot)
 from schurlab.exact_math.matrices import from_integral
-from schurlab.hulek_monad import MonadData
+from schurlab.hulek_monad import MonadData, select_compatible_form, validate_monad
 from schurlab.polyring import (HomPoly, LinFormsMatrix, gram, lagrange_coeffs,
                                local_singularity, monomials, quadric)
 from schurlab.polyring.univar import from_domain, to_domain
@@ -155,8 +156,6 @@ def polar_involution_suite(cases=CASES, seed=404):
 
 
 def compatibility_symmetry_suite(cases=CASES, seed=505):
-    from schurlab.errors import ClaimError
-    from schurlab.hulek_monad import select_compatible_form
     rng = random.Random(seed)
     basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     bad = []
@@ -183,6 +182,60 @@ def compatibility_symmetry_suite(cases=CASES, seed=505):
         if monad.compatibility_ok() != probes_symmetric:
             bad.append(case)
     return bad
+
+
+def reference_surjective(monad, h) -> bool:
+    """The probe that the finite-locus proof replaced: the 3 x n matrix with
+    rows A_k h has rank at least two."""
+    return Matrix(monad.field, [m.apply(h) for m in monad.maps]).rank() >= 2
+
+
+def probe_vectors(monad, rng, samples=25):
+    """Seeded nonzero vectors h, then every kernel vector of a(z) at the
+    resolved jumping points z."""
+    hs = [tuple(monad.field.scalar(rng.randint(-9, 9)) for _ in range(monad.n - 1))
+          for _ in range(samples)]
+    hs += [h for z in monad.jumping_points().points for h in monad.at(z).right]
+    return [h for h in hs if any(not c.is_zero() for c in h)]
+
+
+def exactness_suite(cases=CASES, seed=1313):
+    """Random 3 x 2 and 4 x 3 maps with a selected compatible form, every
+    fourth with A_k e_0 = c_k v, so that a(z) e_0 = 0 along the line
+    sum c_k z_k = 0.  Where the jumping locus is zero-dimensional
+    validate_monad passes and the reference probe holds at every probe
+    vector; where it has a curve component the claim is unresolved; where
+    every minor vanishes it fails.  Returns the violations and how many
+    cases ended in each status."""
+    rng = random.Random(seed)
+    bad, statuses = [], Counter()
+    for case in range(cases):
+        n = rng.choice([3, 4])
+        rows = [[[rng.randint(-3, 3) for _ in range(n - 1)] for _ in range(n)]
+                for _ in range(3)]
+        if case % 4 == 0:
+            v = [rng.randint(-3, 3) for _ in range(n)]
+            for grid in rows:
+                c = rng.randint(-3, 3)
+                for r in range(n):
+                    grid[r][0] = c * v[r]
+        maps = [Matrix.from_rows(QQ, grid) for grid in rows]
+        try:
+            monad = MonadData(maps, select_compatible_form(QQ, maps, seed=case))
+        except ClaimError:
+            continue
+        report = validate_monad(monad)
+        statuses[report.status] += 1
+        if report.generic_injectivity == "fail":
+            ok = report.status == "fail"
+        elif monad.jumping_points().zero_dimensional:
+            ok = report.valid and all(reference_surjective(monad, h)
+                                      for h in probe_vectors(monad, rng))
+        else:
+            ok = report.status == "unresolved"
+        if not ok:
+            bad.append(case)
+    return bad, statuses
 
 
 def rand_element(rng, field, bound=6):
@@ -678,3 +731,17 @@ def test_polar_is_an_involution():
 
 def test_bilinear_grid_symmetry_matches_compatibility():
     assert compatibility_symmetry_suite() == []
+
+
+def test_finite_locus_proves_exactness():
+    bad, statuses = exactness_suite()
+    assert bad == []
+    assert statuses["pass"] >= CASES // 2 and statuses["unresolved"] > 0
+
+
+def test_eight_line_exactness_matches_probes(eight_line_bundle):
+    monad = eight_line_bundle.monad
+    assert validate_monad(monad).valid
+    hs = probe_vectors(monad, random.Random(1414))
+    assert len(hs) == 25 + 8 * 2
+    assert all(reference_surjective(monad, h) for h in hs)
