@@ -58,6 +58,7 @@ def _locus_witness(locus: ZeroLocus) -> dict:
         "zero_dimensional": locus.zero_dimensional,
         "resolved_points": ser_points(locus.points),
         "unresolved_form_count": len(locus.unresolved_forms),
+        "unresolved_form_degrees": sorted(f.degree for f in locus.unresolved_forms),
     }
     if locus.common_factor is not None:
         out["common_factor"] = locus.common_factor.serialize()

@@ -262,6 +262,9 @@ def test_monad_unresolved_support(tmp_path, capsys):
     assert code == 4
     claims = {c["id"]: c for c in json.loads(out)["claims"]}
     assert claims["support-resolution"]["status"] == UNRESOLVED
+    # the points that do not split over Q lie on one quadratic form
+    assert claims["support-resolution"]["witness"]["unresolved_form_count"] == 1
+    assert claims["support-resolution"]["witness"]["unresolved_form_degrees"] == [2]
     # the locus is finite although its points do not split over Q
     assert claims["monad-exactness"]["status"] == PASS
     assert claims["monad-exactness"]["witness"]["proof"] == "finite jumping locus"
