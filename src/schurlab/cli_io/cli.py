@@ -16,7 +16,6 @@ failed, 4 claims left unresolved only by field-of-definition obstructions.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 
@@ -39,9 +38,8 @@ from .documents import (FAIL, PASS, UNRESOLVED, atomic_write,
 class Run:
     """Mutable state for one invocation; survives into error certificates."""
 
-    def __init__(self, command: str, seed: int):
+    def __init__(self, command: str):
         self.command = command
-        self.seed = seed
         self.field = Field()
         self.input_doc: dict = {}
         self.claims: list[dict] = []
@@ -66,9 +64,14 @@ def _locus_witness(locus: ZeroLocus) -> dict:
 
 
 def _support_claim(run: Run, claim_id: str, locus: ZeroLocus, expected) -> None:
-    resolved = locus.fully_resolved and locus.zero_dimensional
-    run.add(claim_id, locus.is_exactly(expected) if resolved else UNRESOLVED,
-            _locus_witness(locus))
+    """Unresolved unless the locus is fully resolved and zero-dimensional;
+    then it passes when it is exactly the expected points, or with no
+    expected points at all."""
+    if not (locus.fully_resolved and locus.zero_dimensional):
+        status = UNRESOLVED
+    else:
+        status = expected is None or locus.is_exactly(expected)
+    run.add(claim_id, status, _locus_witness(locus))
 
 
 def _point_claims(run: Run, monad: MonadData, points, orthogonality_id: str,
@@ -95,14 +98,10 @@ def _point_claims(run: Run, monad: MonadData, points, orthogonality_id: str,
 def _jumping_locus_claims(run: Run, monad: MonadData, support_id: str,
                           expected=None) -> None:
     """The support claim for the monad's jumping locus (against the expected
-    points, or only whether it resolves), then the point claims at its
-    resolved points."""
+    points, or only whether it resolves to finitely many points), then the
+    point claims at its resolved points."""
     locus = monad.jumping_points()
-    if expected is None:
-        run.add(support_id, PASS if locus.fully_resolved else UNRESOLVED,
-                _locus_witness(locus))
-    else:
-        _support_claim(run, support_id, locus, expected)
+    _support_claim(run, support_id, locus, expected)
     _point_claims(run, monad, locus.points, "orthogonality-at-jumping-points",
                   "singularity-at-support", not locus.fully_resolved)
 
@@ -210,7 +209,7 @@ def cmd_monad(run: Run, doc: dict) -> None:
 
     supplied = "form" in doc
     form = (parse_symmetric(field, doc["form"]) if supplied
-            else select_compatible_form(field, maps, seed=run.seed))
+            else select_compatible_form(field, maps))
     # claimed only once MonadData has accepted the maps and the form
     monad = MonadData(maps, form)
     run.add("form-supplied" if supplied else "form-selected", True,
@@ -229,11 +228,7 @@ def cmd_example(run: Run, name: str | None) -> None:
     if not isinstance(name, str) or name not in EXAMPLES:
         raise PreconditionError(
             f"unknown example {name!r}; known: " + ", ".join(sorted(EXAMPLES)))
-    builder = EXAMPLES[name]
-    if "seed" in inspect.signature(builder).parameters:
-        inst = builder(seed=run.seed)
-    else:
-        inst = builder()
+    inst = EXAMPLES[name]()
     run.field = inst.field
     run.input_doc = {"example": name}
     for check_name, ok in inst.checks.items():
@@ -270,10 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="input JSON document")
     parser.add_argument("--out", dest="output_path", metavar="PATH",
                         help="write the certificate here instead of stdout")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the compatible form search when a "
-                             "monad document has no form, and for the seeded "
-                             "example builders (default 0)")
     parser.add_argument("--format", choices=["text", "structured"],
                         default="text")
     parser.add_argument("--name", help="worked example name (example command)")
@@ -282,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    run = Run(args.command, args.seed)
+    run = Run(args.command)
     error = None
     try:
         if args.command == "example":
@@ -300,9 +291,8 @@ def main(argv=None) -> int:
     except ClaimError as exc:
         error = {"kind": "claim", "message": str(exc)}
 
-    certificate = make_certificate(run.command, run.field, run.seed,
-                                   run.input_doc, run.claims, run.artifacts,
-                                   error=error)
+    certificate = make_certificate(run.command, run.field, run.input_doc,
+                                   run.claims, run.artifacts, error=error)
     text = (render_text(certificate) if args.format == "text"
             else canonical_json(certificate))
     if args.output_path:

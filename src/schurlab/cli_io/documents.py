@@ -2,7 +2,7 @@
 
 Every run emits one self-describing document.  Serialization is canonical
 (sorted keys, fixed separators, trailing newline) and writes are atomic, so
-two runs over the same input and seed produce byte-identical artifacts.
+two runs over the same input produce byte-identical artifacts.
 """
 from __future__ import annotations
 
@@ -133,13 +133,12 @@ def exit_code_for(claims) -> int:
     return 0
 
 
-def make_certificate(command: str, field: Field, seed: int, input_doc,
-                     claims, artifacts, error=None) -> dict:
+def make_certificate(command: str, field: Field, input_doc, claims, artifacts,
+                     error=None) -> dict:
     doc = {
         "schema": SCHEMA,
         "command": command,
         "field": field_decl(field),
-        "seed": seed,
         "digest": instance_digest(input_doc),
         "claims": claims,
         "artifacts": artifacts,
@@ -153,8 +152,7 @@ def make_certificate(command: str, field: Field, seed: int, input_doc,
 def render_text(doc: dict) -> str:
     """Human-readable view, derived line by line from the structured form."""
     lines = [f"schurlab {doc['command']}  field={doc['field']['type']}"
-             + (f"(s={doc['field']['s']})" if doc['field']['type'] == "quadratic" else "")
-             + f"  seed={doc['seed']}",
+             + (f"(s={doc['field']['s']})" if doc['field']['type'] == "quadratic" else ""),
              f"input digest {doc['digest']}"]
     if "error" in doc:
         lines.append(f"ERROR [{doc['error']['kind']}] {doc['error']['message']}")

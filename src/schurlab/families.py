@@ -24,8 +24,8 @@ The instances:
     reproduces the same surface and the same quadric through an explicit
     change of coordinates.
   * ``bring_instance``: the curve cut on the diagonal cubic by its invariant
-    quadric; a seeded plane section must have total degree 6 and every
-    resolved section point satisfies the three power-sum equations.
+    quadric; its section by a fixed plane must have total degree 6 and
+    every resolved section point satisfies the three power-sum equations.
   * ``triangle_monad_n3``: the three-line monad whose minors give the
     standard quadratic plane transformation.
   * ``n2_instance``: the smallest monad, one jumping point, curve n.2 two
@@ -40,7 +40,6 @@ The instances:
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -55,8 +54,7 @@ from .exact_math import (QQ, Field, Matrix, ProjSubspace, SymForm,
 from .hulek_monad import (MonadData, middle_rank_at, select_compatible_form,
                           validate_monad)
 from .logbundle import build_logbundle, check_general_position
-from .polyring import (HomPoly, monomials, multivariate_gcd, quadric,
-                       solve_pair)
+from .polyring import HomPoly, monomials, quadric, solve_pair
 from .schurform import orthogonal_form_for_pairs, schur_pair
 
 
@@ -326,12 +324,12 @@ def clebsch_instance() -> FamilyInstance:
     return FamilyInstance("clebsch", field, {}, checks)
 
 
-def bring_instance(seed: int = 0) -> FamilyInstance:
+def bring_instance() -> FamilyInstance:
     """The sextic curve cut on the diagonal cubic by its invariant quadric.
 
-    A seeded plane inside the hyperplane gives a cubic and a conic in the
-    plane coordinates; their eliminant must have total degree 6, counted
-    with multiplicity and including any unresolved factors, and every
+    The plane u_1 + u_3 = 0 inside the hyperplane gives a cubic and a conic
+    in the plane coordinates; their eliminant must have total degree 6,
+    counted with multiplicity and including any unresolved factors, and every
     resolved point satisfies all three power sums in 5-space.  The cubic and
     the quadric are the closed forms the Clebsch instance checks.
     """
@@ -350,65 +348,50 @@ def bring_instance(seed: int = 0) -> FamilyInstance:
     checks["square_sum_restricts_to_quadric"] = p2.proportional(invariant)
     checks["cube_sum_restricts_to_cubic"] = p3.proportional(cubic)
 
-    rng = random.Random(seed)
-    for _ in range(40):
-        cov = [rng.randint(-3, 3) for _ in range(4)]
-        if all(c == 0 for c in cov):
-            continue
-        plane = Matrix.from_rows(field, [[field.scalar(c) for c in cov]])
-        basis = plane.kernel_basis()
-        if len(basis) != 3:
-            continue
-        targets = [HomPoly.linear_form(field, [basis[j][m] for j in range(3)])
-                   for m in range(4)]
-        f3 = cubic.substitute(targets)
-        f2 = invariant.substitute(targets)
-        if f3.is_zero() or f2.is_zero():
-            continue
-        if multivariate_gcd(f3, f2).degree > 0:
-            continue
-        sol = solve_pair(f3, f2)
-        resolved = sum(m for _, m in sol.base_roots)
-        unresolved = sum((len(c) - 1) * m for c, m in sol.unresolved_base)
-        checks["section_degree_6"] = sol.total_degree == 6
-        checks["section_count_6"] = resolved + unresolved == 6
-        power_ok = True
-        for pt in sol.points:
-            u = [sum((basis[j][m] * pt[j] for j in range(3)), field.zero)
-                 for m in range(4)]
-            x = _lift(field, u)
-            for power in (1, 2, 3):
-                s = sum((c ** power for c in x), field.zero)
-                power_ok = power_ok and s.is_zero()
-        checks["resolved_points_satisfy_power_sums"] = power_ok
-        notes = ("resolved section points: %d of 6; curve points need a "
-                 "larger field, so the power sums are also checked as the "
-                 "polynomial identities above" % resolved,
-                 "the six contraction images form one orbit of the even "
-                 "permutations; recorded, not asserted",)
-        return FamilyInstance("bring", field, {}, checks, notes)
-    raise ClaimError("no usable plane section found")
+    basis = Matrix.from_rows(field, [[1, 0, 1, 0]]).kernel_basis()
+    targets = [HomPoly.linear_form(field, [basis[j][m] for j in range(3)])
+               for m in range(4)]
+    sol = solve_pair(cubic.substitute(targets), invariant.substitute(targets))
+    resolved = sum(m for _, m in sol.base_roots)
+    unresolved = sum((len(c) - 1) * m for c, m in sol.unresolved_base)
+    checks["section_degree_6"] = sol.total_degree == 6
+    checks["section_count_6"] = resolved + unresolved == 6
+    power_ok = True
+    for pt in sol.points:
+        u = [sum((basis[j][m] * pt[j] for j in range(3)), field.zero)
+             for m in range(4)]
+        x = _lift(field, u)
+        for power in (1, 2, 3):
+            s = sum((c ** power for c in x), field.zero)
+            power_ok = power_ok and s.is_zero()
+    checks["resolved_points_satisfy_power_sums"] = power_ok
+    notes = ("resolved section points: %d of 6; curve points need a "
+             "larger field, so the power sums are also checked as the "
+             "polynomial identities above" % resolved,
+             "the six contraction images form one orbit of the even "
+             "permutations; recorded, not asserted",)
+    return FamilyInstance("bring", field, {}, checks, notes)
 
 
 # ---------------------------------------------------------------------------
 # small monads
 
 
-def _selected_monad(field: Field, maps, seed: int):
-    """The monad of the maps with their seeded compatible form, and whether
-    it validates."""
-    monad = MonadData(maps, select_compatible_form(field, maps, seed=seed))
+def _selected_monad(field: Field, maps):
+    """The monad of the maps with their selected compatible form, and
+    whether it validates."""
+    monad = MonadData(maps, select_compatible_form(field, maps))
     return monad, validate_monad(monad).valid
 
 
-def triangle_monad_n3(seed: int = 0) -> FamilyInstance:
+def triangle_monad_n3() -> FamilyInstance:
     """Monad of the quadratic plane transformation: minors x1*x2, x0*x2,
     x0*x1 up to sign."""
     field = QQ
     maps = [Matrix.from_rows(field, [[1, 0], [0, 0], [0, 0]]),
             Matrix.from_rows(field, [[0, 0], [0, 1], [0, 0]]),
             Matrix.from_rows(field, [[0, 0], [0, 0], [1, -1]])]
-    monad, valid = _selected_monad(field, maps, seed)
+    monad, valid = _selected_monad(field, maps)
     checks = {"monad_valid": valid}
     curve = monad.jlsk_curve()
     expected_curve = _sum_of_products(field, [(0, 1), (0, 2), (1, 2)])
@@ -446,14 +429,14 @@ def _sum_of_products(field: Field, index_pairs) -> HomPoly:
     return out
 
 
-def n2_instance(seed: int = 0) -> FamilyInstance:
+def n2_instance() -> FamilyInstance:
     """Smallest monad: one jumping point, curve a pair of distinct lines
     through it, middle quadric a pair of distinct points."""
     field = QQ
     maps = [Matrix.from_rows(field, [[1], [0]]),
             Matrix.from_rows(field, [[0], [1]]),
             Matrix.from_rows(field, [[0], [0]])]
-    monad, valid = _selected_monad(field, maps, seed)
+    monad, valid = _selected_monad(field, maps)
     checks = {"monad_valid": valid}
     z0 = tuple(field.coerce(c) for c in (0, 0, 1))
     checks["single_jumping_point"] = monad.jumping_points().is_exactly([z0])
@@ -472,7 +455,7 @@ def n2_instance(seed: int = 0) -> FamilyInstance:
 # nearly-diagonal shape on n lines
 
 
-def hulsbergen_shape(field: Field, forms, seed: int = 0) -> FamilyInstance:
+def hulsbergen_shape(field: Field, forms) -> FamilyInstance:
     """Monad built from n pairwise independent, concurrent-free linear forms
     through the nearly-diagonal n x (n-1) shape.
 
@@ -503,7 +486,7 @@ def hulsbergen_shape(field: Field, forms, seed: int = 0) -> FamilyInstance:
         rows.append([coeffs[n - 1, k]] * (n - 1))
         maps.append(Matrix.from_rows(field, rows))
 
-    monad, valid = _selected_monad(field, maps, seed)
+    monad, valid = _selected_monad(field, maps)
     checks = {}
     minors = monad.signed_minors()
     big = [reduce(mul, forms[:j] + forms[j + 1:]) for j in range(n)]
@@ -589,15 +572,13 @@ def _solve_membership(field: Field, target: HomPoly, span):
     return mat.solve(list(target.coefficient_vector(order)))
 
 
-def hulsbergen_instance_4(seed: int = 0) -> FamilyInstance:
-    return hulsbergen_shape(QQ, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
-                            seed=seed)
+def hulsbergen_instance_4() -> FamilyInstance:
+    return hulsbergen_shape(QQ, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
 
 
-def hulsbergen_instance_5(seed: int = 0) -> FamilyInstance:
+def hulsbergen_instance_5() -> FamilyInstance:
     return hulsbergen_shape(
-        QQ, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)],
-        seed=seed)
+        QQ, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)])
 
 
 # ---------------------------------------------------------------------------

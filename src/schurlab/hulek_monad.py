@@ -22,7 +22,6 @@ locus with a curve component leaves it unresolved.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, islice
@@ -279,12 +278,6 @@ def determinantal_degree(n1: int, n2: int, r: int) -> int:
     return num // den
 
 
-def multiplicity_bound(n: int, rank: int) -> int:
-    """Multiplicity bound for the jumping scheme at a point of the given
-    rank of the n x (n-1) grid."""
-    return comb(n - rank, 2)
-
-
 def compatible_form_space(field: Field, maps) -> list[Matrix]:
     """Basis of the space of symmetric matrices X with every A_i^T X A_j
     symmetric, i < j."""
@@ -303,14 +296,13 @@ def compatible_form_space(field: Field, maps) -> list[Matrix]:
     return [SymForm.from_pairs(field, n, vec).matrix for vec in kern]
 
 
-FORM_SUBSETS = 401  # basis subset sums tried first
-FORM_TRIES = 200  # seeded combinations tried after the subset sums
+FORM_SUBSETS = 401  # basis subset sums tried
 
 
-def select_compatible_form(field: Field, maps, seed: int = 0) -> SymForm:
-    """Deterministically pick a nondegenerate compatible form: first sums of
-    basis subsets ordered by size then position, then seeded integer
-    combinations."""
+def select_compatible_form(field: Field, maps) -> SymForm:
+    """Deterministically pick a nondegenerate compatible form: the first
+    nondegenerate sum of basis forms, over basis subsets ordered by size then
+    position."""
     check_monad_input(maps)
     basis = compatible_form_space(field, maps)
     if not basis:
@@ -321,15 +313,12 @@ def select_compatible_form(field: Field, maps, seed: int = 0) -> SymForm:
         cand = sum((basis[s] for s in subset[1:]), basis[subset[0]])
         if not cand.det().is_zero():
             return SymForm(cand).canonical()
-    rng = random.Random(seed)
-    for _ in range(FORM_TRIES):
-        cand = None
-        for b in basis:
-            t = b.scale(field.scalar(rng.randint(-5, 5)))
-            cand = t if cand is None else cand + t
-        if cand is not None and not cand.det().is_zero():
-            return SymForm(cand).canonical()
-    raise ClaimError("no nondegenerate compatible form found")
+    if 2 ** k - 1 <= FORM_SUBSETS:
+        raise ClaimError(f"no nondegenerate compatible form found: every subset "
+                         f"sum of the {k} basis forms is degenerate")
+    raise ClaimError(f"no nondegenerate compatible form found: the first "
+                     f"{FORM_SUBSETS} subset sums of the {k} basis forms are "
+                     f"degenerate")
 
 
 @dataclass

@@ -453,11 +453,6 @@ class LinFormsMatrix:
                     for j in range(cols)] for i in range(rows)]
         return cls(field, entries)
 
-    def coefficient_matrix(self, k: int) -> Matrix:
-        exp = tuple(1 if i == k else 0 for i in range(self.nvars))
-        return Matrix(self.field, [[self.entries[i][j].coeff(exp)
-                                    for j in range(self.cols)] for i in range(self.rows)])
-
     def evaluate(self, point) -> Matrix:
         return Matrix(self.field, [[p.evaluate(point) for p in row] for row in self.entries])
 

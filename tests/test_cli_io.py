@@ -284,6 +284,26 @@ def test_monad_exactness_unresolved_on_a_curve_component(tmp_path, capsys):
     assert exactness["witness"] == {"generic_injectivity": "pass",
                                     "pointwise_surjectivity": "unresolved",
                                     "reason": "jumping locus has a curve component"}
+    support = {c["id"]: c for c in json.loads(out)["claims"]}["support-resolution"]
+    assert support["status"] == UNRESOLVED
+    assert support["witness"]["zero_dimensional"] is False
+
+
+def test_monad_form_selection_failure_says_why(tmp_path, capsys):
+    # every sum of a subset of the three compatible basis forms is degenerate
+    doc = {"field": {"type": "rational"},
+           "maps": [[[3, 2, 1], [0, -1, 3], [3, 1, 1], [9, -1, -2]],
+                    [[-1, 3, 0], [0, 3, -3], [-1, -1, -1], [-3, 0, 0]],
+                    [[-3, -1, 1], [0, 3, 3], [-3, -3, 1], [-9, -2, -1]]]}
+    code, out = run(["monad", "--in", write(tmp_path, "m.json", doc),
+                     "--format", "structured"], capsys)
+    assert code == 3
+    cert = json.loads(out)
+    assert cert["error"] == {
+        "kind": "claim",
+        "message": "no nondegenerate compatible form found: every subset sum "
+                   "of the 3 basis forms is degenerate"}
+    assert cert["claims"] == []
 
 
 def test_example_commands(capsys):

@@ -41,7 +41,7 @@ def test_clebsch_key_claims(clebsch):
 
 
 def test_bring_section():
-    inst = bring_instance(seed=1)
+    inst = bring_instance()
     assert inst.passed, inst.failed_checks()
     assert inst.checks["square_sum_restricts_to_quadric"]
     assert inst.checks["cube_sum_restricts_to_cubic"]
@@ -93,8 +93,8 @@ def test_schwarzenberger_positive_dimensional():
 
 
 def test_builders_deterministic():
-    a = triangle_monad_n3(seed=0)
-    b = triangle_monad_n3(seed=0)
+    a = triangle_monad_n3()
+    b = triangle_monad_n3()
     assert a.payload["curve"].serialize() == b.payload["curve"].serialize()
 
 

@@ -8,9 +8,9 @@ from schurlab.exact_math import Field, Matrix, ProjSubspace, QQ, SymForm
 from schurlab.families import hulsbergen_instance_5
 from schurlab.hulek_monad import (MonadData, biflex_reports,
                                   compatible_form_space, determinantal_degree,
-                                  middle_rank_at, multiplicity_bound,
-                                  orthogonality_report, pencil_at,
-                                  select_compatible_form, validate_monad)
+                                  middle_rank_at, orthogonality_report,
+                                  pencil_at, select_compatible_form,
+                                  validate_monad)
 from schurlab.polyring import HomPoly
 
 
@@ -180,14 +180,6 @@ def test_determinantal_degree_formula():
         assert determinantal_degree(n - 1, n, n - 2) == comb(n, 2)
     # generic 2 x 3 grid drops to rank one on a cubic curve
     assert determinantal_degree(2, 3, 1) == 3
-
-
-def test_multiplicity_bound_values():
-    assert multiplicity_bound(4, 2) == 1
-    assert multiplicity_bound(9, 6) == 3
-    for n in range(3, 8):
-        for rank in range(1, n):
-            assert multiplicity_bound(n, rank) == comb(n - rank, 2)
 
 
 def test_middle_rank_at(triangle):
