@@ -67,10 +67,9 @@ def _support_claim(run: Run, claim_id: str, locus: ZeroLocus, expected) -> None:
     """Unresolved unless the locus is fully resolved and zero-dimensional;
     then it passes when it is exactly the expected points, or with no
     expected points at all."""
-    if not (locus.fully_resolved and locus.zero_dimensional):
-        status = UNRESOLVED
-    else:
-        status = expected is None or locus.is_exactly(expected)
+    resolved = locus.fully_resolved and locus.zero_dimensional
+    status = ((expected is None or locus.is_exactly(expected)) if resolved
+              else UNRESOLVED)
     run.add(claim_id, status, _locus_witness(locus))
 
 

@@ -279,14 +279,15 @@ def test_monad_exactness_unresolved_on_a_curve_component(tmp_path, capsys):
     code, out = run(["monad", "--in", write(tmp_path, "m.json", doc),
                      "--format", "structured"], capsys)
     assert code == 4
-    exactness = {c["id"]: c for c in json.loads(out)["claims"]}["monad-exactness"]
+    claims = {c["id"]: c for c in json.loads(out)["claims"]}
+    exactness = claims["monad-exactness"]
     assert exactness["status"] == UNRESOLVED
     assert exactness["witness"] == {"generic_injectivity": "pass",
                                     "pointwise_surjectivity": "unresolved",
                                     "reason": "jumping locus has a curve component"}
-    support = {c["id"]: c for c in json.loads(out)["claims"]}["support-resolution"]
-    assert support["status"] == UNRESOLVED
-    assert support["witness"]["zero_dimensional"] is False
+    # a locus with a curve component is not a resolved support
+    assert claims["support-resolution"]["status"] == UNRESOLVED
+    assert claims["support-resolution"]["witness"]["zero_dimensional"] is False
 
 
 def test_monad_form_selection_failure_says_why(tmp_path, capsys):
