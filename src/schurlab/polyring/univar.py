@@ -1,9 +1,14 @@
 """Univariate helpers over an exact Field, and the one bridge to sympy.
 
 Polynomials are plain lists of Scalars, ascending by exponent.  sympy does two
-things for the package, both in its own domains (QQ, or QQ<sqrt(s)> from
-``sympy_domain``): ``factor_univar`` factors over the field, and
-``zeros.multivariate_gcd`` takes the gcd of two forms.  Scalars cross the
+things for the package: ``factor_univar`` has it factor over QQ, and
+``zeros.multivariate_gcd`` takes the gcd of two forms over QQ or QQ<sqrt(s)>
+(``sympy_domain``).  ``factor_univar`` settles degree <= 2 in closed form,
+from the square root of the discriminant, and factors over Q(sqrt(s)) by
+Trager's norm method (Trager, "Algebraic factoring and rational function
+integration", SYMSAC 1976; Cohen, "A Course in Computational Algebraic
+Number Theory", Alg. 3.6.4): only the rational norm goes to sympy, and its
+factors are lifted to the field by gcds computed here.  Scalars cross the
 bridge by ``to_domain``/``from_domain``, never as sympy expressions, and
 every answer that comes back is re-checked in exact arithmetic.
 """
@@ -45,17 +50,32 @@ def monic(coeffs: list[Scalar]) -> list[Scalar]:
     return [c * inv for c in t]
 
 
-def univar_rem(a, b) -> list[Scalar]:
-    """Remainder of a on division by a nonzero b, trimmed."""
+def univar_divmod(a, b) -> tuple[list[Scalar], list[Scalar]]:
+    """Quotient and remainder of a on division by a nonzero b, trimmed."""
     r, b = trim(a), trim(b)
     binv = b[-1].inverse()
+    quo = [binv.field.zero] * max(len(r) - len(b) + 1, 0)
     while len(r) >= len(b):
         shift = len(r) - len(b)
-        q = r[-1] * binv
+        q = quo[shift] = r[-1] * binv
         for i, c in enumerate(b):
             r[shift + i] = r[shift + i] - q * c
         r = trim(r)
-    return r
+    return quo, r
+
+
+def univar_rem(a, b) -> list[Scalar]:
+    """Remainder of a on division by a nonzero b, trimmed."""
+    return univar_divmod(a, b)[1]
+
+
+def univar_mul(a, b) -> list[Scalar]:
+    """Product of two nonzero polynomials."""
+    out = [a[0].field.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
 
 
 def univar_gcd(field: Field, a, b) -> list[Scalar]:
@@ -106,27 +126,106 @@ def from_domain(field: Field, a) -> Scalar:
 _T = sympy.Symbol("t")
 
 
+def _taylor_shift(coeffs, c: Scalar) -> list[Scalar]:
+    """coeffs(t + c), by Horner's rule."""
+    out: list[Scalar] = []
+    for a in reversed(coeffs):
+        out = [c.field.zero] + out
+        for i in range(len(out) - 1):
+            out[i] = out[i] + c * out[i + 1]
+        out[0] = out[0] + a
+    return out
+
+
+def _low_degree_factors(m: list[Scalar]) -> list[tuple[list[Scalar], int]]:
+    """Factors of a monic polynomial of degree <= 2 in closed form: a
+    quadratic splits exactly when its discriminant has a square root r, into
+    t + (b -+ r)/2, and a zero discriminant makes it a square."""
+    if len(m) < 3:
+        return [(m, 1)] if len(m) == 2 else []
+    b = m[1]
+    r = (b * b - 4 * m[0]).sqrt()
+    if r is None:
+        return [(m, 1)]
+    if r.is_zero():
+        return [([b / 2, m[2]], 2)]
+    return [([(b - r) / 2, m[2]], 1), ([(b + r) / 2, m[2]], 1)]
+
+
+def _rational_factors(field: Field, coeffs) -> list[tuple[list[Scalar], int]]:
+    """sympy's factors over QQ of a polynomial with rational coefficients, as
+    monic polynomials over the field, with multiplicities."""
+    poly = sympy.Poly([_qq(c.u) for c in reversed(coeffs)], _T, domain=sympy.QQ)
+    _, parts = sympy.factor_list(poly)
+    return [(monic([field.scalar(_fraction(c)) for c in reversed(base.rep.to_list())]),
+             int(mult)) for base, mult in parts]
+
+
+def _norm_factors(field: Field, h: list[Scalar]) -> list[list[Scalar]]:
+    """Irreducible factors over Q(sqrt(s)) of a monic h of degree >= 1, by
+    Trager's norm method.  For c = k*sqrt(s) the norm of q(t + c), its
+    product with its conjugate, has rational coefficients.  Each irreducible
+    factor p of the norm over Q has a root in common with q(t + c), and over
+    the field p is irreducible or splits into two conjugate factors of half
+    its degree.  So gcd(q(t + c), p) has degree >= 1, and when that degree
+    is half of p's the gcd is an irreducible factor of q(t + c); every
+    irreducible factor divides some p.  A gcd is all of p only when q(t + c)
+    has a factor with rational coefficients or a factor and its conjugate,
+    that is when 2c is the difference of a root of q and a root of its
+    conjugate; such a gcd is shifted back and tried again at the next k.
+    At most deg(h)^2 values of k fail, k = 0 among them for every q with
+    rational coefficients.  Repeated factors need no squarefree part first:
+    the gcds read each distinct factor once."""
+    n = len(h) - 1
+    factors, pending = [], [h]
+    for j in range(n * n + 1):
+        k = (j + 1) // 2 * (1 if j % 2 else -1)        # 0, 1, -1, 2, ...
+        shift, retry = field.sqrt_gen() * k, []
+        for q in pending:
+            if k == 0 and not any(c.b for c in q):
+                retry.append(q)
+                continue
+            moved = _taylor_shift(q, shift)
+            for p, _ in _rational_factors(field, univar_mul(moved, [c.conjugate() for c in moved])):
+                g = univar_gcd(field, moved, p)
+                if len(g) == 1:
+                    raise ClaimError("a factor of the norm is prime to the polynomial: "
+                                     "factorization failed exact re-check")
+                (factors if 2 * len(g) == len(p) + 1 else retry).append(_taylor_shift(g, -shift))
+        pending = retry
+        if not pending:
+            return factors
+    raise ClaimError(f"no shift among {n * n + 1} splits the norm")
+
+
 def factor_univar(field: Field, coeffs) -> tuple[Scalar, list[tuple[list[Scalar], int]]]:
     """Factor into irreducibles over the field.  Returns (unit, [(factor, mult)]),
-    factors monic of degree >= 1, so the unit is the leading coefficient.
-    sympy factors; the product is re-verified exactly here."""
+    factors monic of degree >= 1 sorted by degree, then coefficients, so the
+    unit is the leading coefficient.  Degree <= 2 is settled in closed form;
+    above it sympy factors over QQ, and over Q(sqrt(s)) ``_norm_factors``
+    finds the factors and exact division their multiplicities.  The product
+    is re-verified exactly here."""
     coeffs = trim(coeffs)
     if not coeffs:
         raise PreconditionError("factoring the zero polynomial")
-    poly = sympy.Poly([to_domain(c) for c in reversed(coeffs)], _T,
-                      domain=sympy_domain(field))
-    _, parts = sympy.factor_list(poly)
-    factors = [(monic([from_domain(field, c) for c in reversed(base.rep.to_list())]),
-                int(mult)) for base, mult in parts]
     unit = coeffs[-1]
+    if len(coeffs) <= 3:
+        factors = _low_degree_factors(monic(coeffs))
+    elif field.is_rational:
+        factors = _rational_factors(field, coeffs)
+    else:
+        rest, factors = coeffs, []
+        for fac in _norm_factors(field, monic(coeffs)):
+            mult = 0
+            quo, rem = univar_divmod(rest, fac)
+            while not rem:
+                rest, mult = quo, mult + 1
+                quo, rem = univar_divmod(rest, fac)
+            factors.append((fac, mult))
     prod = [unit]
     for fac, mult in factors:
         for _ in range(mult):
-            new = [field.zero] * (len(prod) + len(fac) - 1)
-            for i, a in enumerate(prod):
-                for j, b in enumerate(fac):
-                    new[i + j] = new[i + j] + a * b
-            prod = new
+            prod = univar_mul(prod, fac)
     if prod != coeffs:
         raise ClaimError("factorization failed exact re-check")
     factors.sort(key=lambda fm: (len(fm[0]), [c.serialize() for c in fm[0]]))

@@ -1,5 +1,7 @@
-"""Shared fixtures: one standard hexad and its derived objects, built once."""
+"""Shared fixtures: one standard hexad and its derived objects, built once,
+and sympy's factoring switched off."""
 import pytest
+import sympy
 
 from schurlab.detrep import build_detrep
 from schurlab.exact_math import QQ
@@ -23,3 +25,11 @@ def six_line_bundle():
 @pytest.fixture(scope="session")
 def eight_line_bundle():
     return build_logbundle(QQ, EIGHT_LINES)
+
+
+@pytest.fixture
+def no_sympy_factoring(monkeypatch):
+    """sympy.factor_list refusing every call, for paths that must not reach it."""
+    def refuse(*args, **kwargs):
+        raise RuntimeError("sympy.factor_list was called")
+    monkeypatch.setattr(sympy, "factor_list", refuse)

@@ -15,9 +15,11 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+import sympy
 
 from schurlab.cli_io import main
 from schurlab.families import EXAMPLES
+from schurlab.polyring.univar import sympy_domain
 from test_cli_io import HEXAD, SIX_LINES, TRIANGLE_MAPS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -84,6 +86,18 @@ def certificate(name: str, workdir: Path) -> bytes:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_certificate_matches_golden(name, tmp_path):
     assert certificate(name, tmp_path) == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_bring_builds_no_algebraic_field(monkeypatch, tmp_path):
+    # Bring's curve lies over Q(sqrt 5); its eliminants are factored through
+    # their rational norms, so sympy never builds QQ<sqrt(5)>.
+    def refuse(*args, **kwargs):
+        raise RuntimeError("sympy.QQ.algebraic_field was called")
+    monkeypatch.setattr(sympy.QQ, "algebraic_field", refuse)
+    sympy_domain.cache_clear()
+    argv, out = case_argv("example_bring", tmp_path)
+    assert main(argv) == 0
+    assert out.read_bytes() == (GOLDEN / "example_bring.json").read_bytes()
 
 
 def test_every_example_has_a_golden():

@@ -20,7 +20,8 @@ from schurlab.exact_math.matrices import (clear_denominators, from_integral,
                                           integral_det, integral_ring)
 from schurlab.hulek_monad import MonadData
 from schurlab.logbundle import _contraction_matrix, build_logbundle
-from schurlab.polyring import HomPoly, monomials, multivariate_gcd, solve_pair
+from schurlab.polyring import (HomPoly, factor_univar, monomials, multivariate_gcd,
+                               solve_pair)
 from schurlab.polyring import zeros
 from schurlab.polyring.zeros import _apply_shear, _eliminant_at, _find_shear
 
@@ -277,6 +278,27 @@ def test_solve_pair_eliminant_matches_reference():
         assert ps.resultant_coeffs == reference_resultant(f, g, ps.shear), k
         checked += 1
     assert checked >= 30
+
+
+def test_degree_nine_eliminant_over_sqrt_minus_three():
+    """The pair of seed 11 of cases() with both forms cubic: an eliminant of
+    degree 9 over Q(sqrt -3) with coefficients of about 1000 bits, a line
+    times an irreducible octic."""
+    _k, rng, field = next(case for case in cases() if case[0] == 11)
+    f, g = rand_form(rng, field, 3, 3), rand_form(rng, field, 3, 3)
+    ps = solve_pair(f, g)
+    assert ps.resultant_coeffs == reference_resultant(f, g, ps.shear)
+    unit, factors = factor_univar(field, ps.resultant_coeffs)
+    assert [len(fac) - 1 for fac, _ in factors] == [1, 8]
+    product = [unit]
+    for fac, mult in factors:
+        for _ in range(mult):
+            out = [field.zero] * (len(product) + len(fac) - 1)
+            for i, a in enumerate(product):
+                for j, b in enumerate(fac):
+                    out[i + j] = out[i + j] + a * b
+            product = out
+    assert product == ps.resultant_coeffs
 
 
 def test_eight_line_eliminant_matches_reference(eight_line_bundle, monkeypatch):

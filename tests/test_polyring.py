@@ -17,7 +17,7 @@ from schurlab.polyring import (HomPoly, LinFormsMatrix, exact_div,
                                poly_det, roots_with_multiplicity,
                                try_exact_div)
 from schurlab.polyring import homopoly
-from schurlab.polyring.univar import from_domain, to_domain, univar_rem
+from schurlab.polyring.univar import from_domain, to_domain, univar_mul, univar_rem
 from test_integral_kernels import reference_lagrange_coeffs, reference_nodes
 
 
@@ -281,8 +281,75 @@ def test_wrong_sympy_factorization_is_caught(monkeypatch):
         (base, mult), *rest = parts
         return unit, [(base + 1, mult)] + rest
     monkeypatch.setattr(sympy, "factor_list", off_by_one)
+    # t^3 - t over Q goes to sympy as it is
     with pytest.raises(ClaimError, match="re-check"):
-        factor_univar(QQ, [QQ.scalar(-1), QQ.zero, QQ.one])
+        factor_univar(QQ, [QQ.zero, QQ.scalar(-1), QQ.zero, QQ.one])
+    # over Q(sqrt 5) sympy factors the norm of (t - sqrt 5)(t^2 + t + 1)
+    f5 = Field(5)
+    with pytest.raises(ClaimError, match="re-check"):
+        factor_univar(f5, univar_mul([-f5.sqrt_gen(), f5.one], [f5.one] * 3))
+
+
+@pytest.mark.parametrize("field", [QQ, Field(-3)], ids=["Q", "Q(sqrt -3)"])
+def test_degree_at_most_two_is_closed_form(field, no_sympy_factoring):
+    c, one = field.scalar, field.one
+    assert factor_univar(field, [c(3)]) == (c(3), [])
+    assert factor_univar(field, [c(4), c(2)]) == (c(2), [([c(2), one], 1)])
+    # 2 (t - 1)(t - 3)
+    assert factor_univar(field, [c(6), c(-8), c(2)]) == (
+        c(2), [([c(-1), one], 1), ([c(-3), one], 1)])
+    # 3 (t + 2)^2
+    assert factor_univar(field, [c(12), c(12), c(3)]) == (c(3), [([c(2), one], 2)])
+    # t^2 - 2 is irreducible over both fields
+    assert factor_univar(field, [c(-2), field.zero, one]) == (
+        one, [([c(-2), field.zero, one], 1)])
+    # t^2 + t + 1 = (t - w)(t - w^2), w a cube root of 1, splits only over Q(sqrt -3)
+    expected = [([one, one, one], 1)]
+    if field.s:
+        w = field.scalar(Fraction(-1, 2), Fraction(1, 2))
+        expected = [([-w, one], 1), ([-w * w, one], 1)]
+    assert factor_univar(field, [one, one, one]) == (one, expected)
+
+
+def sympy_extension_factors(field, coeffs):
+    """sympy's own factorization over Q(sqrt s), called on expressions with
+    extension=sqrt(s): monic factors as Scalars, in factor_univar's order."""
+    t, root = sympy.Symbol("t"), sympy.sqrt(field.s)
+    expr = sum((sympy.Rational(c.a, c.d) + sympy.Rational(c.b, c.d) * root) * t ** i
+               for i, c in enumerate(coeffs))
+    _, parts = sympy.factor_list(expr, t, extension=root)
+    factors = []
+    for base, mult in parts:
+        fac = []
+        for x in reversed(sympy.Poly(base, t, extension=root).monic().all_coeffs()):
+            v = sympy.expand(x).coeff(root)
+            u = sympy.expand(x - v * root)
+            fac.append(field.scalar(Fraction(int(u.p), int(u.q)), Fraction(int(v.p), int(v.q))))
+        factors.append((fac, int(mult)))
+    return sorted(factors, key=lambda fm: (len(fm[0]), [c.serialize() for c in fm[0]]))
+
+
+@pytest.mark.parametrize("s", [5, -1, -3, 2])
+def test_norm_factoring_matches_sympy_extension_factoring(s):
+    """Seeded products of factors of degree 1 to 3: some with rational
+    coefficients (the shifted norm), some repeated, some next to their
+    conjugate."""
+    field = Field(s)
+    for seed in range(12):
+        rng = random.Random(seed)
+        poly = [field.scalar(rng.randint(1, 5))]
+        rational = seed % 4 == 0
+        while len(poly) < 4:
+            fac = [field.scalar(rng.randint(-5, 5), 0 if rational or rng.random() < 0.3
+                                else rng.randint(-3, 3)) / rng.randint(1, 3)
+                   for _ in range(rng.randint(1, 3))] + [field.one]
+            if not rational and rng.random() < 0.3:
+                fac = univar_mul(fac, [c.conjugate() for c in fac])
+            for _ in range(rng.choice([1, 1, 2, 3])):
+                poly = univar_mul(poly, fac)
+        unit, factors = factor_univar(field, poly)
+        assert unit == poly[-1]
+        assert factors == sympy_extension_factors(field, poly), (s, seed)
 
 
 def test_lin_forms_matrix_evaluate():

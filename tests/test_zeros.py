@@ -59,7 +59,7 @@ def test_three_generators_zero_dimensional():
     assert pts(loc.points) == pts([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
 
-def test_local_singularity_node():
+def test_local_singularity_node(no_sympy_factoring):
     x, y, z = vars3()
     ls = local_singularity(x * y, (0, 0, 1))
     assert ls.multiplicity == 2
@@ -75,7 +75,7 @@ def test_local_singularity_smooth_point():
     assert len(ls.tangent_orders) == 1
 
 
-def test_local_singularity_irrational_tangents():
+def test_local_singularity_irrational_tangents(no_sympy_factoring):
     x, y, z = vars3()
     # x^2 - 2 y^2 splits only over sqrt(2): two conjugate lines of the curve
     curve = x * x - y * y - y * y
@@ -108,7 +108,7 @@ def test_line_intersection_order():
     assert cls.tangent_orders == [3]
 
 
-def test_cubic_with_node_branch_orders():
+def test_cubic_with_node_branch_orders(no_sympy_factoring):
     x, y, z = vars3()
     # nodal cubic: branches meet their tangents with order three
     nodal = y * y * z - x * x * z - x * x * x
