@@ -163,8 +163,9 @@ def _rational_factors(field: Field, coeffs) -> list[tuple[list[Scalar], int]]:
 
 def _norm_factors(field: Field, h: list[Scalar]) -> list[list[Scalar]]:
     """Irreducible factors over Q(sqrt(s)) of a monic h of degree >= 1, by
-    Trager's norm method.  For c = k*sqrt(s) the norm of q(t + c), its
-    product with its conjugate, has rational coefficients.  Each irreducible
+    Trager's norm method.  Each part q of h still to be split is moved to
+    q(t + c), c = k*sqrt(s) for k = 0, 1, -1, 2, ... in turn, whose norm,
+    its product with its conjugate, has rational coefficients.  Each irreducible
     factor p of the norm over Q has a root in common with q(t + c), and over
     the field p is irreducible or splits into two conjugate factors of half
     its degree.  So gcd(q(t + c), p) has degree >= 1, and when that degree
