@@ -81,16 +81,7 @@ def parse_vector(field: Field, entries, length: int | None = None):
 def parse_matrix(field: Field, rows) -> Matrix:
     if not isinstance(rows, list) or not rows:
         raise PreconditionError("matrix must be a nonempty list of rows")
-    width = None
-    data = []
-    for row in rows:
-        vec = parse_vector(field, row)
-        if width is None:
-            width = len(vec)
-        elif len(vec) != width:
-            raise PreconditionError("ragged matrix rows")
-        data.append(vec)
-    return Matrix.from_rows(field, data)
+    return Matrix.from_rows(field, [parse_vector(field, row) for row in rows])
 
 
 def parse_symmetric(field: Field, rows) -> SymForm:

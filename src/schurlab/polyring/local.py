@@ -75,5 +75,7 @@ def local_singularity(curve: HomPoly, point) -> LocalSingularity:
     if univar_degree(cone) < mult:
         orders.append(next((j for j, q in layers.items() if not q[j].is_zero()), d + 1))
 
-    is_node = mult == 2 and not (cone[1] * cone[1] - 4 * cone[0] * cone[2]).is_zero()
+    # orders has one entry per distinct branch tangent: a double point is a
+    # node exactly when its cone is two distinct lines
+    is_node = mult == 2 and len(orders) == 2
     return LocalSingularity(vec_canonical(point), mult, is_node, orders)

@@ -79,10 +79,11 @@ def univar_mul(a, b) -> list[Scalar]:
 
 
 def univar_gcd(field: Field, a, b) -> list[Scalar]:
-    """Monic gcd by the Euclid remainder loop."""
-    a, b = trim(a), trim(b)
+    """Monic gcd by the Euclid remainder loop.  Each remainder is made monic,
+    which keeps the coefficients from growing along the sequence."""
+    a, b = trim(a), monic(b)
     while b:
-        a, b = b, univar_rem(a, b)
+        a, b = b, monic(univar_rem(a, b))
     return monic(a)
 
 
@@ -236,25 +237,12 @@ def factor_univar(field: Field, coeffs) -> tuple[Scalar, list[tuple[list[Scalar]
 def roots_with_multiplicity(field: Field, coeffs):
     """Roots in the field.  Returns (roots, unresolved) where roots is a list of
     (Scalar, multiplicity) and unresolved collects the irreducible factors of
-    degree >= 2 that do not split, as (monic coefficient list, multiplicity)."""
+    degree >= 2, as (monic coefficient list, multiplicity).  The factors of
+    ``factor_univar`` are irreducible and monic, so the roots are those of
+    the linear factors; each is re-checked exactly."""
     _, factors = factor_univar(field, coeffs)
-    roots: list[tuple[Scalar, int]] = []
-    unresolved: list[tuple[list[Scalar], int]] = []
-    for fac, mult in factors:
-        d = len(fac) - 1
-        if d == 1:
-            roots.append((-fac[0] / fac[1], mult))
-            continue
-        if d == 2:
-            # quadratic formula as an independent check on the factorizer
-            disc = fac[1] * fac[1] - 4 * fac[0] * fac[2]
-            r = disc.sqrt()
-            if r is not None:
-                two_a = 2 * fac[2]
-                roots.append(((-fac[1] + r) / two_a, mult))
-                roots.append(((-fac[1] - r) / two_a, mult))
-                continue
-        unresolved.append((fac, mult))
+    roots = [(-fac[0], mult) for fac, mult in factors if len(fac) == 2]
+    unresolved = [(fac, mult) for fac, mult in factors if len(fac) > 2]
     if not all(eval_univar(coeffs, root).is_zero() for root, _ in roots):
         raise ClaimError("a root failed exact re-check")
     return roots, unresolved

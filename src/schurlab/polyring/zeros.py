@@ -204,23 +204,11 @@ def sorted_points(points) -> list[tuple]:
 
 
 def _dedupe_points(points: list[Point]) -> list[Point]:
-    seen, out = set(), []
-    for p in points:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    out.sort(key=_point_key)
-    return out
+    return sorted(set(points), key=_point_key)
 
 
 def _dedupe_forms(forms: list[HomPoly]) -> list[HomPoly]:
-    seen, out = set(), []
-    for p in forms:
-        cp = p.canonical()
-        if cp not in seen:
-            seen.add(cp)
-            out.append(cp)
-    return out
+    return list(dict.fromkeys(p.canonical() for p in forms))
 
 
 def _gen_key(p: HomPoly):
@@ -228,19 +216,12 @@ def _gen_key(p: HomPoly):
 
 
 def _solve(gens: list[HomPoly]) -> tuple[list[Point], list[HomPoly]]:
-    uniq, seen = [], set()
-    for p in gens:
-        cp = p.canonical()
-        if cp.is_zero():
-            continue
-        if cp.degree == 0:
-            return [], []
-        if cp not in seen:
-            seen.add(cp)
-            uniq.append(cp)
+    canon = (p.canonical() for p in gens)
+    uniq = sorted(dict.fromkeys(p for p in canon if not p.is_zero()), key=_gen_key)
+    if any(p.degree == 0 for p in uniq):
+        return [], []
     if not uniq:
         raise ClaimError("empty generating system")
-    uniq.sort(key=_gen_key)
     split = None
     for i, j in combinations(range(len(uniq)), 2):
         d = multivariate_gcd(uniq[i], uniq[j])
@@ -289,24 +270,17 @@ class ZeroLocus:
 
 
 def resolved_common_zeros(polys: list[HomPoly]) -> ZeroLocus:
+    """Common zeros of the forms: a positive-degree gcd is the curve part,
+    and the points come from the system with it divided out."""
     assert polys, "no generators given"
     field = polys[0].field
-    nz = []
     for p in polys:
         assert p.field == field and p.nvars == 3
-        if not p.is_zero():
-            nz.append(p)
+    nz = [p for p in polys if not p.is_zero()]
     if not nz:
         raise PreconditionError("all generators are zero")
-    if any(p.degree == 0 for p in nz):
-        return ZeroLocus(True, None, [], [])
     g = gcd_many(nz)
-    if g.degree >= 1:
-        residual = [exact_div(p, g) for p in nz]
-        if any(p.degree == 0 for p in residual):
-            pts, unres = [], []
-        else:
-            pts, unres = _solve(residual)
-        return ZeroLocus(False, g, pts, unres)
-    pts, unres = _solve(nz)
-    return ZeroLocus(True, None, pts, unres)
+    curve = g.degree >= 1
+    if curve:
+        nz = [exact_div(p, g) for p in nz]
+    return ZeroLocus(not curve, g if curve else None, *_solve(nz))

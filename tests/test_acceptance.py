@@ -120,18 +120,22 @@ def test_07_dual_point_bounds_for_six_and_eight_lines(six_line_bundle):
     lb3 = six_line_bundle
     assert lb3.n == (lb3.d - 1) ** 2 == 4
     assert lb3.dims == (3, 4, 3)
+    minors3 = lb3.monad.signed_minors()
     for r in arrangement_jump_check(lb3):
-        assert r.passed and r.in_support
+        assert r.passed and all(m.evaluate(r.form).is_zero() for m in minors3)
         assert r.bound == r.expected_bound == 1
+        assert r.rank == lb3.n - lb3.d + 1
 
     lb4 = build_logbundle(QQ, EIGHT_LINES)
     assert lb4.d == 4 and lb4.n == (lb4.d - 1) ** 2 == 9
     assert lb4.dims == (8, 9, 8)
     reports = arrangement_jump_check(lb4)
     assert len(reports) == 2 * lb4.d
+    minors4 = lb4.monad.signed_minors()
     for r in reports:
-        assert r.passed and r.in_support
+        assert r.passed and all(m.evaluate(r.form).is_zero() for m in minors4)
         assert r.bound == r.expected_bound == (lb4.d - 1) * (lb4.d - 2) // 2 == 3
+        assert r.rank == lb4.n - lb4.d + 1
     for f in lb4.forms:
         assert orthogonality_report(lb4.monad, f).contained
     assert validate_monad(lb4.monad).valid

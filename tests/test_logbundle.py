@@ -81,14 +81,16 @@ def test_curve_degree_and_route_identity(six_line_bundle):
 
 
 def test_arrangement_jump_reports(six_line_bundle):
-    reports = arrangement_jump_check(six_line_bundle)
+    lb = six_line_bundle
+    reports = arrangement_jump_check(lb)
     assert len(reports) == 6
+    minors = lb.monad.signed_minors()
     for r in reports:
         assert r.passed
-        assert r.in_support and r.corank == 2
+        assert all(m.evaluate(r.form).is_zero() for m in minors)
+        assert r.corank == 2
         assert r.bound == r.expected_bound == 1
-        assert r.rank == r.rank_formula_plus == 2
-        assert r.rank_formula_minus == 0
+        assert r.rank == lb.n - lb.d + 1 == 2
 
 
 def test_support_is_exactly_the_dual_points(six_line_bundle):

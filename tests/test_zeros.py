@@ -108,6 +108,15 @@ def test_line_intersection_order():
     assert cls.tangent_orders == [3]
 
 
+def test_repeated_cone_line_is_not_a_node(no_sympy_factoring):
+    x, y, z = vars3()
+    # cone x^2 with no degree drop: one tangent, a factor of multiplicity two
+    for curve, order in ((x * x * z - y ** 3, 3), (x * x * z * z - y ** 4, 4)):
+        ls = local_singularity(curve, (0, 0, 1))
+        assert ls.multiplicity == 2 and not ls.is_node
+        assert ls.tangent_orders == [order]
+
+
 def test_cubic_with_node_branch_orders(no_sympy_factoring):
     x, y, z = vars3()
     # nodal cubic: branches meet their tangents with order three
