@@ -85,10 +85,7 @@ def parse_matrix(field: Field, rows) -> Matrix:
 
 
 def parse_symmetric(field: Field, rows) -> SymForm:
-    mat = parse_matrix(field, rows)
-    if mat.rows != mat.cols:
-        raise PreconditionError("form matrix must be square")
-    return SymForm(mat)
+    return SymForm(parse_matrix(field, rows))
 
 
 def ser_vec(vec):

@@ -77,23 +77,6 @@ class DetRep:
             raise PreconditionError("point is one of the six base points")
         return vec_canonical(img)
 
-    def _grid_kernel_point(self, x, kernel) -> Point:
-        x = tuple(self.field.coerce(c) for c in x)
-        if not self.surface.evaluate(x).is_zero():
-            raise PreconditionError("point is not on the surface")
-        kern = kernel(self.target_grid.evaluate(x))
-        if len(kern) != 1:
-            raise PreconditionError("projection undefined: kernel is not a single point")
-        return vec_canonical(kern[0])
-
-    def first_projection(self, x) -> Point:
-        """Plane point under the surface point x: right kernel of the 3 x 3 grid."""
-        return self._grid_kernel_point(x, Matrix.kernel_basis)
-
-    def second_projection(self, x) -> Point:
-        """Relation-space point under x: left kernel of the 3 x 3 grid."""
-        return self._grid_kernel_point(x, Matrix.left_kernel_basis)
-
     def a_line(self, k: int) -> ProjSubspace:
         """Line over input point k: left kernel of the pencil there."""
         line = self.monad.at(self.points[k]).left
@@ -177,13 +160,7 @@ def kernel_form(field: Field, tensor) -> SymForm:
                 return (g[i][a][b] * g[ip][ap][bp] - g[ip][a][b] * g[i][ap][bp]
                         - g[i][ap][b] * g[ip][a][bp] + g[ip][ap][b] * g[i][a][bp])
             rows.append(sym_row(4, wedge))
-    kern = Matrix(field, rows).kernel_basis()
-    if len(kern) != 1:
-        raise ClaimError(f"kernel route: expected a unique form, kernel dim {len(kern)}")
-    form = SymForm.from_pairs(field, 4, kern[0])
-    if not form.is_nondegenerate():
-        raise ClaimError("kernel route produced a degenerate form")
-    return form.canonical()
+    return SymForm.unique(field, 4, rows, "kernel route")
 
 
 def build_detrep(field: Field, points) -> DetRep:

@@ -60,10 +60,6 @@ def vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def vec_scale(c: Scalar, a):
     return tuple(c * x for x in a)
 
@@ -372,11 +368,6 @@ class Matrix:
         self.data = data
 
     @classmethod
-    def zero(cls, field: Field, rows: int, cols: int) -> Matrix:
-        z = field.zero
-        return cls(field, [[z] * cols for _ in range(rows)])
-
-    @classmethod
     def identity(cls, field: Field, n: int) -> Matrix:
         z, o = field.zero, field.one
         return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
@@ -406,10 +397,6 @@ class Matrix:
         assert (self.rows, self.cols) == (other.rows, other.cols)
         return Matrix(self.field, [vec_add(r, s) for r, s in zip(self.data, other.data)])
 
-    def __sub__(self, other: Matrix) -> Matrix:
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        return Matrix(self.field, [vec_sub(r, s) for r, s in zip(self.data, other.data)])
-
     def scale(self, c) -> Matrix:
         c = self.field.coerce(c)
         return Matrix(self.field, [vec_scale(c, r) for r in self.data])
@@ -435,15 +422,9 @@ class Matrix:
         assert len(v) == self.rows
         return tuple(vec_dot(v, self.col(j)) for j in range(self.cols))
 
-    def is_zero(self) -> bool:
-        return all(vec_is_zero(r) for r in self.data)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.field == other.field
                 and self.data == other.data)
-
-    def __hash__(self):
-        return hash((self.field, self.data))
 
     def rref(self) -> tuple[Matrix, tuple[int, ...]]:
         """Reduced row echelon form and pivot columns, certified as in the
@@ -501,15 +482,13 @@ class Matrix:
         return from_integral(self.field, integral_det(rows, self.field.s), scale)
 
     def inverse(self) -> Matrix:
+        """The solution of self * X = I from one elimination of [self | I]."""
         if self.rows != self.cols:
             raise PreconditionError("inverse of a non-square matrix")
-        n = self.rows
-        eye = Matrix.identity(self.field, n).data
-        aug = Matrix(self.field, [self.data[i] + eye[i] for i in range(n)])
-        R, pivots = aug.rref()
-        if pivots[:n] != tuple(range(n)):
+        inv = self.solve_columns(Matrix.identity(self.field, self.rows))
+        if inv is None:
             raise PreconditionError("matrix is singular")
-        return Matrix(self.field, [row[n:] for row in R.data])
+        return inv
 
     def solve(self, b):
         """One solution of self * x = b, or None if inconsistent."""
@@ -528,9 +507,6 @@ class Matrix:
         for i, pc in enumerate(pivots):
             x[pc] = R.data[i][self.cols:]
         return Matrix(self.field, x)
-
-    def submatrix(self, row_idx, col_idx) -> Matrix:
-        return Matrix(self.field, [[self.data[i][j] for j in col_idx] for i in row_idx])
 
     def serialize(self):
         return [[x.serialize() for x in row] for row in self.data]
@@ -578,6 +554,20 @@ class SymForm:
             rows[u][v] = rows[v][u] = val
         return cls.from_rows(field, rows)
 
+    @classmethod
+    def unique(cls, field: Field, n: int, rows, what: str) -> SymForm:
+        """The one form, up to scale, on which every functional in rows (each
+        a sym_row over sym_pairs(n)) vanishes, scaled by canonical().
+        ClaimError, naming what, unless the kernel of rows is
+        one-dimensional and the form it spans is nondegenerate."""
+        kern = Matrix(field, rows).kernel_basis()
+        if len(kern) != 1:
+            raise ClaimError(f"{what}: kernel has dimension {len(kern)}, expected 1")
+        form = cls.from_pairs(field, n, kern[0])
+        if not form.is_nondegenerate():
+            raise ClaimError(f"{what}: the form is degenerate")
+        return form.canonical()
+
     @property
     def field(self) -> Field:
         return self.matrix.field
@@ -606,9 +596,6 @@ class SymForm:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymForm) and self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
 
     def proportional(self, other: SymForm) -> bool:
         return self.canonical() == other.canonical()

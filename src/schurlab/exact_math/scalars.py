@@ -5,8 +5,8 @@ integer, not 0 or 1).  Every Scalar stores three integers a, b, d meaning
 (a + b*sqrt(s)) / d, normalised to d > 0 and gcd(a, b, d) = 1; in the rational
 field b is identically 0.  The form is canonical, so equality compares
 integers, and each operation ends in one gcd (none when d = 1).  Fractions
-appear only at the edges: parsing, norm, sqrt and the read-only views
-u = a/d and v = b/d.  Scalars from different fields never mix.
+appear only at the edges: parsing, sqrt and the read-only views u = a/d and
+v = b/d.  Scalars from different fields never mix.
 Serialization: "p/q" for rationals, "[p/q, r/t]" for u + v*sqrt(s).
 """
 from __future__ import annotations
@@ -299,11 +299,6 @@ class Scalar:
 
     def conjugate(self) -> Scalar:
         return Scalar(self.a, -self.b, self.d, self.field)
-
-    def norm(self) -> Fraction:
-        """u^2 - s*v^2 (rational)."""
-        s = self.field.s or 0
-        return Fraction(self.a * self.a - s * self.b * self.b, self.d * self.d)
 
     def inverse(self) -> Scalar:
         return Scalar(1, 0, 1, self.field)._divide(self)

@@ -8,7 +8,7 @@ such as two lines of P^3, meet when one determinant vanishes.
 from __future__ import annotations
 
 from ..errors import PreconditionError
-from .matrices import Matrix, SymForm, vec_is_zero
+from .matrices import Matrix, SymForm
 from .scalars import Field
 
 
@@ -37,17 +37,10 @@ class ProjSubspace:
             raise PreconditionError("zero vector does not define a projective point")
         return cls(field, len(coords) - 1, [coords])
 
-    @classmethod
-    def empty(cls, field: Field, ambient: int) -> ProjSubspace:
-        return cls(field, ambient, [])
-
     @property
     def dim(self) -> int:
         """Projective dimension; -1 for the empty subspace."""
         return len(self.basis) - 1
-
-    def is_empty(self) -> bool:
-        return not self.basis
 
     def _require_same_space(self, other: ProjSubspace):
         if self.field != other.field or self.ambient != other.ambient:
@@ -79,10 +72,6 @@ class ProjSubspace:
         eqs = self.annihilator_basis() + other.annihilator_basis()
         return ProjSubspace.from_equations(self.field, self.ambient, eqs)
 
-    def _stacked_rank(self, vectors) -> int:
-        """Rank of this (echelon, hence independent) basis stacked on vectors."""
-        return Matrix(self.field, self.basis + tuple(vectors)).rank()
-
     def incident(self, other: ProjSubspace) -> bool:
         """Complementary subspaces (basis sizes summing to ambient + 1) meet
         exactly when the square stack of their bases is singular; others end
@@ -91,15 +80,11 @@ class ProjSubspace:
         self._require_same_space(other)
         return Matrix(self.field, self.basis + other.basis).det().is_zero()
 
-    def contains_vector(self, v) -> bool:
-        v = tuple(self.field.coerce(x) for x in v)
-        if vec_is_zero(v):
-            return True
-        return self._stacked_rank([v]) == len(self.basis)
-
     def contains(self, other: ProjSubspace) -> bool:
+        """This (echelon, hence independent) basis stacked on other's keeps
+        its rank."""
         self._require_same_space(other)
-        return self._stacked_rank(other.basis) == len(self.basis)
+        return Matrix(self.field, self.basis + other.basis).rank() == len(self.basis)
 
     def polar(self, form: SymForm) -> ProjSubspace:
         """Span of {B(xi) : xi annihilates the cone}.  For nondegenerate B
@@ -112,9 +97,6 @@ class ProjSubspace:
     def __eq__(self, other) -> bool:
         return (isinstance(other, ProjSubspace) and self.field == other.field
                 and self.ambient == other.ambient and self.basis == other.basis)
-
-    def __hash__(self):
-        return hash((self.field, self.ambient, self.basis))
 
     def serialize(self):
         return [[x.serialize() for x in v] for v in self.basis]

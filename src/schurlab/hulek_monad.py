@@ -54,11 +54,6 @@ class PencilPoint:
             self.az.field, self.az.cols,
             [m.apply(h) for h in self.right for m in self.maps])
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PencilPoint) and all(
-            getattr(self, k) == getattr(other, k)
-            for k in ("rank", "left", "right", "contracted"))
-
 
 def pencil_at(maps, z) -> PencilPoint:
     """Kernel data of a(z) for three n x (n-1) matrices A_k."""

@@ -162,12 +162,7 @@ def recover_cup_form(field: Field, a_maps, b_maps) -> tuple[SymForm, Matrix]:
                         if not c.is_zero():
                             w[u][r] = w[u][r] + a * c
             rows.append(sym_row(n, lambda u, r: w[u][r]))
-    kern = Matrix(field, rows).kernel_basis()
-    if len(kern) != 1:
-        raise ClaimError(f"cup-form system kernel has dimension {len(kern)}, expected 1")
-    form = SymForm.from_pairs(field, n, kern[0]).canonical()
-    if not form.is_nondegenerate():
-        raise ClaimError("cup form is degenerate")
+    form = SymForm.unique(field, n, rows, "cup-form system")
     images = [A.transpose() * form.matrix for A in a_maps]
     acat = Matrix(field, [sum((m.row(i) for m in images), ()) for i in range(n - 1)])
     p_t = bcat.transpose().solve_columns(acat.transpose())

@@ -283,10 +283,6 @@ class HomPoly:
             return False
         return self.canonical().coeffs == other.canonical().coeffs
 
-    def min_exponent(self, i: int) -> int:
-        assert not self.is_zero()
-        return min(e[i] for e in self.coeffs)
-
     def coefficient_vector(self, order=None):
         """Coefficients against the descending-lex monomial basis."""
         if order is None:
@@ -456,9 +452,6 @@ class LinFormsMatrix:
     def evaluate(self, point) -> Matrix:
         return Matrix(self.field, [[p.evaluate(point) for p in row] for row in self.entries])
 
-    def transpose(self) -> LinFormsMatrix:
-        return LinFormsMatrix(self.field, list(zip(*self.entries)))
-
     def submatrix(self, row_idx, col_idx) -> LinFormsMatrix:
         return LinFormsMatrix(self.field, [[self.entries[i][j] for j in col_idx] for i in row_idx])
 
@@ -483,9 +476,6 @@ class LinFormsMatrix:
             m = self.submatrix(rows, range(self.cols)).det()
             out.append(m if r % 2 == 0 else -m)
         return out
-
-    def serialize(self):
-        return [[p.serialize() for p in row] for row in self.entries]
 
     def __repr__(self):
         return f"LinFormsMatrix({self.rows}x{self.cols}, {self.nvars} vars)"

@@ -249,15 +249,18 @@ def _solve(gens: list[HomPoly]) -> tuple[list[Point], list[HomPoly]]:
 class ZeroLocus:
     """Zero locus report for a system of ternary forms.
 
-    zero_dimensional is False when the generators share a positive-degree
-    factor; that factor is returned canonically and the points come from the
-    residual system.  Points missed only because an irreducible factor does
-    not split over the field are covered by the unresolved forms.
+    common_factor is the positive-degree factor the generators share, or
+    None; the points come from the system with it divided out.  Points
+    missed only because an irreducible factor does not split over the field
+    are covered by the unresolved forms.
     """
-    zero_dimensional: bool
     common_factor: HomPoly | None
     points: list[Point]
     unresolved_forms: list[HomPoly]
+
+    @property
+    def zero_dimensional(self) -> bool:
+        return self.common_factor is None
 
     @property
     def fully_resolved(self) -> bool:
@@ -280,7 +283,6 @@ def resolved_common_zeros(polys: list[HomPoly]) -> ZeroLocus:
     if not nz:
         raise PreconditionError("all generators are zero")
     g = gcd_many(nz)
-    curve = g.degree >= 1
-    if curve:
-        nz = [exact_div(p, g) for p in nz]
-    return ZeroLocus(not curve, g if curve else None, *_solve(nz))
+    if g.degree < 1:
+        return ZeroLocus(None, *_solve(nz))
+    return ZeroLocus(g, *_solve([exact_div(p, g) for p in nz]))

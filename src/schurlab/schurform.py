@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .detrep import DetRep
 from .errors import ClaimError
-from .exact_math import Matrix, SymForm, sym_row, vec_dot
+from .exact_math import SymForm, sym_row, vec_dot
 from .hulek_monad import MonadData
 from .polyring import gram
 
@@ -33,13 +33,7 @@ def orthogonal_form_for_pairs(field, pairs) -> SymForm:
         for u in left.basis:
             for v in right.basis:
                 rows.append(sym_row(4, lambda b, bp: u[b] * v[bp]))
-    kern = Matrix(field, rows).kernel_basis()
-    if len(kern) != 1:
-        raise ClaimError(f"orthogonality route: kernel dim {len(kern)}, expected 1")
-    form = SymForm.from_pairs(field, 4, kern[0])
-    if not form.is_nondegenerate():
-        raise ClaimError("orthogonality route produced a degenerate form")
-    return form.canonical()
+    return SymForm.unique(field, 4, rows, "orthogonality route")
 
 
 def schur_orthogonal_form(rep: DetRep) -> SymForm:

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from schurlab.errors import PreconditionError
+from schurlab.errors import ClaimError, PreconditionError
 from schurlab.exact_math import (Field, Matrix, ProjSubspace, QQ, SymForm,
-                                 vec_canonical)
+                                 sym_row, vec_canonical)
 from schurlab.polyring import LinFormsMatrix
 
 
@@ -27,7 +27,6 @@ def test_quadratic_arithmetic():
     assert phi * phi == phi + f.one
     assert phi.conjugate() + phi == f.one
     assert (phi * phi.conjugate()).serialize() == "[-1/1, 0/1]"
-    assert phi.norm() == Fraction(-1)
     assert (phi * phi.inverse()) == f.one
 
 
@@ -125,6 +124,28 @@ def test_symform_apply_and_inverse():
     assert b.canonical().canonical().serialize() == b.canonical().serialize()
 
 
+def test_unique_form_needs_a_one_dimensional_kernel():
+    # rows are functionals on the symmetric 2 x 2 unknown (X00, X01, X11)
+    with pytest.raises(ClaimError, match="toy: kernel has dimension 0"):
+        SymForm.unique(QQ, 2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "toy")
+    with pytest.raises(ClaimError, match="toy: kernel has dimension 2"):
+        SymForm.unique(QQ, 2, [[0, 1, 0]], "toy")
+
+
+def test_unique_form_must_be_nondegenerate():
+    # X01 = X11 = 0 leaves only the degenerate form diag(1, 0)
+    with pytest.raises(ClaimError, match="toy: the form is degenerate"):
+        SymForm.unique(QQ, 2, [[0, 1, 0], [0, 0, 1]], "toy")
+
+
+def test_unique_form_is_returned_canonical():
+    # B(e0, e1) = 0 and X00 = 2 X11 fix diag(2, 1) up to scale
+    orthogonal = sym_row(2, lambda u, v: QQ.one if (u, v) == (0, 1) else QQ.zero)
+    form = SymForm.unique(QQ, 2, [orthogonal, [1, 0, -2]], "toy")
+    assert form == SymForm.from_rows(QQ, [[1, 0], [0, Fraction(1, 2)]])
+    assert form.matrix[0, 0] == QQ.one
+
+
 def test_subspace_join_meet_dimensions():
     p = ProjSubspace.from_point(QQ, (1, 0, 0, 0))
     q = ProjSubspace.from_point(QQ, (0, 1, 0, 0))
@@ -139,7 +160,7 @@ def test_subspace_join_meet_dimensions():
     assert line.contains(p)
     with pytest.raises(PreconditionError):
         line.incident(p)
-    assert not line.contains_vector((0, 0, 1, 0))
+    assert not line.contains(ProjSubspace.from_point(QQ, (0, 0, 1, 0)))
 
 
 def test_subspace_annihilator():
@@ -165,11 +186,11 @@ def test_polar_with_identity_form():
 
 
 def test_empty_subspace():
-    e = ProjSubspace.empty(QQ, 3)
-    assert e.is_empty() and e.dim == -1
+    e = ProjSubspace(QQ, 3, [])
+    assert e.dim == -1
     p = ProjSubspace.from_point(QQ, (1, 1, 0, 0))
     assert e.join(p) == p
-    assert p.meet(ProjSubspace.from_point(QQ, (0, 0, 1, 1))).is_empty()
+    assert p.meet(ProjSubspace.from_point(QQ, (0, 0, 1, 1))).dim == -1
 
 
 def test_vec_canonical_scaling():

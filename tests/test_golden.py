@@ -128,7 +128,6 @@ ASSERT_ALLOWLIST = Counter([
     ("detrep.py", "i != j"),
     ("exact_math/matrices.py", "len(a) == len(b)"),
     ("exact_math/matrices.py", "(self.rows, self.cols) == (other.rows, other.cols)"),
-    ("exact_math/matrices.py", "(self.rows, self.cols) == (other.rows, other.cols)"),
     ("exact_math/matrices.py", "len(v) == self.cols"),
     ("exact_math/matrices.py", "len(v) == self.rows"),
     ("exact_math/matrices.py", "len(b) == self.rows"),
@@ -137,7 +136,6 @@ ASSERT_ALLOWLIST = Counter([
     ("polyring/homopoly.py", "n >= 0"),
     ("polyring/homopoly.py", "len(point) == self.nvars"),
     ("polyring/homopoly.py", "len(targets) == self.nvars"),
-    ("polyring/homopoly.py", "not self.is_zero()"),
     ("polyring/homopoly.py", "len(vec) == len(order)"),
     ("polyring/homopoly.py", "len(values) == self.nvars and values[free] is None"),
     ("polyring/homopoly.py",

@@ -77,7 +77,10 @@ def test_triangle_rank_profile(triangle):
 
 def test_pencil_built_once_per_projective_point(triangle):
     assert triangle.at((0, 0, 2)) is triangle.at((0, 0, 1))
-    assert triangle.at((0, 0, 1)) == pencil_at(triangle.maps, (0, 0, 1))
+    cached, fresh = triangle.at((0, 0, 1)), pencil_at(triangle.maps, (0, 0, 1))
+    assert cached is not fresh
+    assert (cached.rank, cached.right) == (fresh.rank, fresh.right)
+    assert (cached.left, cached.contracted) == (fresh.left, fresh.contracted)
 
 
 def test_triangle_jumping_points(triangle):
@@ -93,8 +96,8 @@ def test_triangle_left_kernel_spaces(triangle):
     pencil = triangle.at((0, 0, 1))
     left = pencil.left
     assert left.dim == 1 and left.ambient == 2
-    assert left.contains_vector((1, 0, 0))
-    assert left.contains_vector((0, 1, 0))
+    assert left.contains(ProjSubspace.from_point(QQ, (1, 0, 0)))
+    assert left.contains(ProjSubspace.from_point(QQ, (0, 1, 0)))
     right = ProjSubspace(QQ, 1, pencil.right)
     assert right.ambient == 1
     assert right == ProjSubspace.from_point(QQ, (1, 1))

@@ -137,7 +137,7 @@ def test_cup_form_matches_joint_system_reference(six_line_bundle, eight_line_bun
 
 def test_cup_form_rejects_zeroed_b_maps(six_line_bundle):
     lb = six_line_bundle
-    zeroed = [Matrix.zero(QQ, b.rows, b.cols) for b in lb.b_maps]
+    zeroed = [Matrix(QQ, [[0] * b.cols] * b.rows) for b in lb.b_maps]
     with pytest.raises(ClaimError, match="rank 0, expected 3"):
         recover_cup_form(QQ, lb.a_maps, zeroed)
     with pytest.raises(ClaimError, match="kernel has dimension 0"):

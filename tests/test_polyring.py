@@ -355,7 +355,7 @@ def test_norm_factoring_matches_sympy_extension_factoring(s):
 def test_lin_forms_matrix_evaluate():
     c0 = Matrix.from_rows(QQ, [[1, 0], [0, 1]])
     c1 = Matrix.from_rows(QQ, [[0, 1], [1, 0]])
-    c2 = Matrix.zero(QQ, 2, 2)
+    c2 = Matrix(QQ, [[0, 0], [0, 0]])
     lfm = LinFormsMatrix.from_coefficient_matrices([c0, c1, c2])
     at = lfm.evaluate((2, 3, 5))
     assert at.serialize() == Matrix.from_rows(QQ, [[2, 3], [3, 2]]).serialize()

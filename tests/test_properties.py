@@ -399,7 +399,7 @@ def raises_zero_division(call) -> bool:
 def scalar_arithmetic_suite(cases=4 * CASES, seed=1111):
     """Scalar's integer form against FractionPair over Q, Q(sqrt 5),
     Q(sqrt -1) and Q(sqrt -3), with parts up to 10^12, zero and negatives:
-    + - * /, inverse, ** (negative exponents too), conjugate, norm, sqrt,
+    + - * /, inverse, ** (negative exponents too), conjugate, sqrt,
     == and hash against Scalars, ints and Fractions, serialize/parse, and
     the canonical form of every result."""
     rng = random.Random(seed)
@@ -439,7 +439,6 @@ def scalar_arithmetic_suite(cases=4 * CASES, seed=1111):
         else:
             pairs.append((x ** n, rx ** n))
         ok = ok and all(canonical_match(z, r, field) for z, r in pairs)
-        ok = ok and x.norm() == rx.norm() and type(x.norm()) is Fraction
         roots = [(x, rx), (x * x, rx * rx)]
         if not field.is_rational:
             roots.append(((x * field.sqrt_gen()) ** 2, (rx * FractionPair(0, 1, field.s)) ** 2))
@@ -556,9 +555,9 @@ def incidence_suite(cases=CASES, seed=707):
     """On complementary pairs (two lines, a point and a plane, or the empty
     subspace and P^3, sharing vectors so that meeting pairs occur) incident
     agrees with the stacked rank and with the meet; a nonempty
-    non-complementary pair raises PreconditionError.  contains and
-    contains_vector agree with the meet and with the vector-by-vector
-    definition, empty subspaces included."""
+    non-complementary pair raises PreconditionError.  contains agrees with
+    the meet and with containing each basis point, empty subspaces
+    included."""
     rng = random.Random(seed)
     bad = []
     for case in range(cases):
@@ -567,7 +566,7 @@ def incidence_suite(cases=CASES, seed=707):
         left = rand_subspace_of_size(rng, field, size)
         shared = left.basis[:rng.randint(0, min(size, 4 - size))]
         right = rand_subspace_of_size(rng, field, 4 - size, shared)
-        meets = not left.meet(right).is_empty()
+        meets = left.meet(right).dim >= 0
         ok = left.incident(right) == right.incident(left) == meets
         ok = ok and reference_incident(left, right) == meets
 
@@ -581,12 +580,10 @@ def incidence_suite(cases=CASES, seed=707):
                 ok = False
             except PreconditionError:
                 pass
+        points = [ProjSubspace(field, 3, [v]) for v in second.basis]
         ok = ok and first.contains(second) == (meet == second)
-        ok = ok and first.contains(second) == all(
-            first.contains_vector(v) for v in second.basis)
-        for v in second.basis:
-            point = ProjSubspace(field, 3, [v])
-            ok = ok and first.contains_vector(v) == (first.meet(point) == point)
+        ok = ok and first.contains(second) == all(first.contains(p) for p in points)
+        ok = ok and all(first.contains(p) == (first.meet(p) == p) for p in points)
         if not ok:
             bad.append(case)
     return bad
@@ -600,7 +597,7 @@ def reference_contact_order(curve, point, direction) -> int:
                                    for pair in zip(point, direction)])
     if restricted.is_zero():
         return curve.degree + 1
-    return restricted.min_exponent(1)
+    return min(e[1] for e in restricted.coeffs)
 
 
 def rand_binary(rng, field, degree):
