@@ -27,9 +27,10 @@ reconstruction adds a prime; past a fixed number of bits beyond the
 Hadamard bound the core raises ClaimError rather than return anything
 unverified.
 
-Determinants use Bareiss's fraction-free elimination over the same
-row-cleared integral entries, each division checked to be exact.  Products
-clear each row of the left factor and each column of the right factor and
+Determinants use Bareiss's fraction-free elimination (fraction_free) over
+the same row-cleared integral entries, each division checked to be exact;
+the same routine gives polyring all signed maximal minors of a grid at
+once.  Products clear each row of the left factor and each column of the right factor and
 take integral dot products; the one division per entry happens when
 from_integral makes it a Scalar.  IntegralRing is the one owner of the
 arithmetic of Z and Z[sqrt(s)], for these kernels and for those of
@@ -159,31 +160,46 @@ def integral_ring(s: int | None) -> IntegralRing:
     return IntegralRing((0, 0), (1, 0), embed, add, sub, mul, dot, combine)
 
 
-def integral_det(rows, s: int | None):
-    """Determinant of a square matrix over Z (s None) or over Z[sqrt(s)]
-    (entries (a, b) = a + b*sqrt(s)) by Bareiss's fraction-free
-    elimination: every entry stays a minor, so every division is exact."""
-    n = len(rows)
+def fraction_free(work, s: int | None, pivots: int):
+    """Bareiss's fraction-free elimination, in place, of the first `pivots`
+    columns of the rows `work` over Z (s None) or over Z[sqrt(s)] (entries
+    (a, b) = a + b*sqrt(s)), swapping rows to find each pivot.  After it,
+    each entry of a row i >= pivots at a column j >= pivots is the minor on
+    the first pivots rows and row i and the first pivots columns and column
+    j of the row-permuted input, so every division is exact.  Returns the
+    sign (1 or -1) of the row permutation, or 0 when a column has no pivot:
+    then those columns are dependent and every such minor vanishes."""
     ring = integral_ring(s)
     zero, mul, sub = ring.zero, ring.mul, ring.sub
-    work = [list(r) for r in rows]
-    negate = False
+    sign = 1
     prev = ring.one
-    for k in range(n):
-        sel = next((r for r in range(k, n) if work[r][k] != zero), None)
+    for k in range(pivots):
+        sel = next((r for r in range(k, len(work)) if work[r][k] != zero), None)
         if sel is None:
-            return zero
+            return 0
         if sel != k:
             work[k], work[sel] = work[sel], work[k]
-            negate = not negate
+            sign = -sign
         piv = work[k]
         for row in work[k + 1:]:
             c = row[k]
             row[k + 1:] = [_exact_quotient(sub(mul(piv[k], x), mul(c, y)), prev, s)
                            for x, y in zip(row[k + 1:], piv[k + 1:])]
         prev = piv[k]
-    det = work[n - 1][n - 1] if n else ring.one
-    return sub(zero, det) if negate else det
+    return sign
+
+
+def integral_det(rows, s: int | None):
+    """Determinant of a square matrix over Z (s None) or over Z[sqrt(s)]:
+    the corner entry after fraction_free on all but the last column."""
+    n = len(rows)
+    ring = integral_ring(s)
+    if not n:
+        return ring.one
+    work = [list(r) for r in rows]
+    sign = fraction_free(work, s, n - 1)
+    det = work[n - 1][n - 1] if sign else ring.zero
+    return ring.sub(ring.zero, det) if sign < 0 else det
 
 
 def _rref_mod(work, p: int):

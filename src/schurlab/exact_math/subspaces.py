@@ -3,17 +3,21 @@
 A ProjSubspace of P^N keeps a reduced-echelon basis of its affine cone in
 F^(N+1); equality of subspaces is literal equality of those canonical bases.
 The empty subspace has an empty basis.  Subspaces of complementary dimension,
-such as two lines of P^3, meet when one determinant vanishes.
+such as two lines of P^3, meet when one determinant vanishes; incident reads
+it by Laplace expansion from each subspace's Grassmann (Plucker)
+coordinates, computed once.
 """
 from __future__ import annotations
 
+from itertools import combinations
+
 from ..errors import PreconditionError
-from .matrices import Matrix, SymForm
+from .matrices import Matrix, SymForm, clear_denominators, integral_det, integral_ring
 from .scalars import Field
 
 
 class ProjSubspace:
-    __slots__ = ("field", "ambient", "basis")
+    __slots__ = ("field", "ambient", "basis", "_grassmann")
 
     def __init__(self, field: Field, ambient: int, vectors):
         """ambient: projective dimension N; vectors: spanning set in F^(N+1)."""
@@ -29,6 +33,7 @@ class ProjSubspace:
         self.field = field
         self.ambient = ambient
         self.basis = basis
+        self._grassmann = None
 
     @classmethod
     def from_point(cls, field: Field, coords) -> ProjSubspace:
@@ -72,13 +77,35 @@ class ProjSubspace:
         eqs = self.annihilator_basis() + other.annihilator_basis()
         return ProjSubspace.from_equations(self.field, self.ambient, eqs)
 
+    def _coordinates(self) -> dict:
+        """The k x k minors of the basis rows cleared to Z or Z[sqrt(s)], by
+        column subset: Grassmann coordinates up to one nonzero factor,
+        computed on first use and kept."""
+        if self._grassmann is None:
+            rows = [clear_denominators(self.field, v)[1] for v in self.basis]
+            self._grassmann = {
+                cols: integral_det([[r[j] for j in cols] for r in rows], self.field.s)
+                for cols in combinations(range(self.ambient + 1), len(rows))}
+        return self._grassmann
+
     def incident(self, other: ProjSubspace) -> bool:
         """Complementary subspaces (basis sizes summing to ambient + 1) meet
         exactly when the square stack of their bases is singular; others end
-        in PreconditionError.  For two lines of P^3, Laplace expansion along
-        the first two rows is the Plucker pairing."""
+        in PreconditionError.  Laplace expansion along this basis gives that
+        determinant, up to sign, as the sum over column subsets S of
+        (-1)^(sum S) g(S) g'(S^c) of the two Grassmann coordinates; for two
+        lines of P^3 it is the Plucker pairing."""
         self._require_same_space(other)
-        return Matrix(self.field, self.basis + other.basis).det().is_zero()
+        n = self.ambient + 1
+        if len(self.basis) + len(other.basis) != n:
+            raise PreconditionError("incidence needs subspaces of complementary dimension")
+        ring = integral_ring(self.field.s)
+        theirs = other._coordinates()
+        total = ring.zero
+        for cols, mine in self._coordinates().items():
+            term = ring.mul(mine, theirs[tuple(j for j in range(n) if j not in cols)])
+            total = ring.sub(total, term) if sum(cols) % 2 else ring.add(total, term)
+        return total == ring.zero
 
     def contains(self, other: ProjSubspace) -> bool:
         """This (echelon, hence independent) basis stacked on other's keeps

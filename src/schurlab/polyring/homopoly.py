@@ -17,19 +17,20 @@ denominator: den * pden^degree for a value or a restriction at a point
 cleared over pden, den * L^m for a form of degree m substituted with targets
 cleared over L.  Sums, products and scaling of forms stay on Scalars.
 lagrange_coeffs is the one interpolation kernel, in integers on consecutive
-nodes: poly_det calls it per lattice row, solve_pair for the eliminant.
+nodes: _lattice_forms calls it per lattice row, for poly_det and the signed
+maximal minors, and solve_pair for the eliminant.
 """
 from __future__ import annotations
 
 import operator
 from functools import lru_cache, reduce
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from ..errors import ClaimError, PreconditionError
 from ..exact_math import Field, Matrix, Scalar, SymForm, sym_pairs, sym_row
-from ..exact_math.matrices import (clear_denominators, from_integral, integral_det,
-                                   integral_ring)
+from ..exact_math.matrices import (clear_denominators, fraction_free, from_integral,
+                                   integral_det, integral_ring)
 
 
 @lru_cache(maxsize=None)
@@ -467,15 +468,43 @@ class LinFormsMatrix:
         return out
 
     def signed_maximal_minors(self) -> list[HomPoly]:
-        """v_r = (-1)^r det(delete row r) for an n x (n-1) grid; v left-annihilates."""
-        if self.cols != self.rows - 1:
+        """v_r = (-1)^r det(delete row r) for an n x (n-1) grid; v left-annihilates.
+        Up to n - 1 = 3 each minor goes by cofactors.  Larger grids take all
+        n minors from one elimination per node of poly_det's lattice: the
+        cleared rows A_c, with the row multipliers L_i on the diagonal of a
+        border, give [A_c | diag(L)], and fraction_free on its first n - 1
+        columns leaves det(P [A_c | L_j e_j]) = sgn(P) (-1)^(n-1+j) L m_j
+        in column n - 1 + j of the last row, with L the product of the L_i
+        and m_j the minor of row j.  So every minor lies over the one
+        denominator poly_det uses, and v_j is (-1)^(n-1) sgn(P) times that
+        entry.  A column without a pivot means rank below n - 1 there, and
+        every minor vanishes.  Each minor is interpolated and checked at
+        the check node on its own."""
+        n = self.rows
+        if self.cols != n - 1:
             raise PreconditionError("signed maximal minors need an n x (n-1) grid")
-        out = []
-        for r in range(self.rows):
-            rows = [i for i in range(self.rows) if i != r]
-            m = self.submatrix(rows, range(self.cols)).det()
-            out.append(m if r % 2 == 0 else -m)
-        return out
+        if n - 1 <= 3:
+            out = []
+            for r in range(n):
+                m = self.submatrix([i for i in range(n) if i != r], range(self.cols)).det()
+                out.append(m if r % 2 == 0 else -m)
+            return out
+        mults, tables = _cleared_rows(self.entries)
+        ring = integral_ring(self.field.s)
+        zero = ring.zero
+        border = [[ring.embed(m) if i == j else zero for j in range(n)]
+                  for i, m in enumerate(mults)]
+        parity = 1 if n % 2 else -1
+
+        def minors_at(rows, s):
+            work = [row + b for row, b in zip(rows, border)]
+            sign = fraction_free(work, s, n - 1) * parity
+            if not sign:
+                return [zero] * n
+            last = work[-1][n - 1:]
+            return last if sign > 0 else [ring.sub(zero, x) for x in last]
+
+        return _lattice_forms(self.field, tables, n - 1, minors_at, prod(mults))
 
     def __repr__(self):
         return f"LinFormsMatrix({self.rows}x{self.cols}, {self.nvars} vars)"
@@ -568,69 +597,86 @@ def _lattice_interpolant(values: dict, deg: int, offset: int) -> dict:
     return out
 
 
-def poly_det(grid) -> HomPoly:
-    """Determinant of a square grid of homogeneous polynomials in 3 variables
-    (all entries one ring, the nonzero entries of each row of one degree,
-    else PreconditionError).  Small sizes go by cofactors; larger ones by
-    evaluate-and-interpolate, which is exact because the result is
-    homogeneous of known degree deg: dehomogenize at x2 = 1, evaluate at the
-    C(deg + 2, 2) nodes (a - o, b - o), a + b <= deg, o = deg // 3, of the
-    principal lattice, which are unisolvent for degree deg (Chung-Yao), and
-    interpolate in integers by Newton forward differences
-    (_lattice_interpolant).  Each row's coefficients are cleared to integers
-    once, so every node value is an integral Bareiss determinant over the
-    product of the row multipliers, and only the final coefficients become
-    Scalars.  The interpolant must also match one more determinant, taken at
-    the check node (-1 - o, -1 - o) off the lattice, or ClaimError: every
-    Lagrange polynomial of the lattice is a product of lines through nodes
-    and is nonzero there, so a wrong value at any one node shows."""
-    n = len(grid)
+def _cleared_rows(grid):
+    """(mults, tables) for a grid of ternary forms: each row's coefficients
+    cleared to integers once, over mults[i]; tables[i][j] holds the
+    exponents (e0, e1) and the integral coefficients of the entry (i, j)."""
     field = grid[0][0].field
-    nv = grid[0][0].nvars
-    row_degrees = [_row_degree(row) for row in grid]
-    if n <= 3:
-        return _poly_det_direct(grid)
-    if None in row_degrees:
-        return HomPoly.zero(field, nv, 0)
-    deg = sum(row_degrees)
-    if nv != 3:
+    if grid[0][0].nvars != 3:
         raise PreconditionError("interpolated determinant implemented for 3 variables")
-    offset = deg // 3
-    # tables[i][j]: the exponents (e0, e1) and the integral coefficients of
-    # the entry (i, j), cleared per row
-    scale = 1
-    tables = []
+    mults, tables = [], []
     for row in grid:
         mult, ints = clear_denominators(field, [c for p in row for c in p.coeffs.values()])
-        scale *= mult
+        mults.append(mult)
         cleared = iter(ints)
         tables.append([([e[:2] for e in p.coeffs], [next(cleared) for _ in p.coeffs])
                        for p in row])
+    return mults, tables
+
+
+def _lattice_forms(field: Field, tables, deg: int, node_values, scale: int) -> list[HomPoly]:
+    """The ternary forms of degree deg whose values at each node, x2 = 1,
+    are node_values(rows, s) / scale, with rows the integral matrix of the
+    cleared tables there: evaluate at the C(deg + 2, 2) nodes (a - o, b - o),
+    a + b <= deg, o = deg // 3, of the principal lattice, which are
+    unisolvent for degree deg (Chung-Yao), and interpolate in integers by
+    Newton forward differences (_lattice_interpolant).  Each interpolant
+    must also match its value at the check node (-1 - o, -1 - o) off the
+    lattice, or ClaimError: every Lagrange polynomial of the lattice is a
+    product of lines through nodes and is nonzero there, so a wrong value at
+    any one node shows.  Only the final coefficients become Scalars."""
+    offset = deg // 3
     powers = {k: [k ** e for e in range(deg + 1)] for k in range(-1 - offset, deg + 1 - offset)}
     s = field.s
     combine = integral_ring(s).combine
 
-    def det_at(x, y):
+    def values_at(x, y):
         pa, pb = powers[x], powers[y]
-        return integral_det([[combine(cs, [pa[i] * pb[j] for i, j in exps])
-                              for exps, cs in row] for row in tables], s)
+        return node_values([[combine(cs, [pa[i] * pb[j] for i, j in exps])
+                             for exps, cs in row] for row in tables], s)
 
     nodes = [(a, b) for b in range(deg + 1) for a in range(deg + 1 - b)]
-    dets = [det_at(a - offset, b - offset) for a, b in nodes]
-    check = det_at(-1 - offset, -1 - offset)
-    if s is None:
-        dets, check = [(x,) for x in dets], (check,)
+    per_node = [values_at(a - offset, b - offset) for a, b in nodes]
+    checks = values_at(-1 - offset, -1 - offset)
     square = factorial(deg) ** 2
     at = powers[-1 - offset]
-    parts = []
-    for part, want in zip(zip(*dets), check):
-        coeffs = _lattice_interpolant(dict(zip(nodes, part)), deg, offset)
-        if sum(c * at[i] * at[j] for (i, j), c in coeffs.items()) != want * square:
-            raise ClaimError("interpolated determinant misses its check node")
-        parts.append(coeffs)
-    out = {}
-    for i, j in parts[0]:
-        c = tuple(part[i, j] for part in parts)
-        out[i, j, deg - i - j] = from_integral(field, c[0] if s is None else c,
-                                               square * scale)
-    return HomPoly(field, 3, deg, out)
+    out = []
+    for values, check in zip(zip(*per_node), checks):
+        # over Z[sqrt(s)] the two components are interpolated apart
+        if s is None:
+            values, check = [values], [check]
+        else:
+            values = list(zip(*values))
+        parts = []
+        for part, want in zip(values, check):
+            coeffs = _lattice_interpolant(dict(zip(nodes, part)), deg, offset)
+            if sum(c * at[i] * at[j] for (i, j), c in coeffs.items()) != want * square:
+                raise ClaimError("interpolated determinant misses its check node")
+            parts.append(coeffs)
+        terms = {}
+        for i, j in parts[0]:
+            c = tuple(part[i, j] for part in parts)
+            terms[i, j, deg - i - j] = from_integral(field, c[0] if s is None else c,
+                                                     square * scale)
+        out.append(HomPoly(field, 3, deg, terms))
+    return out
+
+
+def poly_det(grid) -> HomPoly:
+    """Determinant of a square grid of homogeneous polynomials in 3 variables
+    (all entries one ring, the nonzero entries of each row of one degree,
+    else PreconditionError).  Small sizes go by cofactors; larger ones by
+    evaluate-and-interpolate on the lattice (_lattice_forms), which is exact
+    because the result is homogeneous of known degree: each row's
+    coefficients are cleared to integers once, so every node value is an
+    integral Bareiss determinant (integral_det) over the product of the row
+    multipliers, checked at the check node."""
+    n = len(grid)
+    row_degrees = [_row_degree(row) for row in grid]
+    if n <= 3:
+        return _poly_det_direct(grid)
+    if None in row_degrees:
+        return HomPoly.zero(grid[0][0].field, grid[0][0].nvars, 0)
+    mults, tables = _cleared_rows(grid)
+    return _lattice_forms(grid[0][0].field, tables, sum(row_degrees),
+                          lambda rows, s: [integral_det(rows, s)], prod(mults))[0]

@@ -10,7 +10,9 @@ integration", SYMSAC 1976; Cohen, "A Course in Computational Algebraic
 Number Theory", Alg. 3.6.4): only the rational norm goes to sympy, and its
 factors are lifted to the field by gcds computed here.  Scalars cross the
 bridge by ``to_domain``/``from_domain``, never as sympy expressions, and
-every answer that comes back is re-checked in exact arithmetic.
+every answer that comes back is re-checked in exact arithmetic.  Gcds and
+resultants come from one subresultant PRS over Z or Z[sqrt(s)]
+(``subresultant_prs``), every division in it checked exact.
 """
 from __future__ import annotations
 
@@ -21,6 +23,8 @@ import sympy
 
 from ..errors import ClaimError, PreconditionError
 from ..exact_math import Field, Scalar
+from ..exact_math.matrices import (_exact_quotient, clear_denominators, from_integral,
+                                   integral_ring)
 
 
 def trim(coeffs: list[Scalar]) -> list[Scalar]:
@@ -78,13 +82,101 @@ def univar_mul(a, b) -> list[Scalar]:
     return out
 
 
+def _power(ring, x, e: int):
+    out = ring.one
+    for _ in range(e):
+        out = ring.mul(out, x)
+    return out
+
+
+def _prem(ring, a, b) -> list:
+    """Pseudo-remainder of the integral a by b, whose leading coefficient is
+    nonzero: the remainder of lc(b)^(deg a - deg b + 1) * a, trimmed."""
+    zero, mul, sub = ring.zero, ring.mul, ring.sub
+    lead, r = b[-1], list(a)
+    spare = len(a) - len(b) + 1
+    while len(r) >= len(b):
+        c, shift = r[-1], len(r) - len(b)
+        r = [mul(lead, x) for x in r[:-1]]
+        for i, y in enumerate(b[:-1]):
+            r[shift + i] = sub(r[shift + i], mul(c, y))
+        while r and r[-1] == zero:
+            r.pop()
+        spare -= 1
+    scale = _power(ring, lead, spare)
+    return [mul(scale, x) for x in r]
+
+
+def subresultant_prs(a, b, s: int | None) -> tuple[list, object]:
+    """(last, res) for polynomials a and b over Z (s None) or Z[sqrt(s)]
+    (ascending lists of nonzero leading coefficient, as clear_denominators
+    gives them): last is the last nonzero member of their subresultant
+    polynomial remainder sequence, a nonzero constant times gcd(a, b) over
+    the field, and res is their resultant.  Each step divides the
+    pseudo-remainder by g h^delta, and by the subresultant theorem every
+    such division is exact (Collins, "Subresultants and reduced polynomial
+    remainder sequences", J. ACM 14, 1967; Cohen, "A Course in Computational
+    Algebraic Number Theory", Alg. 3.3.7); _exact_quotient raises
+    ClaimError if one is not."""
+    ring = integral_ring(s)
+    negate = False
+    if len(a) < len(b):
+        a, b, negate = b, a, (len(a) - 1) * (len(b) - 1) % 2 == 1
+    g = h = ring.one
+    while True:
+        delta = len(a) - len(b)
+        if (len(a) - 1) % 2 and (len(b) - 1) % 2:
+            negate = not negate
+        divisor = ring.mul(g, _power(ring, h, delta))
+        a, b = b, [_exact_quotient(x, divisor, s) for x in _prem(ring, a, b)]
+        g = a[-1]
+        if delta:
+            h = _exact_quotient(_power(ring, g, delta), _power(ring, h, delta - 1), s)
+        if len(b) <= 1:
+            break
+    if len(a) == 1:
+        res = h
+    elif not b:
+        res = ring.zero
+    else:
+        res = _exact_quotient(_power(ring, b[0], len(a) - 1), _power(ring, h, len(a) - 2), s)
+    return (b or a), (ring.sub(ring.zero, res) if negate else res)
+
+
+def integral_resultant(a, b, s: int | None):
+    """The Sylvester determinant of a and b over Z or Z[sqrt(s)], of formal
+    degrees m = len(a) - 1 and n = len(b) - 1.  Expanding it along its first
+    column, a zero a_m gives (-1)^n b_n Res_(m-1,n)(a, b) and a zero b_n
+    gives a_m Res_(m,n-1)(a, b); with both zero that column is zero.  Past
+    the zero leading coefficients it is subresultant_prs's resultant."""
+    ring = integral_ring(s)
+    zero = ring.zero
+    a, b, factor = list(a), list(b), ring.one
+    while a[-1] == zero or b[-1] == zero:
+        if len(a) + len(b) == 2:
+            return factor
+        if a[-1] == zero:
+            if b[-1] == zero or len(a) == 1:
+                return zero
+            factor = ring.mul(factor, b[-1] if len(b) % 2 else ring.sub(zero, b[-1]))
+            a.pop()
+        else:
+            if len(b) == 1:
+                return zero
+            factor = ring.mul(factor, a[-1])
+            b.pop()
+    return ring.mul(factor, subresultant_prs(a, b, s)[1])
+
+
 def univar_gcd(field: Field, a, b) -> list[Scalar]:
-    """Monic gcd by the Euclid remainder loop.  Each remainder is made monic,
-    which keeps the coefficients from growing along the sequence."""
-    a, b = trim(a), monic(b)
-    while b:
-        a, b = b, monic(univar_rem(a, b))
-    return monic(a)
+    """Monic gcd: the last nonzero member of the subresultant PRS of a and b
+    cleared to Z or Z[sqrt(s)], made monic in the field."""
+    a, b = trim(a), trim(b)
+    if not a or not b:
+        return monic(a or b)
+    last, _ = subresultant_prs(clear_denominators(field, a)[1],
+                               clear_denominators(field, b)[1], field.s)
+    return monic([from_integral(field, x, 1) for x in last])
 
 
 @lru_cache(maxsize=None)

@@ -5,11 +5,11 @@ means the locus has a curve part; sympy computes each gcd in its polynomial
 ring over the field's domain, and the candidate must divide exactly), then
 reduce the residual zero-dimensional system to coprime pairs.  A coprime pair
 is solved by shearing until both forms have constant leading coefficient in
-the last variable, eliminating it with a resultant (computed by evaluation
-and interpolation), factoring the resulting binary form, and taking gcds
-along the fibers.  Whatever the univariate factorizer cannot split over the
-field is reported back as a ternary form containing the missing points, never
-silently dropped.  Every point returned is re-verified against every
+the last variable, eliminating it with a resultant (taken at integer nodes
+by the subresultant PRS and interpolated), factoring the resulting binary
+form, and taking gcds along the fibers.  Whatever the univariate factorizer
+cannot split over the field is reported back as a ternary form containing
+the missing points, never silently dropped.  Every point returned is re-verified against every
 generator; a failed re-check or a broken invariant of the elimination raises
 ClaimError.
 """
@@ -23,10 +23,10 @@ from sympy.polys.rings import PolyRing
 
 from ..errors import ClaimError, PreconditionError
 from ..exact_math import Scalar, vec_canonical
-from ..exact_math.matrices import from_integral, integral_det, integral_ring
+from ..exact_math.matrices import from_integral
 from .homopoly import HomPoly, exact_div, lagrange_coeffs, try_exact_div
-from .univar import (degree, from_domain, roots_with_multiplicity, sympy_domain,
-                     to_domain, trim, univar_gcd)
+from .univar import (degree, from_domain, integral_resultant, roots_with_multiplicity,
+                     sympy_domain, to_domain, trim, univar_gcd)
 
 Point = tuple[Scalar, ...]
 
@@ -89,26 +89,15 @@ def _find_shear(f: HomPoly, g: HomPoly):
     raise ClaimError("no admissible shear found")
 
 
-def _sylvester(zero, a, b) -> list[list]:
-    """Sylvester matrix of two coefficient lists (ascending, exact degrees)."""
-    m, n = len(a) - 1, len(b) - 1
-    rows = []
-    for coeffs, count in ((a, n), (b, m)):
-        top = coeffs[::-1]
-        rows.extend([zero] * i + top + [zero] * (count - 1 - i) for i in range(count))
-    return rows
-
-
 def _eliminant_at(fs: HomPoly, gs: HomPoly, t) -> tuple:
     """Resultant in x2 of fs(t, 1, x2) and gs(t, 1, x2): the integral
-    Sylvester determinant of the cleared restrictions and its denominator,
-    the product of their multipliers."""
+    resultant of the cleared restrictions, by the subresultant PRS, and its
+    denominator, the product of their multipliers."""
     field = fs.field
     point = (field.coerce(t), field.one, None)
     a, ma = fs.integral_restriction(point, 2)
     b, mb = gs.integral_restriction(point, 2)
-    det = integral_det(_sylvester(integral_ring(field.s).zero, a, b), field.s)
-    return det, ma ** (len(b) - 1) * mb ** (len(a) - 1)
+    return integral_resultant(a, b, field.s), ma ** (len(b) - 1) * mb ** (len(a) - 1)
 
 
 @dataclass

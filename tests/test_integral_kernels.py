@@ -1,9 +1,10 @@
 """The integral kernels against the Scalar loops they replaced.
 
 HomPoly.evaluate, restrict_univar and substitute, the pair eliminant of
-solve_pair, its interpolation by lagrange_coeffs (integer forward
-differences on consecutive nodes, the kernel poly_det uses on each lattice
-row) and Matrix.__mul__ clear denominators once and work in Z or
+solve_pair (a subresultant PRS per node), its interpolation by
+lagrange_coeffs (integer forward differences on consecutive nodes, the
+kernel poly_det and the signed maximal minors use on each lattice row),
+univar_gcd and Matrix.__mul__ clear denominators once and work in Z or
 Z[sqrt(s)].  The reference_* functions below are the Scalar-by-Scalar
 implementations they replaced, kept here as the definition of the result;
 each kernel must give equal canonical Scalars over Q, Q(sqrt 5),
@@ -16,13 +17,13 @@ import pytest
 
 from schurlab.errors import ClaimError, PreconditionError
 from schurlab.exact_math import Field, Matrix, QQ, vec_dot
-from schurlab.exact_math.matrices import (clear_denominators, from_integral,
-                                          integral_det, integral_ring)
+from schurlab.exact_math.matrices import clear_denominators, from_integral, integral_ring
 from schurlab.hulek_monad import MonadData
 from schurlab.logbundle import _contraction_matrix, build_logbundle
-from schurlab.polyring import (HomPoly, factor_univar, monomials, multivariate_gcd,
-                               solve_pair)
-from schurlab.polyring import zeros
+from schurlab.polyring import (HomPoly, LinFormsMatrix, factor_univar, monic, monomials,
+                               multivariate_gcd, poly_det, solve_pair, trim, univar_gcd)
+from schurlab.polyring import homopoly, zeros
+from schurlab.polyring.univar import integral_resultant, univar_mul, univar_rem
 from schurlab.polyring.zeros import _apply_shear, _eliminant_at, _find_shear
 
 FIELDS = [QQ, Field(5), Field(-1), Field(-3)]
@@ -227,6 +228,45 @@ def test_matrix_product_matches_scalar_reference():
             assert got == reference_product(left, right), (k, rows, inner, cols)
 
 
+def univar_from_roots(field, roots, lead=1):
+    out = [field.coerce(lead)]
+    for r in roots:
+        out = univar_mul(out, [-field.coerce(r), field.one])
+    return out
+
+
+def special_pairs(field):
+    """Coefficient lists (ascending) that stress the remainder sequence:
+    unequal degrees both ways, constant and zero operands, vanishing leading
+    coefficients (formal degrees above the actual ones), shared factors
+    (resultant 0), and sequences whose degree drops by more than 1."""
+    sq = field.sqrt_gen() if field.s is not None else field.one
+    c = [field.coerce(x) for x in (3, 0, 1)]
+    yield [field.coerce(x) for x in (1, 2, 0, 5)], [field.coerce(x) for x in (7, 1)]
+    yield [field.coerce(x) for x in (4, 1)], [field.coerce(x) for x in (1, 0, 2, 0, 3)]
+    yield [field.coerce(x) for x in (2, 0, 0, 1)], [field.coerce(5)]
+    yield [field.coerce(5)], [field.coerce(x) for x in (2, 0, 0, 1)]
+    yield [field.coerce(3)], [field.coerce(-2)]
+    yield [field.zero], [field.coerce(x) for x in (1, 1)]
+    yield [field.zero, field.zero], [field.coerce(4)]
+    yield [field.coerce(x) for x in (1, 2, 0)], [field.coerce(x) for x in (3, 1, 1)]
+    yield [field.coerce(x) for x in (1, 2, 0)], [field.coerce(x) for x in (3, 1, 0)]
+    yield [field.coerce(x) for x in (1, 2, 3, 0, 0)], [field.coerce(x) for x in (0, 1, 0)]
+    yield (univar_mul(c, [sq, field.coerce(2)]),
+           univar_mul(c, [field.coerce(x) for x in (1, 1, 1)]))
+    yield univar_from_roots(field, [1, 2, sq]), univar_from_roots(field, [sq, -1], 3)
+    # x^6 + 3x^2 + x against x^4 + 2: the remainder x^2 + x drops two degrees
+    yield ([field.coerce(x) for x in (0, 1, 3, 0, 0, 0, 1)],
+           [field.coerce(x) for x in (2, 0, 0, 0, 1)])
+    # x^5 + sqrt(s) against x^3 - x: the remainder x + sqrt(s) drops two
+    # degrees (over Q it divides x^3 - x, a shared factor)
+    yield ([sq, field.zero, field.zero, field.zero, field.zero, field.one],
+           [field.zero, -field.one, field.zero, field.one])
+    # x^6 + x + 2 against x^5 + 1: the remainder 2 drops five degrees
+    yield ([field.coerce(x) for x in (2, 1, 0, 0, 0, 0, 1)],
+           [field.coerce(x) for x in (1, 0, 0, 0, 0, 1)])
+
+
 def test_eliminant_matches_sylvester_reference():
     for k, rng, field in cases():
         f = rand_form(rng, field, 3, 1 + k % 3)
@@ -241,6 +281,46 @@ def test_eliminant_matches_sylvester_reference():
         assert len(dens) == 1, k
         const = HomPoly.constant(field, 3, 3)
         assert from_integral(field, *_eliminant_at(const, const, field.one)) == field.one
+        # forms sharing a line: every restriction has a common root
+        line = HomPoly.linear_form(field, [1, -2, 3])
+        shared = _eliminant_at(f * line, g * line, rand_scalar(rng, field, 0))
+        assert shared[0] == integral_ring(field.s).zero, k
+        # a constant against a form: the constant to the form's degree
+        got = from_integral(field, *_eliminant_at(const, f, field.one))
+        assert got == reference_sylvester_det(field, [field.coerce(3)],
+                                              f.restrict_univar((1, 1, None), 2)), k
+    for field in FIELDS:
+        for a, b in special_pairs(field):
+            ma, ia = clear_denominators(field, a)
+            mb, ib = clear_denominators(field, b)
+            got = from_integral(field, integral_resultant(ia, ib, field.s),
+                                ma ** (len(b) - 1) * mb ** (len(a) - 1))
+            assert got == reference_sylvester_det(field, a, b), (field, a, b)
+
+
+def reference_gcd(field, a, b):
+    """The monic gcd by the Euclid remainder loop in Scalars."""
+    a, b = trim(a), monic(b)
+    while b:
+        a, b = b, monic(univar_rem(a, b))
+    return monic(a)
+
+
+def test_univar_gcd_matches_euclid_reference():
+    for k, rng, field in cases():
+        common = [rand_scalar(rng, field, 0) for _ in range(1 + k % 3)]
+        for _ in range(6):
+            a = [rand_scalar(rng, field) for _ in range(rng.randint(0, 7))]
+            b = [rand_scalar(rng, field) for _ in range(rng.randint(0, 7))]
+            if rng.random() < 0.5 and trim(a) and trim(b):
+                a, b = univar_mul(a, common), univar_mul(b, common)
+            if rng.random() < 0.3 and trim(a):
+                b = univar_mul(a, [rand_scalar(rng, field, 0), rand_scalar(rng, field, 0)])
+            assert univar_gcd(field, a, b) == reference_gcd(field, a, b), k
+            assert univar_gcd(field, b, a) == reference_gcd(field, a, b), k
+    for field in FIELDS:
+        for a, b in special_pairs(field):
+            assert univar_gcd(field, a, b) == reference_gcd(field, a, b), (field, a, b)
 
 
 def reference_resultant(f, g, shear):
@@ -320,6 +400,77 @@ def test_eight_line_eliminant_matches_reference(eight_line_bundle, monkeypatch):
     assert ps.resultant_coeffs == reference_resultant(f, g, ps.shear)
 
 
+def reference_signed_minors(grid):
+    """The signed maximal minors one row at a time, each by poly_det."""
+    n = grid.rows
+    out = []
+    for r in range(n):
+        m = poly_det([list(grid.entries[i]) for i in range(n) if i != r])
+        out.append(m if r % 2 == 0 else -m)
+    return out
+
+
+def minors_grid(rng, field, n, kind):
+    """An n x (n-1) grid of linear forms: generic; with entry (0, 0) zero, so
+    every node swaps rows; with the x2 matrix of rank n - 2, so the grid
+    drops rank at the node (0, 0, 1); with two equal columns, so it drops
+    rank everywhere; or with a zero row."""
+    mats = [Matrix(field, [[rand_scalar(rng, field, 0.1) for _ in range(n - 1)]
+                           for _ in range(n)]) for _ in range(3)]
+    rows = [[list(m.row(i)) for i in range(n)] for m in mats]
+    if kind == "swap":
+        for m in rows:
+            m[0][0] = field.zero
+    elif kind == "rank_drop_at_node":
+        for row in rows[2]:
+            row[-1] = field.zero
+    elif kind == "rank_drop":
+        for m in rows:
+            for row in m:
+                row[1] = row[0]
+    elif kind == "zero_row":
+        for m in rows:
+            m[n // 2] = [field.zero] * (n - 1)
+    return LinFormsMatrix.from_coefficient_matrices([Matrix(field, m) for m in rows])
+
+
+def test_signed_minors_match_per_row_poly_det():
+    kinds = ["generic", "swap", "rank_drop_at_node", "rank_drop", "zero_row"]
+    for k, rng, field in cases():
+        n, kind = 5 + k % 2, kinds[k % len(kinds)]
+        grid = minors_grid(rng, field, n, kind)
+        got = grid.signed_maximal_minors()
+        assert got == reference_signed_minors(grid), (k, kind)
+        if kind == "rank_drop":
+            assert all(m.is_zero() for m in got), k
+        if kind == "rank_drop_at_node":
+            assert all(m.evaluate((0, 0, 1)).is_zero() for m in got), k
+        point = [rand_scalar(rng, field, 0) for _ in range(3)]
+        values = [m.evaluate(point) for m in got]
+        assert all(c.is_zero() for c in grid.evaluate(point).apply_left(values)), k
+
+
+@pytest.mark.parametrize("wrong_call", range(16))
+def test_signed_minors_wrong_node_value_caught(monkeypatch, wrong_call):
+    # a 5 x 4 grid: the minors have degree 4, so 15 lattice nodes and one
+    # check node, each one elimination; one minor is wrong at one of them
+    grid = minors_grid(random.Random(5), QQ, 5, "generic")
+    calls = []
+    elimination = homopoly.fraction_free
+
+    def wrong(work, s, pivots):
+        calls.append(1)
+        sign = elimination(work, s, pivots)
+        if len(calls) == wrong_call + 1:
+            work[-1][pivots + wrong_call % 5] += 1
+        return sign
+
+    monkeypatch.setattr(homopoly, "fraction_free", wrong)
+    with pytest.raises(ClaimError, match="check node"):
+        grid.signed_maximal_minors()
+    assert len(calls) == 16
+
+
 @pytest.mark.parametrize("wrong_call", range(6))
 def test_solve_pair_wrong_node_value_caught(monkeypatch, wrong_call):
     # two conics: 5 eliminant nodes, then the check node
@@ -327,13 +478,14 @@ def test_solve_pair_wrong_node_value_caught(monkeypatch, wrong_call):
     f = x * x - y * z
     g = y * y - x * z + z * z.scale(2)
     calls = []
+    resultant = zeros.integral_resultant
 
-    def wrong(rows, s):
+    def wrong(a, b, s):
         calls.append(1)
-        value = integral_det(rows, s)
+        value = resultant(a, b, s)
         return value + 1 if len(calls) == wrong_call + 1 else value
 
-    monkeypatch.setattr(zeros, "integral_det", wrong)
+    monkeypatch.setattr(zeros, "integral_resultant", wrong)
     with pytest.raises(ClaimError, match="check node"):
         solve_pair(f, g)
     assert len(calls) == 6
