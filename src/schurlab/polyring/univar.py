@@ -1,23 +1,26 @@
 """Univariate helpers over an exact Field, and the one bridge to sympy.
 
 Polynomials are plain lists of Scalars, ascending by exponent.  sympy does two
-things for the package: ``factor_univar`` has it factor over QQ, and
-``zeros.multivariate_gcd`` takes the gcd of two forms over QQ or QQ<sqrt(s)>
-(``sympy_domain``).  ``factor_univar`` settles degree <= 2 in closed form,
-from the square root of the discriminant, and factors over Q(sqrt(s)) by
-Trager's norm method (Trager, "Algebraic factoring and rational function
-integration", SYMSAC 1976; Cohen, "A Course in Computational Algebraic
-Number Theory", Alg. 3.6.4): only the rational norm goes to sympy, and its
-factors are lifted to the field by gcds computed here.  Scalars cross the
-bridge by ``to_domain``/``from_domain``, never as sympy expressions, and
-every answer that comes back is re-checked in exact arithmetic.  Gcds and
-resultants come from one subresultant PRS over Z or Z[sqrt(s)]
-(``subresultant_prs``), every division in it checked exact.
+things for the package: ``factor_univar`` has it factor over QQ, squarefree
+parts first (``sympy.sqf_list``, then ``sympy.factor_list`` on each part of
+degree >= 2), and ``zeros.multivariate_gcd`` takes the gcd of two forms over
+QQ or QQ<sqrt(s)> (``sympy_domain``).  ``factor_univar`` settles degree <= 2
+in closed form, from the square root of the discriminant, and factors over
+Q(sqrt(s)) by Trager's norm method (Trager, "Algebraic factoring and
+rational function integration", SYMSAC 1976; Cohen, "A Course in
+Computational Algebraic Number Theory", Alg. 3.6.4): only the rational norm
+goes to sympy, and its factors are lifted to the field by gcds computed
+here.  Scalars cross the bridge by ``to_domain``/``from_domain`` or as
+integers, never as sympy expressions, and every answer that comes back is
+re-checked in exact arithmetic; a factorization is multiplied back over Z
+or Z[sqrt(s)].  Gcds and resultants come from one subresultant PRS over Z
+or Z[sqrt(s)] (``subresultant_prs``), every division in it checked exact.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 import sympy
 
@@ -80,6 +83,13 @@ def univar_mul(a, b) -> list[Scalar]:
         for j, y in enumerate(b):
             out[i + j] = out[i + j] + x * y
     return out
+
+
+def _integral_mul(ring, a, b) -> list:
+    """Product of two nonzero polynomials over Z or Z[sqrt(s)]."""
+    n, rb = len(b) - 1, b[::-1]
+    return [ring.dot(a[max(0, k - n):k + 1], rb[max(0, n - k):])
+            for k in range(len(a) + n)]
 
 
 def _power(ring, x, e: int):
@@ -246,12 +256,30 @@ def _low_degree_factors(m: list[Scalar]) -> list[tuple[list[Scalar], int]]:
 
 
 def _rational_factors(field: Field, coeffs) -> list[tuple[list[Scalar], int]]:
-    """sympy's factors over QQ of a polynomial with rational coefficients, as
-    monic polynomials over the field, with multiplicities."""
-    poly = sympy.Poly([_qq(c.u) for c in reversed(coeffs)], _T, domain=sympy.QQ)
-    _, parts = sympy.factor_list(poly)
-    return [(monic([field.scalar(_fraction(c)) for c in reversed(base.rep.to_list())]),
-             int(mult)) for base, mult in parts]
+    """Factors over Q of a polynomial whose coefficients are rational (b = 0
+    over Q(sqrt(s))), as monic polynomials over the field, with
+    multiplicities.  The rational parts are cleared to one primitive integer
+    polynomial, which ``sympy.sqf_list`` splits into squarefree parts; a part
+    of degree 1 is irreducible as it stands, and ``sympy.factor_list``
+    factors each other part on its own (Yun, "On square-free decomposition
+    algorithms", SYMSAC 1976).  A factor's multiplicity is its part's times
+    the one factor_list gives.  The parts of a true decomposition are
+    coprime, so a factor met in two of them is a ClaimError; the product is
+    re-checked by ``factor_univar``."""
+    den = lcm(*(c.u.denominator for c in coeffs))
+    ints = [c.u.numerator * (den // c.u.denominator) for c in coeffs]
+    content = gcd(*ints)
+    poly = sympy.Poly([x // content for x in reversed(ints)], _T, domain=sympy.ZZ)
+    factors = {}
+    for part, mult in sympy.sqf_list(poly)[1]:
+        irreducibles = [(part, 1)] if part.degree() == 1 else sympy.factor_list(part)[1]
+        for base, m in irreducibles:
+            fac = tuple(monic([field.scalar(int(c)) for c in reversed(base.rep.to_list())]))
+            if fac in factors:
+                raise ClaimError("a factor came back from two squarefree parts: "
+                                 "factorization failed exact re-check")
+            factors[fac] = mult * int(m)
+    return [(list(fac), mult) for fac, mult in factors.items()]
 
 
 def _norm_factors(field: Field, h: list[Scalar]) -> list[list[Scalar]]:
@@ -268,8 +296,9 @@ def _norm_factors(field: Field, h: list[Scalar]) -> list[list[Scalar]]:
     that is when 2c is the difference of a root of q and a root of its
     conjugate; such a gcd is shifted back and tried again at the next k.
     At most deg(h)^2 values of k fail, k = 0 among them for every q with
-    rational coefficients.  Repeated factors need no squarefree part first:
-    the gcds read each distinct factor once."""
+    rational coefficients.  Each norm is factored by ``_rational_factors``,
+    squarefree parts first; h itself needs no squarefree part, since the
+    gcds read each distinct factor once."""
     n = len(h) - 1
     factors, pending = [], [h]
     for j in range(n * n + 1):
@@ -296,9 +325,15 @@ def factor_univar(field: Field, coeffs) -> tuple[Scalar, list[tuple[list[Scalar]
     """Factor into irreducibles over the field.  Returns (unit, [(factor, mult)]),
     factors monic of degree >= 1 sorted by degree, then coefficients, so the
     unit is the leading coefficient.  Degree <= 2 is settled in closed form;
-    above it sympy factors over QQ, and over Q(sqrt(s)) ``_norm_factors``
-    finds the factors and exact division their multiplicities.  The product
-    is re-verified exactly here."""
+    above it sympy factors over QQ by squarefree parts
+    (``_rational_factors``), and over Q(sqrt(s)) ``_norm_factors`` finds the
+    factors and exact division their multiplicities.  One integral re-check
+    serves both fields: the input and each factor are cleared to Z or
+    Z[sqrt(s)], and the product of the cleared factors, each to its
+    multiplicity, must have the input's length and be proportional to the
+    cleared input, c_i * P_top == P_i * c_top.  The factors are monic and
+    the unit is the input's leading coefficient, so this is the equality
+    unit * prod(factor^mult) == input."""
     coeffs = trim(coeffs)
     if not coeffs:
         raise PreconditionError("factoring the zero polynomial")
@@ -316,11 +351,15 @@ def factor_univar(field: Field, coeffs) -> tuple[Scalar, list[tuple[list[Scalar]
                 rest, mult = quo, mult + 1
                 quo, rem = univar_divmod(rest, fac)
             factors.append((fac, mult))
-    prod = [unit]
+    ring = integral_ring(field.s)
+    target = clear_denominators(field, coeffs)[1]
+    prod = [ring.one]
     for fac, mult in factors:
+        cleared = clear_denominators(field, fac)[1]
         for _ in range(mult):
-            prod = univar_mul(prod, fac)
-    if prod != coeffs:
+            prod = _integral_mul(ring, prod, cleared)
+    if len(prod) != len(target) or any(
+            ring.mul(c, target[-1]) != ring.mul(x, prod[-1]) for c, x in zip(prod, target)):
         raise ClaimError("factorization failed exact re-check")
     factors.sort(key=lambda fm: (len(fm[0]), [c.serialize() for c in fm[0]]))
     return unit, factors

@@ -20,8 +20,9 @@ from schurlab.exact_math import Field, Matrix, QQ, vec_dot
 from schurlab.exact_math.matrices import clear_denominators, from_integral, integral_ring
 from schurlab.hulek_monad import MonadData
 from schurlab.logbundle import _contraction_matrix, build_logbundle
-from schurlab.polyring import (HomPoly, LinFormsMatrix, factor_univar, monic, monomials,
-                               multivariate_gcd, poly_det, solve_pair, trim, univar_gcd)
+from schurlab.polyring import (HomPoly, LinFormsMatrix, degree, factor_univar, monic,
+                               monomials, multivariate_gcd, poly_det, solve_pair, trim,
+                               univar_gcd)
 from schurlab.polyring import homopoly, zeros
 from schurlab.polyring.univar import integral_resultant, univar_mul, univar_rem
 from schurlab.polyring.zeros import _apply_shear, _eliminant_at, _find_shear
@@ -381,9 +382,9 @@ def test_degree_nine_eliminant_over_sqrt_minus_three():
     assert product == ps.resultant_coeffs
 
 
-def test_eight_line_eliminant_matches_reference(eight_line_bundle, monkeypatch):
-    """The degree-64 eliminant of the minor pair the 8-line jumping locus
-    is solved from."""
+def eight_line_pair(bundle, monkeypatch):
+    """(f, g, PairSolution) of the one minor pair solve_pair meets while the
+    8-line jumping locus is solved, as jumping_points solves it."""
     pairs = []
     solve = zeros.solve_pair
 
@@ -393,11 +394,30 @@ def test_eight_line_eliminant_matches_reference(eight_line_bundle, monkeypatch):
         return ps
 
     monkeypatch.setattr(zeros, "solve_pair", recorded)
-    zeros.resolved_common_zeros(eight_line_bundle.monad.signed_minors())
+    zeros.resolved_common_zeros(bundle.monad.signed_minors())
     assert len(pairs) == 1
-    f, g, ps = pairs[0]
+    return pairs[0]
+
+
+def test_eight_line_eliminant_matches_reference(eight_line_bundle, monkeypatch):
+    """The degree-64 eliminant of the minor pair the 8-line jumping locus
+    is solved from."""
+    f, g, ps = eight_line_pair(eight_line_bundle, monkeypatch)
     assert ps.total_degree == 64
     assert ps.resultant_coeffs == reference_resultant(f, g, ps.shear)
+
+
+def test_eight_line_eliminant_factors(eight_line_bundle, monkeypatch):
+    """The same eliminant factors as a linear factor to the 15th, five to the
+    4th and irreducibles of degree 3, 4, 6 and 12, with its 4 remaining
+    roots at infinity."""
+    _f, _g, ps = eight_line_pair(eight_line_bundle, monkeypatch)
+    _unit, factors = factor_univar(QQ, ps.resultant_coeffs)
+    assert [(len(fac) - 1, mult) for fac, mult in factors] == (
+        [(1, 15)] + [(1, 4)] * 5 + [(3, 1), (4, 1), (6, 1), (12, 1)])
+    inf_mult = ps.total_degree - degree(ps.resultant_coeffs)
+    assert inf_mult == 4
+    assert ((QQ.one, QQ.zero), inf_mult) in ps.base_roots
 
 
 def reference_signed_minors(grid):

@@ -290,6 +290,80 @@ def test_wrong_sympy_factorization_is_caught(monkeypatch):
         factor_univar(f5, univar_mul([-f5.sqrt_gen(), f5.one], [f5.one] * 3))
 
 
+def test_wrong_factor_of_the_right_degree_is_caught(monkeypatch):
+    """A factor list of the right degrees and multiplicities, distinct
+    factors, but one wrong coefficient: only the proportionality of the
+    integral product to the cleared input catches it."""
+    real_factor_list = sympy.factor_list
+
+    def last_off_by_one(*args, **kwargs):
+        unit, parts = real_factor_list(*args, **kwargs)
+        *rest, (base, mult) = parts
+        return unit, rest + [(base + 1, mult)]
+    poly = [QQ.scalar(Fraction(c, 3)) for c in (0, -2, 0, 2)]     # 2/3 (t^3 - t)
+    assert len(factor_univar(QQ, poly)[1]) == 3
+    monkeypatch.setattr(sympy, "factor_list", last_off_by_one)
+    with pytest.raises(ClaimError, match="re-check"):
+        factor_univar(QQ, poly)
+
+
+def merge_two(parts):
+    (p, m), (q, _), *rest = parts
+    return [(p * q, m)] + rest
+
+
+def drop_one(parts):
+    return parts[1:]
+
+
+def double_one(parts):
+    (p, m), *rest = parts
+    return [(p, 2 * m)] + rest
+
+
+def split_one(parts):
+    """A part of multiplicity m >= 2 returned as two parts, of multiplicity
+    1 and m - 1: the product stays right, the factor list does not."""
+    i = next((i for i, (_, m) in enumerate(parts) if m > 1), None)
+    if i is None:
+        return parts
+    p, m = parts[i]
+    return parts[:i] + [(p, 1), (p, m - 1)] + parts[i + 1:]
+
+
+@pytest.mark.parametrize("tamper", [merge_two, drop_one, double_one, split_one])
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=["Q", "Q(sqrt 5)"])
+def test_wrong_sympy_squarefree_split_is_caught(monkeypatch, field, tamper):
+    """A wrong squarefree decomposition from sympy ends in the right factor
+    list or in a ClaimError, never in a wrong list.  Over Q sympy splits
+    3 (t - 1)^2 (t^2 + 1)^3 (t + 2) itself; over Q(sqrt 5) it splits the
+    norms of (t - sqrt 5)^2 (t^2 + t + 1)^3."""
+    if field.is_rational:
+        c = field.scalar
+        poly = univar_mul([c(6), c(3)], univar_mul([c(-1), c(1)], [c(-1), c(1)]))
+        for _ in range(3):
+            poly = univar_mul(poly, [c(1), c(0), c(1)])
+    else:
+        poly = [field.one]
+        for fac, mult in [([-field.sqrt_gen(), field.one], 2), ([field.one] * 3, 3)]:
+            for _ in range(mult):
+                poly = univar_mul(poly, fac)
+    expected = factor_univar(field, poly)
+    real_sqf_list = sympy.sqf_list
+
+    def tampered(*args, **kwargs):
+        unit, parts = real_sqf_list(*args, **kwargs)
+        return unit, tamper(parts) if len(parts) > 1 else parts
+    monkeypatch.setattr(sympy, "sqf_list", tampered)
+    try:
+        got = factor_univar(field, poly)
+    except ClaimError as exc:
+        assert "re-check" in str(exc)
+    else:
+        assert tamper is not split_one
+        assert got == expected
+
+
 @pytest.mark.parametrize("field", [QQ, Field(-3)], ids=["Q", "Q(sqrt -3)"])
 def test_degree_at_most_two_is_closed_form(field, no_sympy_factoring):
     c, one = field.scalar, field.one
@@ -350,6 +424,35 @@ def test_norm_factoring_matches_sympy_extension_factoring(s):
         unit, factors = factor_univar(field, poly)
         assert unit == poly[-1]
         assert factors == sympy_extension_factors(field, poly), (s, seed)
+
+
+def sympy_rational_factors(coeffs):
+    """sympy's own factorization over QQ of the whole polynomial: monic
+    factors as Scalars, in factor_univar's order."""
+    poly = sympy.Poly([sympy.Rational(c.a, c.d) for c in reversed(coeffs)], sympy.Symbol("t"))
+    factors = [([QQ.scalar(Fraction(int(x.numerator), int(x.denominator)))
+                 for x in reversed(base.monic().rep.to_list())], int(mult))
+               for base, mult in sympy.factor_list(poly)[1]]
+    return sorted(factors, key=lambda fm: (len(fm[0]), [c.serialize() for c in fm[0]]))
+
+
+def test_rational_factoring_matches_sympy_factoring():
+    """Seeded products over Q with multiplicities up to 15: linear factors,
+    some repeated, next to cubics and quartics (irreducible or not), with
+    rational coefficients and a unit other than 1."""
+    for seed in range(12):
+        rng = random.Random(seed)
+        poly = [QQ.scalar(Fraction(rng.randint(1, 7), rng.randint(1, 3)))]
+        for size, mult in [(1, rng.choice([1, 4, 15])), (1, rng.choice([1, 2, 4])),
+                           (3, rng.choice([1, 1, 2])), (4, rng.choice([1, 1, 3])),
+                           (1, rng.choice([1, 2]))]:
+            fac = [QQ.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+                   for _ in range(size)] + [QQ.one]
+            for _ in range(mult):
+                poly = univar_mul(poly, fac)
+        unit, factors = factor_univar(QQ, poly)
+        assert unit == poly[-1]
+        assert factors == sympy_rational_factors(poly), seed
 
 
 def test_lin_forms_matrix_evaluate():
