@@ -28,7 +28,7 @@ from .errors import ClaimError, PreconditionError
 from .exact_math import (Field, Matrix, ProjSubspace, Scalar, SymForm, sym_row,
                          vec_canonical, vec_is_zero)
 from .hulek_monad import MonadData
-from .polyring import HomPoly, LinFormsMatrix, ZeroLocus, monomials, poly_det
+from .polyring import HomPoly, LinFormsMatrix, ZeroLocus, monomials
 
 Point = tuple[Scalar, ...]
 
@@ -120,15 +120,9 @@ class DetRep:
         return Matrix(self.field, cub + mnr).rank() == 4
 
     def pullback_vanishes(self) -> bool:
-        """The surface composed with the cubic system is identically zero."""
-        grid = [[HomPoly.zero(self.field, 3, 4) for _ in range(3)] for _ in range(3)]
-        for i in range(3):
-            for a in range(3):
-                acc = HomPoly.zero(self.field, 3, 4)
-                for b in range(4):
-                    acc = acc + self.cubics[b].scale(self.tensor[i][a][b])
-                grid[i][a] = acc
-        return poly_det(grid).is_zero()
+        """The printed surface composed with the cubic system, det M(C(z))
+        up to scale, is identically zero."""
+        return self.surface.substitute(self.cubics).is_zero()
 
 
 def _check_hexad(field: Field, pts) -> None:

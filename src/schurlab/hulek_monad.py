@@ -88,10 +88,10 @@ class MonadData:
     """Three n x (n-1) matrices over one field plus a nondegenerate symmetric
     form on the n-dimensional middle space.
 
-    The grid, its signed minors, the products A_k^T B A_l with the
-    compatibility verdict read from them, the second-kind curve, the jumping
-    locus and the pencil at each point are each built once per instance and
-    shared by every caller; treat them as read-only."""
+    The grid, its signed minors, the inverse form, the products A_k^T B A_l
+    with the compatibility verdict read from them, the second-kind curve,
+    the jumping locus and the pencil at each point are each built once per
+    instance and shared by every caller; treat them as read-only."""
 
     __slots__ = ("field", "n", "maps", "form", "_derived")
 
@@ -170,10 +170,15 @@ class MonadData:
             raise ClaimError("second-kind jumping curve degenerated to zero")
         return det.canonical()
 
+    def inverse_form(self) -> SymForm:
+        """The inverse of the form B, read by the form route to the curve
+        and by the Schur-pair check of a hexad."""
+        return self._once("inverse_form", self.form.inverse)
+
     def jlsk_via_form(self) -> HomPoly:
         """Independent route: the inverse form evaluated on the signed minor
         vector, canonical."""
-        acc = quadric(self.form.inverse()).substitute(self.signed_minors())
+        acc = quadric(self.inverse_form()).substitute(self.signed_minors())
         if acc.is_zero():
             raise ClaimError("form route degenerated to zero")
         return acc.canonical()
@@ -225,12 +230,16 @@ def orthogonality_report(monad: MonadData, z) -> OrthogonalityReport:
 
 @dataclass
 class BiflexReport:
+    """Local data of the second-kind curve, of the given degree d, at one
+    jumping point.  A tangent of contact order d + 1 lies in the curve: its
+    contact is unbounded, so it meets the bound of four even when d < 3."""
     point: tuple[Scalar, ...]
     corank: int
     splitting: int
     multiplicity: int
     is_node: bool
     tangent_orders: list[int]
+    degree: int
 
     @property
     def passed(self) -> bool:
@@ -239,7 +248,7 @@ class BiflexReport:
         if self.splitting == 1:
             if self.multiplicity != 2 or not self.is_node:
                 return False
-            if any(o < 4 for o in self.tangent_orders):
+            if any(o < min(4, self.degree + 1) for o in self.tangent_orders):
                 return False
         return True
 
@@ -248,15 +257,15 @@ def biflex_reports(monad: MonadData, points) -> list[BiflexReport]:
     """Local behaviour of the second-kind curve at the given jumping points:
     multiplicity at least the rank-drop bound; at splitting one, an honest
     node whose branch tangents, conjugate ones included, meet the curve with
-    contact order at least four, read off the curve's layers in a chart at
-    the point."""
+    contact order at least four or lie in it, read off the curve's layers in
+    a chart at the point."""
     curve = monad.jlsk_curve()
     out = []
     for z in points:
         corank = monad.n - monad.at(z).rank
         ls = local_singularity(curve, z)
         out.append(BiflexReport(ls.point, corank, corank - 1, ls.multiplicity,
-                                ls.is_node, ls.tangent_orders))
+                                ls.is_node, ls.tangent_orders, curve.degree))
     return out
 
 

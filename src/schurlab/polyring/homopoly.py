@@ -16,9 +16,14 @@ from_integral makes it a Scalar.  Homogeneity puts every output over one
 denominator: den * pden^degree for a value or a restriction at a point
 cleared over pden, den * L^m for a form of degree m substituted with targets
 cleared over L.  Sums, products and scaling of forms stay on Scalars.
-lagrange_coeffs is the one interpolation kernel, in integers on consecutive
-nodes: _lattice_forms calls it per lattice row, for poly_det and the signed
-maximal minors, and solve_pair for the eliminant.
+
+The number of variables alone picks a determinant's path.  Every grid of
+ternary forms, of any size, is interpolated on the lattice (_lattice_forms)
+from integral eliminations at its nodes, each value checked at a node off
+the lattice; cofactor expansion is kept for grids in any other number of
+variables.  lagrange_coeffs is the one interpolation kernel, in integers on
+consecutive nodes: _lattice_forms calls it per lattice row, for poly_det and
+the signed maximal minors, and solve_pair for the eliminant.
 """
 from __future__ import annotations
 
@@ -453,42 +458,30 @@ class LinFormsMatrix:
     def evaluate(self, point) -> Matrix:
         return Matrix(self.field, [[p.evaluate(point) for p in row] for row in self.entries])
 
-    def submatrix(self, row_idx, col_idx) -> LinFormsMatrix:
-        return LinFormsMatrix(self.field, [[self.entries[i][j] for j in col_idx] for i in row_idx])
-
     def det(self) -> HomPoly:
-        return poly_det([[self.entries[i][j] for j in range(self.cols)]
-                         for i in range(self.rows)])
+        return poly_det(self.entries)
 
     def minors(self, size: int) -> list[HomPoly]:
-        out = []
-        for ri in combinations(range(self.rows), size):
-            for ci in combinations(range(self.cols), size):
-                out.append(self.submatrix(ri, ci).det())
-        return out
+        return [poly_det([[self.entries[i][j] for j in ci] for i in ri])
+                for ri in combinations(range(self.rows), size)
+                for ci in combinations(range(self.cols), size)]
 
     def signed_maximal_minors(self) -> list[HomPoly]:
-        """v_r = (-1)^r det(delete row r) for an n x (n-1) grid; v left-annihilates.
-        Up to n - 1 = 3 each minor goes by cofactors.  Larger grids take all
-        n minors from one elimination per node of poly_det's lattice: the
-        cleared rows A_c, with the row multipliers L_i on the diagonal of a
-        border, give [A_c | diag(L)], and fraction_free on its first n - 1
-        columns leaves det(P [A_c | L_j e_j]) = sgn(P) (-1)^(n-1+j) L m_j
-        in column n - 1 + j of the last row, with L the product of the L_i
-        and m_j the minor of row j.  So every minor lies over the one
-        denominator poly_det uses, and v_j is (-1)^(n-1) sgn(P) times that
-        entry.  A column without a pivot means rank below n - 1 there, and
-        every minor vanishes.  Each minor is interpolated and checked at
-        the check node on its own."""
+        """v_r = (-1)^r det(delete row r) for an n x (n-1) grid of ternary
+        linear forms; v left-annihilates.  All n minors come from one
+        elimination per node of poly_det's lattice: the cleared rows A_c,
+        with the row multipliers L_i on the diagonal of a border, give
+        [A_c | diag(L)], and fraction_free on its first n - 1 columns leaves
+        det(P [A_c | L_j e_j]) = sgn(P) (-1)^(n-1+j) L m_j in column
+        n - 1 + j of the last row, with L the product of the L_i and m_j the
+        minor of row j.  So every minor lies over the one denominator
+        poly_det uses, and v_j is (-1)^(n-1) sgn(P) times that entry.  A
+        column without a pivot means rank below n - 1 there, and every minor
+        vanishes.  Each minor is interpolated and checked at the check node
+        on its own."""
         n = self.rows
         if self.cols != n - 1:
             raise PreconditionError("signed maximal minors need an n x (n-1) grid")
-        if n - 1 <= 3:
-            out = []
-            for r in range(n):
-                m = self.submatrix([i for i in range(n) if i != r], range(self.cols)).det()
-                out.append(m if r % 2 == 0 else -m)
-            return out
         mults, tables = _cleared_rows(self.entries)
         ring = integral_ring(self.field.s)
         zero = ring.zero
@@ -511,7 +504,9 @@ class LinFormsMatrix:
 
 
 def _poly_det_direct(grid) -> HomPoly:
-    """Cofactor expansion; fine for size <= 3."""
+    """Cofactor expansion along the first row, in Scalar arithmetic: the
+    determinant of a grid in a number of variables other than 3, such as
+    the surface's grid in the 4 target coordinates and its 2 x 2 minors."""
     n = len(grid)
     field = grid[0][0].field
     nv = grid[0][0].nvars
@@ -602,8 +597,6 @@ def _cleared_rows(grid):
     cleared to integers once, over mults[i]; tables[i][j] holds the
     exponents (e0, e1) and the integral coefficients of the entry (i, j)."""
     field = grid[0][0].field
-    if grid[0][0].nvars != 3:
-        raise PreconditionError("interpolated determinant implemented for 3 variables")
     mults, tables = [], []
     for row in grid:
         mult, ints = clear_denominators(field, [c for p in row for c in p.coeffs.values()])
@@ -663,20 +656,20 @@ def _lattice_forms(field: Field, tables, deg: int, node_values, scale: int) -> l
 
 
 def poly_det(grid) -> HomPoly:
-    """Determinant of a square grid of homogeneous polynomials in 3 variables
-    (all entries one ring, the nonzero entries of each row of one degree,
-    else PreconditionError).  Small sizes go by cofactors; larger ones by
-    evaluate-and-interpolate on the lattice (_lattice_forms), which is exact
-    because the result is homogeneous of known degree: each row's
+    """Determinant of a square grid of homogeneous polynomials (all entries
+    one ring, the nonzero entries of each row of one degree, else
+    PreconditionError).  A grid in a number of variables other than 3 goes
+    by cofactors (_poly_det_direct).  A grid of ternary forms, of any size,
+    is evaluated and interpolated on the lattice (_lattice_forms), which is
+    exact because the result is homogeneous of known degree: each row's
     coefficients are cleared to integers once, so every node value is an
     integral Bareiss determinant (integral_det) over the product of the row
     multipliers, checked at the check node."""
-    n = len(grid)
     row_degrees = [_row_degree(row) for row in grid]
-    if n <= 3:
+    if grid[0][0].nvars != 3:
         return _poly_det_direct(grid)
     if None in row_degrees:
-        return HomPoly.zero(grid[0][0].field, grid[0][0].nvars, 0)
+        return HomPoly.zero(grid[0][0].field, 3, 0)
     mults, tables = _cleared_rows(grid)
     return _lattice_forms(grid[0][0].field, tables, sum(row_degrees),
                           lambda rows, s: [integral_det(rows, s)], prod(mults))[0]

@@ -8,7 +8,8 @@ sum_j q_j x_e^(d-j), with q_j binary of degree j in the other two variables.
 The tangent cone is the least nonzero layer.  The tangent line in direction
 w is s e + t w, on which the curve restricts to sum_j q_j(w) t^j s^(d-j): its
 contact order is the least j with q_j(w) nonzero, or d + 1 when the line
-lies in the curve.  Over the base field the tangents come in conjugate
+lies in the curve: then the contact is unbounded, and d + 1 stands for any
+bound above d.  Over the base field the tangents come in conjugate
 families, one per irreducible factor q of the cone in t = the first chart
 variable over the second: they share the order, the least j with q not
 dividing q_j(t, 1).  A drop in the cone's degree is the tangent w = (1, 0).

@@ -49,7 +49,7 @@ def schur_pair(rep: DetRep) -> tuple[SymForm, SymForm]:
     with B from the kernel route and C from the orthogonality route."""
     B = rep.monad.form
     C = schur_orthogonal_form(rep)
-    if not B.inverse().proportional(C):
+    if not rep.monad.inverse_form().proportional(C):
         raise ClaimError("quadric routes disagree: kernel form is not inverse "
                          "to the orthogonality form")
     return B, C

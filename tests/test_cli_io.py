@@ -290,6 +290,24 @@ def test_monad_exactness_unresolved_on_a_curve_component(tmp_path, capsys):
     assert claims["support-resolution"]["witness"]["zero_dimensional"] is False
 
 
+@pytest.mark.parametrize("form", [None, [["0", "1"], ["1", "0"]]],
+                         ids=["selected_form", "given_form"])
+def test_n2_monad_tangents_lying_in_the_curve_pass(form, tmp_path, capsys):
+    # the n2 example's maps: the curve is two lines through the one jumping
+    # point, so each branch tangent lies in the curve, order d + 1 = 3
+    doc = {"field": {"type": "rational"},
+           "maps": [[["1"], ["0"]], [["0"], ["1"]], [["0"], ["0"]]]}
+    if form is not None:
+        doc["form"] = form
+    code, out = run(["monad", "--in", write(tmp_path, "m.json", doc),
+                     "--format", "structured"], capsys)
+    assert code == 0
+    claims = {c["id"]: c for c in json.loads(out)["claims"]}
+    [point] = claims["singularity-at-support"]["witness"]["points"]
+    assert point["tangent_orders"] == [3, 3] and point["node"] is True
+    assert claims["singularity-at-support"]["status"] == PASS
+
+
 def test_monad_form_selection_failure_says_why(tmp_path, capsys):
     # every sum of a subset of the three compatible basis forms is degenerate
     doc = {"field": {"type": "rational"},

@@ -1,4 +1,5 @@
 """Determinantal cubic surfaces from plane hexads and their line geometry."""
+import dataclasses
 import random
 from itertools import combinations
 
@@ -7,7 +8,7 @@ import pytest
 from schurlab.detrep import build_detrep, double_six, line_on_hypersurface
 from schurlab.errors import ClaimError, PreconditionError
 from schurlab.exact_math import QQ, Field, Matrix, ProjSubspace, vec_canonical
-from schurlab.polyring import LinFormsMatrix, sorted_points
+from schurlab.polyring import HomPoly, LinFormsMatrix, sorted_points
 from schurlab.schurform import induced_monad
 from test_golden import CLEBSCH_HEXAD
 from test_properties import reference_incident
@@ -20,6 +21,14 @@ def test_cubic_web_dimension(std_rep):
     assert std_rep.surface.degree == 3
     assert std_rep.minors_span_cubics()
     assert std_rep.pullback_vanishes()
+
+
+def test_pullback_check_reads_the_surface(std_rep):
+    # one monomial more on the printed surface, and C(z) no longer lies on it
+    bumped = dict(std_rep.surface.coeffs)
+    bumped[(0, 0, 0, 3)] = bumped.get((0, 0, 0, 3), QQ.zero) + QQ.one
+    wrong = dataclasses.replace(std_rep, surface=HomPoly(QQ, 4, 3, bumped))
+    assert not wrong.pullback_vanishes()
 
 
 def test_image_points_lie_on_surface(std_rep):

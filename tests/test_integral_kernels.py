@@ -433,8 +433,8 @@ def reference_signed_minors(grid):
 def minors_grid(rng, field, n, kind):
     """An n x (n-1) grid of linear forms: generic; with entry (0, 0) zero, so
     every node swaps rows; with the x2 matrix of rank n - 2, so the grid
-    drops rank at the node (0, 0, 1); with two equal columns, so it drops
-    rank everywhere; or with a zero row."""
+    drops rank at the node (0, 0, 1); with two equal columns (a zero column
+    when n = 2), so it drops rank everywhere; or with a zero row."""
     mats = [Matrix(field, [[rand_scalar(rng, field, 0.1) for _ in range(n - 1)]
                            for _ in range(n)]) for _ in range(3)]
     rows = [[list(m.row(i)) for i in range(n)] for m in mats]
@@ -447,7 +447,10 @@ def minors_grid(rng, field, n, kind):
     elif kind == "rank_drop":
         for m in rows:
             for row in m:
-                row[1] = row[0]
+                if n > 2:
+                    row[1] = row[0]
+                else:
+                    row[0] = field.zero
     elif kind == "zero_row":
         for m in rows:
             m[n // 2] = [field.zero] * (n - 1)
@@ -457,24 +460,35 @@ def minors_grid(rng, field, n, kind):
 def test_signed_minors_match_per_row_poly_det():
     kinds = ["generic", "swap", "rank_drop_at_node", "rank_drop", "zero_row"]
     for k, rng, field in cases():
-        n, kind = 5 + k % 2, kinds[k % len(kinds)]
-        grid = minors_grid(rng, field, n, kind)
-        got = grid.signed_maximal_minors()
-        assert got == reference_signed_minors(grid), (k, kind)
-        if kind == "rank_drop":
-            assert all(m.is_zero() for m in got), k
-        if kind == "rank_drop_at_node":
-            assert all(m.evaluate((0, 0, 1)).is_zero() for m in got), k
-        point = [rand_scalar(rng, field, 0) for _ in range(3)]
-        values = [m.evaluate(point) for m in got]
-        assert all(c.is_zero() for c in grid.evaluate(point).apply_left(values)), k
+        kind = kinds[k % len(kinds)]
+        for n in (5 + k % 2, 2, 3, 4):
+            grid = minors_grid(rng, field, n, kind)
+            got = grid.signed_maximal_minors()
+            assert got == reference_signed_minors(grid), (k, n, kind)
+            if n <= 4:
+                # small enough to expand each minor by cofactors as well
+                assert got == [m if r % 2 == 0 else -m for r, m in enumerate(
+                    homopoly._poly_det_direct([list(grid.entries[i])
+                                               for i in range(n) if i != r])
+                    for r in range(n))], (k, n, kind)
+            if kind == "rank_drop":
+                assert all(m.is_zero() for m in got), (k, n)
+            if kind == "rank_drop_at_node":
+                assert all(m.evaluate((0, 0, 1)).is_zero() for m in got), (k, n)
+            point = [rand_scalar(rng, field, 0) for _ in range(3)]
+            values = [m.evaluate(point) for m in got]
+            assert all(c.is_zero()
+                       for c in grid.evaluate(point).apply_left(values)), (k, n)
 
 
-@pytest.mark.parametrize("wrong_call", range(16))
-def test_signed_minors_wrong_node_value_caught(monkeypatch, wrong_call):
-    # a 5 x 4 grid: the minors have degree 4, so 15 lattice nodes and one
-    # check node, each one elimination; one minor is wrong at one of them
-    grid = minors_grid(random.Random(5), QQ, 5, "generic")
+@pytest.mark.parametrize("n, wrong_call",
+                         [pytest.param(5, k, id=str(k)) for k in range(16)]
+                         + [pytest.param(4, k, id=f"4x3-{k}") for k in range(11)])
+def test_signed_minors_wrong_node_value_caught(monkeypatch, n, wrong_call):
+    # an n x (n-1) grid: the minors have degree n - 1, so C(n + 1, 2)
+    # lattice nodes (15 for 5 x 4, 10 for 4 x 3) and one check node, each
+    # one elimination; one minor is wrong at one of them
+    grid = minors_grid(random.Random(5), QQ, n, "generic")
     calls = []
     elimination = homopoly.fraction_free
 
@@ -482,13 +496,13 @@ def test_signed_minors_wrong_node_value_caught(monkeypatch, wrong_call):
         calls.append(1)
         sign = elimination(work, s, pivots)
         if len(calls) == wrong_call + 1:
-            work[-1][pivots + wrong_call % 5] += 1
+            work[-1][pivots + wrong_call % n] += 1
         return sign
 
     monkeypatch.setattr(homopoly, "fraction_free", wrong)
     with pytest.raises(ClaimError, match="check node"):
         grid.signed_maximal_minors()
-    assert len(calls) == 16
+    assert len(calls) == n * (n + 1) // 2 + 1
 
 
 @pytest.mark.parametrize("wrong_call", range(6))

@@ -62,7 +62,7 @@ def test_poly_det_matches_hand_expansion():
 
 
 def test_poly_det_interpolation_route():
-    # 4 x 4 forces the evaluate-and-interpolate path
+    # a 4 x 4 grid of ternary linear forms: 15 lattice nodes and a check node
     x, y, z = vars3()
     zero = HomPoly.zero(QQ, 3, 1)
     rows = [[x, y, zero, zero],
@@ -122,12 +122,13 @@ def _random_form(rng, field, degree):
     return HomPoly(field, 3, degree, coeffs)
 
 
-def _seeded_grid(k):
-    """Case k of 120: size 4-7 over Q, Q(sqrt 5), Q(sqrt -1), rows linear or
-    quadratic; every fifth grid singular, every seventh with a zero row."""
+def _seeded_grid(k, sizes=(4, 5, 6, 7)):
+    """Case k: one of the sizes over Q, Q(sqrt 5), Q(sqrt -1), rows linear or
+    quadratic; every fifth grid singular (from size 2), every seventh with a
+    zero row."""
     rng = random.Random(k)
     field = (QQ, Field(5), Field(-1))[k % 3]
-    n = 4 + (k // 3) % 4
+    n = sizes[(k // 3) % len(sizes)]
     degrees = [rng.choice([1, 1, 2]) for _ in range(n)]
     grid = [[_random_form(rng, field, d) for _ in range(n)] for d in degrees]
     if k % 5 == 0:
@@ -147,26 +148,33 @@ def _seeded_grid(k):
 
 
 def test_lattice_poly_det_matches_full_grid_reference():
-    singular = zero_row = 0
-    for k in range(120):
-        grid = _seeded_grid(k)
-        det = poly_det(grid)
-        if any(all(p.is_zero() for p in row) for row in grid):
-            assert det.is_zero()
-            zero_row += 1
-            continue
-        ref = reference_poly_det(grid)
-        assert det == ref and det.degree == ref.degree, k
-        singular += det.is_zero()
-    assert (singular, zero_row) == (20, 18)
+    # (singular, zero-row) counts of each group of sizes
+    for sizes, cases, counts in (((4, 5, 6, 7), 120, (20, 18)),
+                                 ((1, 2, 3), 90, (10, 15))):
+        singular = zero_row = 0
+        for k in range(cases):
+            grid = _seeded_grid(k, sizes)
+            det = poly_det(grid)
+            if any(all(p.is_zero() for p in row) for row in grid):
+                assert det.is_zero()
+                zero_row += 1
+                continue
+            ref = reference_poly_det(grid)
+            assert det == ref and det.degree == ref.degree, (sizes, k)
+            singular += det.is_zero()
+        assert (singular, zero_row) == counts, sizes
 
 
-@pytest.mark.parametrize("wrong_call", range(16))
-def test_poly_det_wrong_node_value_caught(monkeypatch, wrong_call):
-    # a 4 x 4 linear grid has 15 lattice nodes and one check node
+@pytest.mark.parametrize("size, wrong_call",
+                         [pytest.param(4, k, id=str(k)) for k in range(16)]
+                         + [pytest.param(3, k, id=f"3x3-{k}") for k in range(11)])
+def test_poly_det_wrong_node_value_caught(monkeypatch, size, wrong_call):
+    # a linear grid of size n has C(n + 2, 2) lattice nodes and one check
+    # node: 15 + 1 for 4 x 4, 10 + 1 for 3 x 3
     x, y, z = vars3()
-    rows = [[x + z, y, z, x], [y, x - z, y, z],
+    grid = [[x + z, y, z, x], [y, x - z, y, z],
             [z, x, y + z, y], [x, z, y, x + y + z]]
+    rows = [row[:size] for row in grid[:size]]
     calls = []
 
     def wrong(mat, s):
@@ -177,7 +185,7 @@ def test_poly_det_wrong_node_value_caught(monkeypatch, wrong_call):
     monkeypatch.setattr(homopoly, "integral_det", wrong)
     with pytest.raises(ClaimError):
         poly_det(rows)
-    assert len(calls) == 16
+    assert len(calls) == (size + 1) * (size + 2) // 2 + 1
 
 
 def test_poly_det_rejects_row_of_mixed_degrees():
