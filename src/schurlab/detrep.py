@@ -64,9 +64,9 @@ class DetRep:
     field: Field
     points: list[Point]
     cubics: list[HomPoly]            # reduced basis of the cubics through the points
-    tensor: tuple                    # tensor[i][a][b], i relation, a plane, b target
     target_grid: LinFormsMatrix      # 3 x 3, linear forms in the 4 target coordinates
-    monad: MonadData                 # maps[a][b, i] = tensor[i][a][b], kernel-route form
+    monad: MonadData                 # maps[a][b, i] = tensor[i][a][b], i relation,
+                                     # a plane, b target; kernel-route form
     surface: HomPoly                 # det of target_grid, canonical
 
     def image_point(self, p) -> Point:
@@ -200,7 +200,7 @@ def build_detrep(field: Field, points) -> DetRep:
     surface = target_grid.det()
     if surface.is_zero():
         raise ClaimError("the 3 x 3 grid has identically zero determinant")
-    return DetRep(field, pts, cubics, tensor, target_grid,
+    return DetRep(field, pts, cubics, target_grid,
                   MonadData(maps, kernel_form(field, tensor)), surface.canonical())
 
 

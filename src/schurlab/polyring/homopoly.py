@@ -23,7 +23,8 @@ from integral eliminations at its nodes, each value checked at a node off
 the lattice; cofactor expansion is kept for grids in any other number of
 variables.  lagrange_coeffs is the one interpolation kernel, in integers on
 consecutive nodes: _lattice_forms calls it per lattice row, for poly_det and
-the signed maximal minors, and solve_pair for the eliminant.
+the signed maximal minors, solve_pair for the eliminant and
+multivariate_gcd for the gcd.
 """
 from __future__ import annotations
 

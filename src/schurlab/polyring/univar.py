@@ -1,25 +1,23 @@
 """Univariate helpers over an exact Field, and the one bridge to sympy.
 
-Polynomials are plain lists of Scalars, ascending by exponent.  sympy does two
-things for the package: ``factor_univar`` has it factor over QQ, squarefree
+Polynomials are plain lists of Scalars, ascending by exponent.  sympy has
+one job in the package: ``factor_univar`` has it factor over QQ, squarefree
 parts first (``sympy.sqf_list``, then ``sympy.factor_list`` on each part of
-degree >= 2), and ``zeros.multivariate_gcd`` takes the gcd of two forms over
-QQ or QQ<sqrt(s)> (``sympy_domain``).  ``factor_univar`` settles degree <= 2
-in closed form, from the square root of the discriminant, and factors over
-Q(sqrt(s)) by Trager's norm method (Trager, "Algebraic factoring and
-rational function integration", SYMSAC 1976; Cohen, "A Course in
-Computational Algebraic Number Theory", Alg. 3.6.4): only the rational norm
-goes to sympy, and its factors are lifted to the field by gcds computed
-here.  Scalars cross the bridge by ``to_domain``/``from_domain`` or as
-integers, never as sympy expressions, and every answer that comes back is
-re-checked in exact arithmetic; a factorization is multiplied back over Z
-or Z[sqrt(s)].  Gcds and resultants come from one subresultant PRS over Z
-or Z[sqrt(s)] (``subresultant_prs``), every division in it checked exact.
+degree >= 2).  ``factor_univar`` settles degree <= 2 in closed form, from
+the square root of the discriminant, and factors over Q(sqrt(s)) by
+Trager's norm method (Trager, "Algebraic factoring and rational function
+integration", SYMSAC 1976; Cohen, "A Course in Computational Algebraic
+Number Theory", Alg. 3.6.4): only the rational norm goes to sympy, and its
+factors are lifted to the field by gcds computed here.  Polynomials cross
+the bridge as integers, never as sympy expressions, and every answer that
+comes back is re-checked in exact arithmetic; a factorization is
+multiplied back over Z or Z[sqrt(s)].  Gcds and resultants come from one
+subresultant PRS over Z or Z[sqrt(s)] (``subresultant_prs``), every
+division in it checked exact; ``zeros.multivariate_gcd`` runs it at the
+nodes of its evaluation gcd.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 
 import sympy
@@ -187,43 +185,6 @@ def univar_gcd(field: Field, a, b) -> list[Scalar]:
     last, _ = subresultant_prs(clear_denominators(field, a)[1],
                                clear_denominators(field, b)[1], field.s)
     return monic([from_integral(field, x, 1) for x in last])
-
-
-@lru_cache(maxsize=None)
-def sympy_domain(field: Field):
-    """sympy's domain for the field: QQ, or QQ<sqrt(s)> generated by sqrt(s).
-
-    An element of QQ<sqrt(s)> is a polynomial [v, u] in the generator modulo
-    its minimal polynomial; checking that modulus is x^2 - s proves the
-    generator is a square root of s, so u + v*sqrt(s) <-> [v, u] is a field
-    isomorphism."""
-    if field.is_rational:
-        return sympy.QQ
-    domain = sympy.QQ.algebraic_field(sympy.sqrt(field.s))
-    if domain.mod.to_list() != [1, 0, -field.s]:
-        raise ClaimError(f"sympy's generator of {domain} is not a square root of {field.s}")
-    return domain
-
-
-def _qq(f: Fraction):
-    return sympy.QQ(f.numerator, f.denominator)
-
-
-def _fraction(q) -> Fraction:
-    return Fraction(int(q.numerator), int(q.denominator))
-
-
-def to_domain(c: Scalar):
-    if c.field.is_rational:
-        return _qq(c.u)
-    return sympy_domain(c.field)([_qq(c.v), _qq(c.u)])
-
-
-def from_domain(field: Field, a) -> Scalar:
-    if field.is_rational:
-        return field.scalar(_fraction(a))
-    v, u = ([sympy.QQ.zero] * 2 + a.to_list())[-2:]
-    return field.scalar(_fraction(u), _fraction(v))
 
 
 _T = sympy.Symbol("t")

@@ -1,53 +1,146 @@
 """Common zeros of systems of ternary forms, in exact arithmetic.
 
 Strategy: strip the multivariate gcd of the system (a positive-degree gcd
-means the locus has a curve part; sympy computes each gcd in its polynomial
-ring over the field's domain, and the candidate must divide exactly), then
-reduce the residual zero-dimensional system to coprime pairs.  A coprime pair
-is solved by shearing until both forms have constant leading coefficient in
+means the locus has a curve part; each gcd is interpolated from the
+subresultant PRS of the restrictions to lines of a sheared pencil, and is
+returned only once it divides both forms exactly), then reduce the
+residual zero-dimensional system to coprime pairs.  A coprime pair is
+solved by shearing until both forms have constant leading coefficient in
 the last variable, eliminating it with a resultant (taken at integer nodes
 by the subresultant PRS and interpolated), factoring the resulting binary
 form, and taking gcds along the fibers.  Whatever the univariate factorizer
 cannot split over the field is reported back as a ternary form containing
-the missing points, never silently dropped.  Every point returned is re-verified against every
-generator; a failed re-check or a broken invariant of the elimination raises
-ClaimError.
+the missing points, never silently dropped.  Every point returned is
+re-verified against every generator; a failed re-check or a broken
+invariant of the elimination raises ClaimError.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, count
-from math import factorial
-
-from sympy.polys.rings import PolyRing
+from math import comb, factorial
 
 from ..errors import ClaimError, PreconditionError
 from ..exact_math import Scalar, vec_canonical
-from ..exact_math.matrices import from_integral
-from .homopoly import HomPoly, exact_div, lagrange_coeffs, try_exact_div
-from .univar import (degree, from_domain, integral_resultant, roots_with_multiplicity,
-                     sympy_domain, to_domain, trim, univar_gcd)
+from ..exact_math.matrices import clear_denominators, from_integral, integral_ring
+from .homopoly import HomPoly, exact_div, lagrange_coeffs
+from .univar import (degree, integral_resultant, monic, roots_with_multiplicity,
+                     subresultant_prs, trim, univar_gcd)
 
 Point = tuple[Scalar, ...]
 
 
 def multivariate_gcd(f: HomPoly, g: HomPoly) -> HomPoly:
-    """Canonical gcd of two homogeneous polynomials over the field; the sympy
-    result is re-verified by exact division before being trusted."""
-    assert f.field == g.field and f.nvars == g.nvars
+    """Canonical gcd of two ternary forms over the field, by evaluation at
+    integer nodes (Brown, "On Euclid's algorithm and the computation of
+    polynomial greatest common divisors", J. ACM 18, 1971).
+
+    A shear makes both forms lead in x2 with a nonzero constant, and then
+    every common factor does too.  So at each node t the gcd of the
+    restrictions to the line (t, 1, x2) of the sheared pencil, the last
+    member of their subresultant PRS, has degree at least the gcd's, and a
+    node gcd of degree 0 proves the forms coprime.  Otherwise, with D the
+    least degree met, the monic node gcds of degree D at D + 1 consecutive
+    nodes are interpolated (lagrange_coeffs) into a form of degree D, monic
+    in x2, which is unsheared and returned only if it divides both sheared
+    forms exactly (_divides, in integers): a common divisor of degree D, at
+    least the gcd's, is the gcd.  A node is unlucky, its gcd too large, only
+    at a root of the resultant of the cofactors, of degree at most
+    N = deg f * deg g; so the first (N + 1)(m + 1) nodes, m = min(deg f,
+    deg g), hold m + 1 consecutive lucky ones, and if no candidate has
+    divided by then, ClaimError."""
+    assert f.nvars == 3 == g.nvars and f.field == g.field
     field = f.field
     if f.is_zero():
         return g.canonical()
     if g.is_zero():
         return f.canonical()
-    ring = PolyRing([f"t{i}" for i in range(f.nvars)], sympy_domain(field))
-    fr, gr = (ring({e: to_domain(c) for e, c in p.coeffs.items()}) for p in (f, g))
-    terms = fr.gcd(gr).terms()
-    h = HomPoly(field, f.nvars, sum(terms[0][0]),
-                {e: from_domain(field, c) for e, c in terms}).canonical()
-    if try_exact_div(f, h) is None or try_exact_div(g, h) is None:
-        raise ClaimError("gcd candidate does not divide")
-    return h
+    one = HomPoly.constant(field, 3, 1)
+    if f.degree == 0 or g.degree == 0:
+        return one
+    shear = _find_shear(f, g)
+    ring = integral_ring(field.s)
+    tables = [_pencil_table(p, shear) for p in (f, g)]
+    least, run = None, []
+    nodes = (f.degree * g.degree + 1) * (min(f.degree, g.degree) + 1)
+    for t in range(nodes):
+        powers = [t ** m for m in range(max(f.degree, g.degree) + 1)]
+        last, _ = subresultant_prs(*([ring.combine(row, powers) for row in rows]
+                                     for rows in tables), field.s)
+        d = len(last) - 1
+        if d == 0:
+            return one
+        if least is None or d < least:
+            least, run = d, []
+        elif d > least:
+            run = []
+            continue
+        run.append(monic([from_integral(field, x, 1) for x in last]))
+        if len(run) < d + 1:
+            continue
+        rows, scale = _interpolated_gcd(field, run, t - d)
+        if all(_divides(ring, rows, table) for table in tables):
+            h = HomPoly(field, 3, d, {(m, d - k - m, k): from_integral(field, x, scale)
+                                      for k, row in enumerate(rows) for m, x in enumerate(row)})
+            return _apply_shear(h, shear, inverse=True).canonical()
+        run.pop(0)
+    raise ClaimError(f"no interpolated gcd candidate divides both forms in {nodes} nodes")
+
+
+def _pencil_table(p: HomPoly, shear) -> list[list]:
+    """p(t + c x, 1 + c' x, x) for the shear (c, c'), the restriction of p
+    along the sheared pencil of lines, as integral coefficients: rows[k][m]
+    multiplies t^m x^k, with t of degree <= deg p - k by homogeneity, over
+    the positive denominator of _sheared, which no gcd or division sees."""
+    d = p.degree
+    zero = integral_ring(p.field.s).zero
+    _, ints = _sheared(p, shear)
+    return [[ints.get((m, d - k - m, k), zero) for m in range(d - k + 1)] for k in range(d + 1)]
+
+
+def _interpolated_gcd(field, run, start: int) -> tuple[list[list], int]:
+    """(rows, scale): the pencil table, times the integer scale, of the form
+    of degree D, monic in x2, whose coefficient of x2^k has degree <= D - k
+    in t and whose restriction at the node start + a is the monic run[a],
+    a = 0, ..., D.  The run is cleared to one denominator, so each
+    coefficient is one integral lagrange_coeffs, per component over
+    Z[sqrt(s)]."""
+    d = len(run) - 1
+    den, ints = clear_denominators(field, [c for node in run for c in node[:-1]])
+    scale = factorial(d) * den
+    rows = []
+    for k in range(d):
+        values = ints[k::d]
+        if field.s is None:
+            coeffs = lagrange_coeffs(values, -start)
+        else:
+            coeffs = list(zip(*(lagrange_coeffs(list(part), -start) for part in zip(*values))))
+        rows.append(coeffs[:d - k + 1])
+    rows.append([integral_ring(field.s).embed(scale)])
+    return rows, scale
+
+
+def _divides(ring, divisor, rows) -> bool:
+    """Whether the pencil table divisor, whose row of x^D is one nonzero
+    constant, divides the table rows exactly: their pseudo-remainder as
+    polynomials in x over Z[t] or Z[sqrt(s)][t] is zero.  Each step
+    multiplies the remainder by that constant and subtracts the top row
+    times the divisor; homogeneity keeps every product within its row."""
+    zero, mul, sub = ring.zero, ring.mul, ring.sub
+    lead, d = divisor[-1][0], len(divisor) - 1
+    rem = [list(row) for row in rows]
+    while len(rem) > d:
+        top = rem.pop()
+        if all(x == zero for x in top):
+            continue
+        rem = [[mul(lead, x) for x in row] for row in rem]
+        shift = len(rem) - d
+        for j, h in enumerate(divisor[:-1]):
+            target = rem[shift + j]
+            for a, x in enumerate(top):
+                for b, y in enumerate(h):
+                    target[a + b] = sub(target[a + b], mul(x, y))
+    return all(x == zero for row in rem for x in row)
 
 
 def gcd_many(polys: list[HomPoly]) -> HomPoly:
@@ -69,22 +162,40 @@ def _shear_candidates():
                     yield (c, cp)
 
 
-def _apply_shear(p: HomPoly, shear, inverse=False) -> HomPoly:
-    field = p.field
+def _sheared(p: HomPoly, shear) -> tuple[int, dict]:
+    """(den, ints): p(x0 + c x2, x1 + c' x2, x2) for the shear (c, c') is
+    ints[e] / den at each exponent e, expanded by the binomial theorem from
+    p's coefficients cleared to Z or Z[sqrt(s)] over den."""
     c, cp = shear
-    if inverse:
-        c, cp = -c, -cp
-    x0 = HomPoly.variable(field, 3, 0)
-    x1 = HomPoly.variable(field, 3, 1)
-    x2 = HomPoly.variable(field, 3, 2)
-    return p.substitute([x0 + x2.scale(c), x1 + x2.scale(cp), x2])
+    den, cs = clear_denominators(p.field, p.coeffs.values())
+    cells: dict = {}
+    for (e0, e1, e2), coeff in zip(p.coeffs, cs):
+        for j in range(e0 + 1):
+            for i in range(e1 + 1):
+                weight = comb(e0, j) * comb(e1, i) * c ** j * cp ** i
+                if weight:
+                    xs, ws = cells.setdefault((e0 - j, e1 - i, e2 + j + i), ([], []))
+                    xs.append(coeff)
+                    ws.append(weight)
+    combine = integral_ring(p.field.s).combine
+    return den, {e: combine(xs, ws) for e, (xs, ws) in cells.items()}
+
+
+def _apply_shear(p: HomPoly, shear, inverse=False) -> HomPoly:
+    c, cp = shear
+    den, ints = _sheared(p, (-c, -cp) if inverse else shear)
+    return HomPoly(p.field, 3, p.degree, {e: from_integral(p.field, x, den)
+                                          for e, x in ints.items()})
 
 
 def _find_shear(f: HomPoly, g: HomPoly):
-    field = f.field
+    """The first shear (c, c') at which neither form vanishes at (c, c', 1),
+    each value a combination of the form's cleared coefficients."""
+    ring = integral_ring(f.field.s)
+    cleared = [(p.coeffs, clear_denominators(p.field, p.coeffs.values())[1]) for p in (f, g)]
     for c, cp in _shear_candidates():
-        pt = (field.scalar(c), field.scalar(cp), field.one)
-        if not f.evaluate(pt).is_zero() and not g.evaluate(pt).is_zero():
+        if all(ring.combine(cs, [c ** e0 * cp ** e1 for e0, e1, _ in exps]) != ring.zero
+               for exps, cs in cleared):
             return (c, cp)
     raise ClaimError("no admissible shear found")
 

@@ -125,15 +125,16 @@ def test_collinear_triple_rejected():
 
 def reference_lines(rep, k):
     """The lines over input point k built from the 3 x 4 grid of linear forms
-    sum_a z_a [tensor[i][a][b]]: a_k is its right kernel at the point; b_k is
-    the right kernel of the tensor contracted with its left kernel there."""
-    field, g = rep.field, rep.tensor
+    sum_a z_a [tensor[i][a][b]], tensor[i][a][b] = maps[a][b, i]: a_k is its
+    right kernel at the point; b_k is the right kernel of the tensor
+    contracted with its left kernel there."""
+    field, maps = rep.field, rep.monad.maps
     grid = LinFormsMatrix.from_coefficient_matrices(
-        [Matrix(field, [[g[i][a][b] for b in range(4)] for i in range(3)])
+        [Matrix(field, [[maps[a][b, i] for b in range(4)] for i in range(3)])
          for a in range(3)]).evaluate(rep.points[k])
     a_line = ProjSubspace(field, 3, grid.kernel_basis())
     (phi,) = grid.left_kernel_basis()
-    contracted = Matrix(field, [[sum((phi[i] * g[i][a][b] for i in range(3)),
+    contracted = Matrix(field, [[sum((phi[i] * maps[a][b, i] for i in range(3)),
                                      field.zero) for b in range(4)]
                                 for a in range(3)])
     return a_line, ProjSubspace(field, 3, contracted.kernel_basis())

@@ -16,10 +16,10 @@ from pathlib import Path
 
 import pytest
 import sympy
+from sympy.polys.rings import PolyRing
 
 from schurlab.cli_io import main
 from schurlab.families import EXAMPLES
-from schurlab.polyring.univar import sympy_domain
 from test_cli_io import HEXAD, SIX_LINES, TRIANGLE_MAPS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -88,16 +88,16 @@ def test_certificate_matches_golden(name, tmp_path):
     assert certificate(name, tmp_path) == (GOLDEN / f"{name}.json").read_bytes()
 
 
-def test_bring_builds_no_algebraic_field(monkeypatch, tmp_path):
-    # Bring's curve lies over Q(sqrt 5); its eliminants are factored through
-    # their rational norms, so sympy never builds QQ<sqrt(5)>.
+def test_no_case_builds_a_sympy_ring_or_algebraic_field(monkeypatch, tmp_path):
+    # Gcds are interpolated from node gcds and eliminants over Q(sqrt s) are
+    # factored through their rational norms, so no case, the Q(sqrt 5) ones
+    # (clebsch, bring) included, builds QQ<sqrt(s)> or a sparse ring.
     def refuse(*args, **kwargs):
-        raise RuntimeError("sympy.QQ.algebraic_field was called")
+        raise RuntimeError("sympy built a PolyRing or an algebraic field")
     monkeypatch.setattr(sympy.QQ, "algebraic_field", refuse)
-    sympy_domain.cache_clear()
-    argv, out = case_argv("example_bring", tmp_path)
-    assert main(argv) == 0
-    assert out.read_bytes() == (GOLDEN / "example_bring.json").read_bytes()
+    monkeypatch.setattr(PolyRing, "__new__", refuse)
+    for name in sorted(CASES):
+        assert certificate(name, tmp_path) == (GOLDEN / f"{name}.json").read_bytes(), name
 
 
 def test_every_example_has_a_golden():
@@ -146,9 +146,9 @@ ASSERT_ALLOWLIST = Counter([
     ("polyring/homopoly.py", "p.degree == 1 or p.is_zero()"),
     ("polyring/homopoly.py", "p.nvars == nv"),
     ("polyring/local.py", "curve.nvars == 3 and (not curve.is_zero())"),
-    ("polyring/zeros.py", "f.field == g.field and f.nvars == g.nvars"),
     ("polyring/zeros.py", "polys"),
     ("polyring/zeros.py", "polys"),
+    ("polyring/zeros.py", "f.nvars == 3 == g.nvars and f.field == g.field"),
     ("polyring/zeros.py", "f.nvars == 3 == g.nvars and f.field == g.field"),
     ("polyring/zeros.py", "not f.is_zero() and (not g.is_zero())"),
     ("polyring/zeros.py", "p.field == field and p.nvars == 3"),

@@ -1,10 +1,13 @@
 """Dense homogeneous polynomials, determinants, univariate helpers, and the
 bridge to sympy."""
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
-from sympy.polys.rings import PolyElement
 
 import random
 
@@ -17,7 +20,8 @@ from schurlab.polyring import (HomPoly, LinFormsMatrix, exact_div,
                                poly_det, roots_with_multiplicity,
                                try_exact_div)
 from schurlab.polyring import homopoly
-from schurlab.polyring.univar import from_domain, to_domain, univar_mul, univar_rem
+from schurlab.polyring import zeros
+from schurlab.polyring.univar import univar_mul, univar_rem
 from test_integral_kernels import reference_lagrange_coeffs, reference_nodes
 
 
@@ -271,14 +275,79 @@ def test_factor_univar_over_sqrt_minus_three():
     assert hard == [([f3.scalar(-2), f3.zero, f3.one], 1)]
 
 
-def test_wrong_sympy_gcd_is_caught(monkeypatch):
+def _corrupt_node_gcds(monkeypatch):
+    """Every node gcd times (x + 1): a consistent node gcd one degree too
+    high, whose interpolant is a form that divides neither input."""
+    real_prs = zeros.subresultant_prs
+
+    def too_large(a, b, s):
+        last, res = real_prs(a, b, s)
+        if len(last) > 1:
+            last = [lo + hi for lo, hi in zip(last + [0], [0] + last)]
+        return last, res
+    monkeypatch.setattr(zeros, "subresultant_prs", too_large)
+
+
+def _corrupt_interpolants(monkeypatch):
+    """Every interpolated coefficient off by its constant term."""
+    real_lagrange = zeros.lagrange_coeffs
+
+    def off_by_one(values, offset):
+        constant, *rest = real_lagrange(values, offset)
+        return [constant + 1] + rest
+    monkeypatch.setattr(zeros, "lagrange_coeffs", off_by_one)
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_node_gcds, _corrupt_interpolants],
+                         ids=["node_gcd", "interpolant"])
+def test_wrong_gcd_candidate_is_caught(monkeypatch, corrupt):
     x, y, _ = vars3()
-    real_gcd = PolyElement.gcd
-    # a homogeneous candidate one degree too high
-    monkeypatch.setattr(PolyElement, "gcd",
-                        lambda f, g: real_gcd(f, g) * f.ring.gens[0])
-    with pytest.raises(ClaimError, match="does not divide"):
+    corrupt(monkeypatch)
+    with pytest.raises(ClaimError, match="divides both forms"):
         multivariate_gcd((x + y) * (x * x + y * y), (x + y) * (x - y))
+
+
+def test_wrong_gcd_candidate_is_caught_without_asserts():
+    # python -O strips asserts; the candidate check must still end in ClaimError
+    script = (
+        "import pytest\n"
+        "from test_polyring import _corrupt_interpolants, _corrupt_node_gcds,"
+        " test_wrong_gcd_candidate_is_caught\n"
+        "for corrupt in (_corrupt_node_gcds, _corrupt_interpolants):\n"
+        "    with pytest.MonkeyPatch.context() as mp:\n"
+        "        test_wrong_gcd_candidate_is_caught(mp, corrupt)\n")
+    tests = Path(__file__).parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=120)
+    assert done.returncode == 0
+
+
+def test_unlucky_node_gives_the_true_gcd(monkeypatch):
+    # the cofactors x2 - x1 + x0 and x2 - x1 + 2 x0 share the root x2 = 1 on
+    # the node line x0 = 0, so node 0's gcd has degree 2; node 1's has 1
+    x, y, z = vars3()
+    h = x + y + z
+    f, g = h * (z - y + x), h * (z - y + x.scale(2))
+    real_prs = zeros.subresultant_prs
+    degrees = []
+
+    def recording(a, b, s):
+        last, res = real_prs(a, b, s)
+        degrees.append(len(last) - 1)
+        return last, res
+    monkeypatch.setattr(zeros, "subresultant_prs", recording)
+    assert multivariate_gcd(f, g) == h.canonical()
+    assert degrees == [2, 1, 1]
+
+
+def test_coprime_pair_takes_one_prs(monkeypatch):
+    x, y, z = vars3()
+    calls = []
+    real_prs = zeros.subresultant_prs
+    monkeypatch.setattr(zeros, "subresultant_prs",
+                        lambda a, b, s: calls.append(1) or real_prs(a, b, s))
+    assert multivariate_gcd(x * y - z * z, x * x + y * y + z * z) == HomPoly.constant(QQ, 3, 1)
+    assert len(calls) == 1
 
 
 def test_wrong_sympy_factorization_is_caught(monkeypatch):

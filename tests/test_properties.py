@@ -8,14 +8,17 @@ from collections import Counter
 from fractions import Fraction
 from math import factorial, gcd, isqrt
 
+import sympy
+from sympy.polys.rings import PolyRing
+
 from schurlab.errors import ClaimError, PreconditionError
 from schurlab.exact_math import (Field, Matrix, ProjSubspace, QQ, Scalar, SymForm,
                                  sym_pairs, sym_row, vec_canonical, vec_dot)
 from schurlab.exact_math.matrices import from_integral
 from schurlab.hulek_monad import MonadData, select_compatible_form, validate_monad
 from schurlab.polyring import (HomPoly, LinFormsMatrix, gram, lagrange_coeffs,
-                               local_singularity, monomials, quadric)
-from schurlab.polyring.univar import from_domain, to_domain
+                               local_singularity, monomials, multivariate_gcd, quadric,
+                               try_exact_div)
 from test_exact_math import elimination_mismatches
 from test_integral_kernels import reference_lagrange_coeffs
 
@@ -269,17 +272,51 @@ def interpolation_suite(cases=CASES, seed=606):
     return bad
 
 
-def domain_round_trip_suite(cases=CASES, seed=808):
-    """Scalars of Q, Q(sqrt 5), Q(sqrt -1) and Q(sqrt -3) come back from
-    sympy's domain unchanged."""
+def rand_form(rng, field, degree):
+    """A random nonzero ternary form over the field, about half its
+    monomials zero, so special coordinates and shears come up."""
+    while True:
+        poly = HomPoly(field, 3, degree, {e: rand_element(rng, field, 4)
+                                          for e in monomials(3, degree) if rng.random() < 0.5})
+        if not poly.is_zero():
+            return poly
+
+
+def sympy_gcd_degree(f, g) -> int:
+    """Degree of the gcd of two forms in sympy's sparse ring over QQ or
+    QQ<sqrt(s)>, the reference for multivariate_gcd.  A scalar u + v sqrt(s)
+    goes in as [v, u] in the generator, which the modulus x^2 - s proves is a
+    square root of s."""
+    s = f.field.s
+    domain = sympy.QQ if s is None else sympy.QQ.algebraic_field(sympy.sqrt(s))
+    assert s is None or domain.mod.to_list() == [1, 0, -s]
+
+    def element(c):
+        u, v = (sympy.QQ(x.numerator, x.denominator) for x in (c.u, c.v))
+        return u if s is None else domain([v, u])
+    ring = PolyRing(["x0", "x1", "x2"], domain)
+    common = ring({e: element(c) for e, c in f.coeffs.items()}).gcd(
+        ring({e: element(c) for e, c in g.coeffs.items()}))
+    return sum(common.monoms()[0])
+
+
+def gcd_suite(cases=CASES, seed=808):
+    """multivariate_gcd(h a, h b) for random ternary forms h, a and b over
+    Q, Q(sqrt 5) and Q(sqrt -3) divides both products and has the degree of
+    sympy's gcd; every fifth b is a multiple of a, so the gcd is h a."""
     rng = random.Random(seed)
-    fields = [QQ, QSQRT5, Field(-1), Field(-3)]
+    fields = [QQ, QSQRT5, Field(-3)]
     bad = []
     for case in range(cases):
-        field = fields[case % 4]
-        sqrt_part = 0 if field.is_rational else rand_scalar(rng, 50).u
-        c = field.scalar(rand_scalar(rng, 50).u, sqrt_part)
-        if from_domain(field, to_domain(c)) != c:
+        field = fields[case % 3]
+        h = rand_form(rng, field, rng.randint(0, 2))
+        a, b = (rand_form(rng, field, rng.randint(1, 2)) for _ in range(2))
+        if case % 5 == 0:
+            b = b * a
+        f, g = h * a, h * b
+        got = multivariate_gcd(f, g)
+        if (try_exact_div(f, got) is None or try_exact_div(g, got) is None
+                or got.degree != sympy_gcd_degree(f, g)):
             bad.append(case)
     return bad
 
@@ -686,8 +723,8 @@ def test_interpolation_reproduces_the_data():
     assert interpolation_suite() == []
 
 
-def test_domain_round_trip():
-    assert domain_round_trip_suite() == []
+def test_gcd_is_a_common_divisor_of_sympy_degree():
+    assert gcd_suite() == []
 
 
 def test_scalar_arithmetic_matches_fraction_pairs():
