@@ -8,14 +8,15 @@ identical canonical forms.
 
 The zero polynomial carries a nominal degree but combines with any degree.
 
-Evaluation, restriction to a line (restrict_univar), substitution and the
-interpolated determinant run in integers: each clears the coefficients, and
-the point or the targets, to Z or Z[sqrt(s)] once (clear_denominators),
-works with IntegralRing's arithmetic, and divides once per output, when
-from_integral makes it a Scalar.  Homogeneity puts every output over one
-denominator: den * pden^degree for a value or a restriction at a point
-cleared over pden, den * L^m for a form of degree m substituted with targets
-cleared over L.  Sums, products and scaling of forms stay on Scalars.
+Evaluation, substitution and the interpolated determinant run in integers:
+each clears the coefficients, and the point or the targets, to Z or
+Z[sqrt(s)] once (clear_denominators), works with IntegralRing's arithmetic,
+and divides once per output, when from_integral makes it a Scalar.
+Homogeneity puts every output over one denominator: den * pden^degree for a
+value at a point cleared over pden, den * L^m for a form of degree m
+substituted with targets cleared over L.  Sums, products and scaling of
+forms stay on Scalars.  Restrictions to lines live in zeros, which clears
+each form once into a table along a sheared pencil.
 
 The number of variables alone picks a determinant's path.  Every grid of
 ternary forms, of any size, is interpolated on the lattice (_lattice_forms)
@@ -23,8 +24,8 @@ from integral eliminations at its nodes, each value checked at a node off
 the lattice; cofactor expansion is kept for grids in any other number of
 variables.  lagrange_coeffs is the one interpolation kernel, in integers on
 consecutive nodes: _lattice_forms calls it per lattice row, for poly_det and
-the signed maximal minors, solve_pair for the eliminant and
-multivariate_gcd for the gcd.
+the signed maximal minors, and zeros per Z or Z[sqrt(s)] component, for
+solve_pair's eliminant and multivariate_gcd's gcd.
 """
 from __future__ import annotations
 
@@ -196,10 +197,26 @@ class HomPoly:
         return out
 
     def evaluate(self, point) -> Scalar:
-        point = [self.field.coerce(x) for x in point]
+        """The value at the point.  The coefficients and the point are
+        cleared to integers once, over den and pden, so by homogeneity the
+        value lies over den * pden^degree."""
+        field = self.field
+        point = [field.coerce(x) for x in point]
         assert len(point) == self.nvars
-        ints, scale = self.integral_restriction(point, None)
-        return from_integral(self.field, ints[0], scale)
+        ring = integral_ring(field.s)
+        den, cs = clear_denominators(field, self.coeffs.values())
+        pden, xs = clear_denominators(field, point)
+        add, mul = ring.add, ring.mul
+        tables = []
+        for x in xs:
+            table = [ring.one]
+            for _ in range(self.degree):
+                table.append(mul(table[-1], x))
+            tables.append(table)
+        total = ring.zero
+        for exp, c in zip(self.coeffs, cs):
+            total = add(total, reduce(mul, map(operator.getitem, tables, exp), c))
+        return from_integral(field, total, den * pden ** self.degree)
 
     def partial(self, i: int) -> HomPoly:
         """d/dx_i."""
@@ -302,41 +319,6 @@ class HomPoly:
         order = monomials(nvars, degree)
         assert len(vec) == len(order)
         return cls(field, nvars, degree, dict(zip(order, vec)))
-
-    def restrict_univar(self, values, free: int):
-        """Plug in scalars for every variable except `free`; return the
-        coefficient list [c_0, ..., c_d] of the resulting polynomial in x_free."""
-        values = list(values)
-        assert len(values) == self.nvars and values[free] is None
-        ints, scale = self.integral_restriction(
-            [None if i == free else self.field.coerce(x) for i, x in enumerate(values)], free)
-        return [from_integral(self.field, x, scale) for x in ints]
-
-    def integral_restriction(self, point, free: int | None):
-        """(ints, scale) with ints[k] / scale the coefficient of x_free^k
-        after putting the scalars of point in for every other variable (all
-        of them when free is None: then ints has one entry, the value).
-        The coefficients and the point are cleared to integers once, over
-        den and pden; the free variable is put in as pden itself, so by
-        homogeneity every coefficient lies over scale = den * pden^degree."""
-        field = self.field
-        ring = integral_ring(field.s)
-        den, cs = clear_denominators(field, self.coeffs.values())
-        pden, xs = clear_denominators(field, [x for i, x in enumerate(point) if i != free])
-        if free is not None:
-            xs.insert(free, ring.embed(pden))
-        add, mul = ring.add, ring.mul
-        tables = []
-        for x in xs:
-            table = [ring.one]
-            for _ in range(self.degree):
-                table.append(mul(table[-1], x))
-            tables.append(table)
-        out = [ring.zero] * (1 if free is None else self.degree + 1)
-        for exp, c in zip(self.coeffs, cs):
-            k = 0 if free is None else exp[free]
-            out[k] = add(out[k], reduce(mul, map(operator.getitem, tables, exp), c))
-        return out, den * pden ** self.degree
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HomPoly):

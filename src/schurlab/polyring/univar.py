@@ -13,8 +13,11 @@ the bridge as integers, never as sympy expressions, and every answer that
 comes back is re-checked in exact arithmetic; a factorization is
 multiplied back over Z or Z[sqrt(s)].  Gcds and resultants come from one
 subresultant PRS over Z or Z[sqrt(s)] (``subresultant_prs``), every
-division in it checked exact; ``zeros.multivariate_gcd`` runs it at the
-nodes of its evaluation gcd.
+division in it checked exact.  Its inputs lead with a nonzero coefficient:
+``univar_gcd`` trims them, and the restrictions of ``zeros`` lead with a
+constant the shear makes nonzero.  ``zeros.multivariate_gcd`` runs it at
+the nodes of its evaluation gcd, ``zeros.solve_pair`` at the nodes of the
+eliminant and at the base roots for the fibers.
 """
 from __future__ import annotations
 
@@ -149,31 +152,6 @@ def subresultant_prs(a, b, s: int | None) -> tuple[list, object]:
     else:
         res = _exact_quotient(_power(ring, b[0], len(a) - 1), _power(ring, h, len(a) - 2), s)
     return (b or a), (ring.sub(ring.zero, res) if negate else res)
-
-
-def integral_resultant(a, b, s: int | None):
-    """The Sylvester determinant of a and b over Z or Z[sqrt(s)], of formal
-    degrees m = len(a) - 1 and n = len(b) - 1.  Expanding it along its first
-    column, a zero a_m gives (-1)^n b_n Res_(m-1,n)(a, b) and a zero b_n
-    gives a_m Res_(m,n-1)(a, b); with both zero that column is zero.  Past
-    the zero leading coefficients it is subresultant_prs's resultant."""
-    ring = integral_ring(s)
-    zero = ring.zero
-    a, b, factor = list(a), list(b), ring.one
-    while a[-1] == zero or b[-1] == zero:
-        if len(a) + len(b) == 2:
-            return factor
-        if a[-1] == zero:
-            if b[-1] == zero or len(a) == 1:
-                return zero
-            factor = ring.mul(factor, b[-1] if len(b) % 2 else ring.sub(zero, b[-1]))
-            a.pop()
-        else:
-            if len(b) == 1:
-                return zero
-            factor = ring.mul(factor, a[-1])
-            b.pop()
-    return ring.mul(factor, subresultant_prs(a, b, s)[1])
 
 
 def univar_gcd(field: Field, a, b) -> list[Scalar]:

@@ -1,18 +1,22 @@
 """Common zeros of systems of ternary forms, in exact arithmetic.
 
 Strategy: strip the multivariate gcd of the system (a positive-degree gcd
-means the locus has a curve part; each gcd is interpolated from the
-subresultant PRS of the restrictions to lines of a sheared pencil, and is
-returned only once it divides both forms exactly), then reduce the
-residual zero-dimensional system to coprime pairs.  A coprime pair is
-solved by shearing until both forms have constant leading coefficient in
-the last variable, eliminating it with a resultant (taken at integer nodes
-by the subresultant PRS and interpolated), factoring the resulting binary
-form, and taking gcds along the fibers.  Whatever the univariate factorizer
-cannot split over the field is reported back as a ternary form containing
-the missing points, never silently dropped.  Every point returned is
-re-verified against every generator; a failed re-check or a broken
-invariant of the elimination raises ClaimError.
+means the locus has a curve part), then reduce the residual
+zero-dimensional system to coprime pairs.  Both steps shear a pair until
+both forms have constant leading coefficient in the last variable and
+clear each form once into its table along the sheared pencil of lines
+(_pencil_table); every restriction to a line reads that table, at integer
+nodes (_at_node) or at a field point of the base (_at_point), and goes
+through the one subresultant PRS.  A gcd is interpolated from the PRS's
+last members at the nodes and returned only once it divides both forms
+exactly.  A coprime pair is solved by eliminating the last variable with a
+resultant (the PRS's resultants at the nodes, interpolated), factoring the
+resulting binary form, and taking gcds along the fibers over its roots.
+Whatever the univariate factorizer cannot split over the field is reported
+back as a ternary form containing the missing points, never silently
+dropped.  Every point returned is re-verified against every generator; a
+failed re-check or a broken invariant of the elimination raises
+ClaimError.
 """
 from __future__ import annotations
 
@@ -24,8 +28,7 @@ from ..errors import ClaimError, PreconditionError
 from ..exact_math import Scalar, vec_canonical
 from ..exact_math.matrices import clear_denominators, from_integral, integral_ring
 from .homopoly import HomPoly, exact_div, lagrange_coeffs
-from .univar import (degree, integral_resultant, monic, roots_with_multiplicity,
-                     subresultant_prs, trim, univar_gcd)
+from .univar import degree, monic, roots_with_multiplicity, subresultant_prs, trim
 
 Point = tuple[Scalar, ...]
 
@@ -60,13 +63,11 @@ def multivariate_gcd(f: HomPoly, g: HomPoly) -> HomPoly:
         return one
     shear = _find_shear(f, g)
     ring = integral_ring(field.s)
-    tables = [_pencil_table(p, shear) for p in (f, g)]
+    tables = [_pencil_table(p, shear)[1] for p in (f, g)]
     least, run = None, []
     nodes = (f.degree * g.degree + 1) * (min(f.degree, g.degree) + 1)
     for t in range(nodes):
-        powers = [t ** m for m in range(max(f.degree, g.degree) + 1)]
-        last, _ = subresultant_prs(*([ring.combine(row, powers) for row in rows]
-                                     for rows in tables), field.s)
+        last, _ = subresultant_prs(*(_at_node(ring, rows, t) for rows in tables), field.s)
         d = len(last) - 1
         if d == 0:
             return one
@@ -82,20 +83,56 @@ def multivariate_gcd(f: HomPoly, g: HomPoly) -> HomPoly:
         if all(_divides(ring, rows, table) for table in tables):
             h = HomPoly(field, 3, d, {(m, d - k - m, k): from_integral(field, x, scale)
                                       for k, row in enumerate(rows) for m, x in enumerate(row)})
-            return _apply_shear(h, shear, inverse=True).canonical()
+            return _unshear(h, shear).canonical()
         run.pop(0)
     raise ClaimError(f"no interpolated gcd candidate divides both forms in {nodes} nodes")
 
 
-def _pencil_table(p: HomPoly, shear) -> list[list]:
-    """p(t + c x, 1 + c' x, x) for the shear (c, c'), the restriction of p
-    along the sheared pencil of lines, as integral coefficients: rows[k][m]
-    multiplies t^m x^k, with t of degree <= deg p - k by homogeneity, over
-    the positive denominator of _sheared, which no gcd or division sees."""
+def _pencil_table(p: HomPoly, shear) -> tuple[int, list[list]]:
+    """(den, rows): p(t + c x, 1 + c' x, x) for the shear (c, c'), the
+    restriction of p along the sheared pencil of lines, as integral
+    coefficients over den, the positive denominator of _sheared, which no
+    gcd or division sees: rows[k][m] multiplies t^m x^k, with t of degree
+    <= deg p - k by homogeneity.  The row of x^(deg p) is the one constant
+    p(c, c', 1) * den, nonzero at a shear _find_shear picks."""
     d = p.degree
     zero = integral_ring(p.field.s).zero
-    _, ints = _sheared(p, shear)
-    return [[ints.get((m, d - k - m, k), zero) for m in range(d - k + 1)] for k in range(d + 1)]
+    den, ints = _sheared(p, shear)
+    return den, [[ints.get((m, d - k - m, k), zero) for m in range(d - k + 1)]
+                 for k in range(d + 1)]
+
+
+def _at_node(ring, rows, t: int) -> list:
+    """The pencil table rows restricted to the line at the integer node t:
+    the coefficient of x^k is the sum over m of rows[k][m] t^m."""
+    powers = [t ** m for m in range(len(rows))]
+    return [ring.combine(row, powers) for row in rows]
+
+
+def _at_point(field, rows, point) -> list:
+    """The pencil table rows restricted to the line over the point (a, b) of
+    the base, a field point cleared to (a', b') over pden: the coefficient
+    of x^k is the sum over m of rows[k][m] a'^m b'^(d - k - m) pden^k, by
+    homogeneity pden^d times the restriction at (a, b) itself."""
+    ring = integral_ring(field.s)
+    mul = ring.mul
+    pden, (a, b) = clear_denominators(field, point)
+    d = len(rows) - 1
+    pa, pb = [ring.one], [ring.one]
+    for _ in range(d):
+        pa.append(mul(pa[-1], a))
+        pb.append(mul(pb[-1], b))
+    return [mul(ring.embed(pden ** k), ring.dot(row, [mul(pa[m], pb[d - k - m])
+                                                      for m in range(len(row))]))
+            for k, row in enumerate(rows)]
+
+
+def _lagrange(values: list, offset: int, s: int | None) -> list:
+    """lagrange_coeffs of values in Z, or in Z[sqrt(s)] one component at a
+    time."""
+    if s is None:
+        return lagrange_coeffs(values, offset)
+    return list(zip(*(lagrange_coeffs(list(part), offset) for part in zip(*values))))
 
 
 def _interpolated_gcd(field, run, start: int) -> tuple[list[list], int]:
@@ -108,14 +145,7 @@ def _interpolated_gcd(field, run, start: int) -> tuple[list[list], int]:
     d = len(run) - 1
     den, ints = clear_denominators(field, [c for node in run for c in node[:-1]])
     scale = factorial(d) * den
-    rows = []
-    for k in range(d):
-        values = ints[k::d]
-        if field.s is None:
-            coeffs = lagrange_coeffs(values, -start)
-        else:
-            coeffs = list(zip(*(lagrange_coeffs(list(part), -start) for part in zip(*values))))
-        rows.append(coeffs[:d - k + 1])
+    rows = [_lagrange(ints[k::d], -start, field.s)[:d - k + 1] for k in range(d)]
     rows.append([integral_ring(field.s).embed(scale)])
     return rows, scale
 
@@ -181,9 +211,11 @@ def _sheared(p: HomPoly, shear) -> tuple[int, dict]:
     return den, {e: combine(xs, ws) for e, (xs, ws) in cells.items()}
 
 
-def _apply_shear(p: HomPoly, shear, inverse=False) -> HomPoly:
+def _unshear(p: HomPoly, shear) -> HomPoly:
+    """p(x0 - c x2, x1 - c' x2, x2), a form in sheared coordinates mapped
+    back to the original ones."""
     c, cp = shear
-    den, ints = _sheared(p, (-c, -cp) if inverse else shear)
+    den, ints = _sheared(p, (-c, -cp))
     return HomPoly(p.field, 3, p.degree, {e: from_integral(p.field, x, den)
                                           for e, x in ints.items()})
 
@@ -198,17 +230,6 @@ def _find_shear(f: HomPoly, g: HomPoly):
                for exps, cs in cleared):
             return (c, cp)
     raise ClaimError("no admissible shear found")
-
-
-def _eliminant_at(fs: HomPoly, gs: HomPoly, t) -> tuple:
-    """Resultant in x2 of fs(t, 1, x2) and gs(t, 1, x2): the integral
-    resultant of the cleared restrictions, by the subresultant PRS, and its
-    denominator, the product of their multipliers."""
-    field = fs.field
-    point = (field.coerce(t), field.one, None)
-    a, ma = fs.integral_restriction(point, 2)
-    b, mb = gs.integral_restriction(point, 2)
-    return integral_resultant(a, b, field.s), ma ** (len(b) - 1) * mb ** (len(a) - 1)
 
 
 @dataclass
@@ -229,28 +250,30 @@ class PairSolution:
 
 def solve_pair(f: HomPoly, g: HomPoly) -> PairSolution:
     """Common zeros of two coprime ternary forms by elimination of the last
-    variable.  The eliminant has degree deg(f)*deg(g) exactly."""
+    variable.  The eliminant has degree deg(f)*deg(g) exactly.  Both forms
+    are sheared into one pencil table each (_pencil_table), which every
+    restriction reads: at the integer nodes for the eliminant, at the base
+    roots for the fibers."""
     assert f.nvars == 3 == g.nvars and f.field == g.field
     assert not f.is_zero() and not g.is_zero()
-    field = f.field
+    field, s = f.field, f.field.s
+    ring = integral_ring(s)
     shear = _find_shear(f, g)
-    fs, gs = _apply_shear(f, shear), _apply_shear(g, shear)
+    (den_f, rows_f), (den_g, rows_g) = _pencil_table(f, shear), _pencil_table(g, shear)
     total = f.degree * g.degree
-    # the eliminant at total + 2 consecutive nodes a - h, all over one
-    # denominator since (t, 1) clears over 1 at an integer t.  The last node
-    # checks the others: the interpolant's top coefficient, the last forward
-    # difference, must be 0, and every value enters it, so a wrong one shows.
+    # the eliminant at total + 2 consecutive nodes a - h, the resultant of
+    # the restrictions, which lie over den_f and den_g at every node.  The
+    # last node checks the others: the interpolant's top coefficient, the
+    # last forward difference, must be 0, and every value enters it, so a
+    # wrong one shows.
     h = total // 2
-    values = [_eliminant_at(fs, gs, a - h) for a in range(total + 2)]
-    dets, s = [v for v, _ in values], field.s
-    parts = []
-    for part in [dets] if s is None else zip(*dets):
-        coeffs = lagrange_coeffs(list(part), h)
-        if coeffs.pop():
-            raise ClaimError("interpolated eliminant misses its check node")
-        parts.append(coeffs)
-    rc = [from_integral(field, c[0] if s is None else c, factorial(total + 1) * values[0][1])
-          for c in zip(*parts)]
+    dets = [subresultant_prs(_at_node(ring, rows_f, a - h), _at_node(ring, rows_g, a - h), s)[1]
+            for a in range(total + 2)]
+    coeffs = _lagrange(dets, h, s)
+    if coeffs.pop() != ring.zero:
+        raise ClaimError("interpolated eliminant misses its check node")
+    scale = factorial(total + 1) * den_f ** g.degree * den_g ** f.degree
+    rc = [from_integral(field, c, scale) for c in coeffs]
     if not trim(rc):
         raise ClaimError("zero eliminant: the forms were not coprime")
 
@@ -264,9 +287,10 @@ def solve_pair(f: HomPoly, g: HomPoly) -> PairSolution:
     unresolved_forms: list[HomPoly] = []
     cs = (field.scalar(shear[0]), field.scalar(shear[1]))
     for (al, be), _mult in base_roots:
-        hf = fs.restrict_univar((al, be, None), 2)
-        hg = gs.restrict_univar((al, be, None), 2)
-        h = univar_gcd(field, hf, hg)
+        # the fiber gcd: the last member of the PRS of the restrictions
+        last, _ = subresultant_prs(_at_point(field, rows_f, (al, be)),
+                                   _at_point(field, rows_g, (al, be)), s)
+        h = monic([from_integral(field, x, 1) for x in last])
         if degree(h) < 1:
             raise ClaimError("eliminant root with empty fiber")
         froots, funres = roots_with_multiplicity(field, h)
@@ -283,12 +307,12 @@ def solve_pair(f: HomPoly, g: HomPoly) -> PairSolution:
             else:
                 form = HomPoly(field, 3, du,
                                {(du - i, 0, i): fac[i] for i in range(du + 1)})
-            unresolved_forms.append(_apply_shear(form, shear, inverse=True).canonical())
+            unresolved_forms.append(_unshear(form, shear).canonical())
     for fac, _m in unresolved_base:
         du = len(fac) - 1
         form = HomPoly(field, 3, du,
                        {(i, du - i, 0): fac[i] for i in range(du + 1)})
-        unresolved_forms.append(_apply_shear(form, shear, inverse=True).canonical())
+        unresolved_forms.append(_unshear(form, shear).canonical())
 
     return PairSolution(shear, total, rc, base_roots, unresolved_base,
                         _dedupe_points(points), _dedupe_forms(unresolved_forms))

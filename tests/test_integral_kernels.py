@@ -1,11 +1,12 @@
 """The integral kernels against the Scalar loops they replaced.
 
-HomPoly.evaluate, restrict_univar and substitute, the pair eliminant of
-solve_pair (a subresultant PRS per node), its interpolation by
-lagrange_coeffs (integer forward differences on consecutive nodes, the
-kernel poly_det and the signed maximal minors use on each lattice row),
-univar_gcd and Matrix.__mul__ clear denominators once and work in Z or
-Z[sqrt(s)].  The reference_* functions below are the Scalar-by-Scalar
+HomPoly.evaluate and substitute, the pencil tables of zeros (one sheared
+form cleared once, restricted at integer nodes and at field points), the
+pair eliminant of solve_pair (a subresultant PRS per node), its
+interpolation by lagrange_coeffs (integer forward differences on
+consecutive nodes, the kernel poly_det and the signed maximal minors use on
+each lattice row), univar_gcd and Matrix.__mul__ clear denominators once
+and work in Z or Z[sqrt(s)].  The reference_* functions below are the Scalar-by-Scalar
 implementations they replaced, kept here as the definition of the result;
 each kernel must give equal canonical Scalars over Q, Q(sqrt 5),
 Q(sqrt -1) and Q(sqrt -3), on zero and degree-0 forms, zero targets,
@@ -24,8 +25,8 @@ from schurlab.polyring import (HomPoly, LinFormsMatrix, degree, factor_univar, m
                                monomials, multivariate_gcd, poly_det, solve_pair, trim,
                                univar_gcd)
 from schurlab.polyring import homopoly, zeros
-from schurlab.polyring.univar import integral_resultant, univar_mul, univar_rem
-from schurlab.polyring.zeros import _apply_shear, _eliminant_at, _find_shear
+from schurlab.polyring.univar import subresultant_prs, univar_mul, univar_rem
+from schurlab.polyring.zeros import _at_node, _at_point, _find_shear, _pencil_table
 
 FIELDS = [QQ, Field(5), Field(-1), Field(-3)]
 CASES = 40
@@ -65,6 +66,13 @@ def reference_substitute(poly, targets):
                 term = term * targets[i] ** p
         out = out + term
     return out
+
+
+def reference_shear(poly, shear):
+    """poly(x0 + c x2, x1 + c' x2, x2) for the shear (c, c')."""
+    x, y, z = (HomPoly.variable(poly.field, 3, i) for i in range(3))
+    c, cp = shear
+    return reference_substitute(poly, [x + z.scale(c), y + z.scale(cp), z])
 
 
 def reference_sylvester_det(field, a, b):
@@ -178,19 +186,32 @@ def test_evaluate_matches_scalar_reference():
         assert rand_form(rng, field, nvars, 2).evaluate(origin).is_zero()
 
 
-def test_restrict_univar_matches_scalar_reference():
+def test_pencil_restrictions_match_scalar_reference():
+    # the pencil table of a form, restricted at integer nodes (t, 1), at
+    # field points (a, b) and at (1, 0), against the restriction of the
+    # sheared form to the line over that point
     for k, rng, field in cases():
-        nvars = 2 + k % 3
+        ring = integral_ring(field.s)
         for degree in range(5):
-            poly = rand_form(rng, field, nvars, degree)
-            free = rng.randrange(nvars)
-            values = [None if i == free else rand_scalar(rng, field, 0.3)
-                      for i in range(nvars)]
-            got = poly.restrict_univar(values, free)
-            assert got == reference_restrict_univar(poly, values, free), (k, degree)
-            assert len(got) == degree + 1
-        zero = HomPoly.zero(field, nvars, 2)
-        assert zero.restrict_univar([None] + [field.one] * (nvars - 1), 0) == [field.zero] * 3
+            poly = rand_form(rng, field, 3, degree)
+            shear = (rng.randint(-2, 2), rng.randint(-2, 2))
+            sheared = reference_shear(poly, shear)
+            den, rows = _pencil_table(poly, shear)
+            assert len(rows) == degree + 1
+            assert from_integral(field, rows[-1][0], den) == poly.evaluate((*shear, 1)), k
+            for t in range(-3, 4):
+                got = [from_integral(field, x, den) for x in _at_node(ring, rows, t)]
+                assert got == reference_restrict_univar(sheared, (t, 1, None), 2), (k, t)
+            points = [(rand_scalar(rng, field, 0.3), field.one),
+                      (rand_scalar(rng, field, 0.3), rand_scalar(rng, field, 0)),
+                      (field.one, field.zero)]
+            for point in points:
+                pden = clear_denominators(field, point)[0]
+                got = [from_integral(field, x, den * pden ** degree)
+                       for x in _at_point(field, rows, point)]
+                assert got == reference_restrict_univar(sheared, (*point, None), 2), (k, point)
+        zero = HomPoly.zero(field, 3, 2)
+        assert _at_node(ring, _pencil_table(zero, (1, 1))[1], 2) == [ring.zero] * 3
 
 
 def test_substitute_matches_scalar_reference():
@@ -268,33 +289,45 @@ def special_pairs(field):
            [field.coerce(x) for x in (1, 0, 0, 0, 0, 1)])
 
 
-def test_eliminant_matches_sylvester_reference():
+def node_resultant(f, g, shear, t):
+    """The resultant of solve_pair's eliminant at the integer node t: the
+    subresultant PRS of the two pencil tables restricted there, over the
+    product of their denominators."""
+    field = f.field
+    ring = integral_ring(field.s)
+    (den_f, rows_f), (den_g, rows_g) = _pencil_table(f, shear), _pencil_table(g, shear)
+    res = subresultant_prs(_at_node(ring, rows_f, t), _at_node(ring, rows_g, t), field.s)[1]
+    return from_integral(field, res, den_f ** g.degree * den_g ** f.degree)
+
+
+def test_subresultant_resultant_matches_sylvester_reference():
     for k, rng, field in cases():
         f = rand_form(rng, field, 3, 1 + k % 3)
         g = rand_form(rng, field, 3, 1 + (k // 3) % 3)
-        for t in [field.zero, field.one, rand_scalar(rng, field, 0)]:
-            a = f.restrict_univar((t, field.one, None), 2)
-            b = g.restrict_univar((t, field.one, None), 2)
-            got = from_integral(field, *_eliminant_at(f, g, t))
-            assert got == reference_sylvester_det(field, a, b), k
-        # at integer nodes the denominator does not depend on the node
-        dens = {_eliminant_at(f, g, t)[1] for t in range(-3, 4)}
-        assert len(dens) == 1, k
-        const = HomPoly.constant(field, 3, 3)
-        assert from_integral(field, *_eliminant_at(const, const, field.one)) == field.one
+        if f.is_zero() or g.is_zero():
+            continue
+        shear = _find_shear(f, g)
+        fs, gs = reference_shear(f, shear), reference_shear(g, shear)
+        for t in range(-2, 3):
+            want = reference_sylvester_det(field,
+                                           reference_restrict_univar(fs, (t, 1, None), 2),
+                                           reference_restrict_univar(gs, (t, 1, None), 2))
+            assert node_resultant(f, g, shear, t) == want, (k, t)
         # forms sharing a line: every restriction has a common root
         line = HomPoly.linear_form(field, [1, -2, 3])
-        shared = _eliminant_at(f * line, g * line, rand_scalar(rng, field, 0))
-        assert shared[0] == integral_ring(field.s).zero, k
+        shared = (f * line, g * line)
+        assert node_resultant(*shared, _find_shear(*shared), 1).is_zero(), k
         # a constant against a form: the constant to the form's degree
-        got = from_integral(field, *_eliminant_at(const, f, field.one))
-        assert got == reference_sylvester_det(field, [field.coerce(3)],
-                                              f.restrict_univar((1, 1, None), 2)), k
+        const = HomPoly.constant(field, 3, 3)
+        assert node_resultant(const, const, (0, 0), 1) == field.one
+        assert node_resultant(const, f, shear, 1) == field.coerce(3) ** f.degree, k
     for field in FIELDS:
         for a, b in special_pairs(field):
+            if a[-1].is_zero() or b[-1].is_zero():
+                continue
             ma, ia = clear_denominators(field, a)
             mb, ib = clear_denominators(field, b)
-            got = from_integral(field, integral_resultant(ia, ib, field.s),
+            got = from_integral(field, subresultant_prs(ia, ib, field.s)[1],
                                 ma ** (len(b) - 1) * mb ** (len(a) - 1))
             assert got == reference_sylvester_det(field, a, b), (field, a, b)
 
@@ -329,10 +362,10 @@ def reference_resultant(f, g, shear):
     Sylvester determinants at the nodes 0, 1, -1, 2, ..., interpolated by
     Newton divided differences."""
     field = f.field
-    fs, gs = _apply_shear(f, shear), _apply_shear(g, shear)
+    fs, gs = reference_shear(f, shear), reference_shear(g, shear)
     ts = reference_nodes(field, f.degree * g.degree + 1)
-    vals = [reference_sylvester_det(field, fs.restrict_univar((t, field.one, None), 2),
-                                    gs.restrict_univar((t, field.one, None), 2))
+    vals = [reference_sylvester_det(field, reference_restrict_univar(fs, (t, field.one, None), 2),
+                                    reference_restrict_univar(gs, (t, field.one, None), 2))
             for t in ts]
     return reference_lagrange_coeffs(field, ts, vals)
 
@@ -512,14 +545,14 @@ def test_solve_pair_wrong_node_value_caught(monkeypatch, wrong_call):
     f = x * x - y * z
     g = y * y - x * z + z * z.scale(2)
     calls = []
-    resultant = zeros.integral_resultant
+    prs = zeros.subresultant_prs
 
     def wrong(a, b, s):
         calls.append(1)
-        value = resultant(a, b, s)
-        return value + 1 if len(calls) == wrong_call + 1 else value
+        last, value = prs(a, b, s)
+        return last, value + 1 if len(calls) == wrong_call + 1 else value
 
-    monkeypatch.setattr(zeros, "integral_resultant", wrong)
+    monkeypatch.setattr(zeros, "subresultant_prs", wrong)
     with pytest.raises(ClaimError, match="check node"):
         solve_pair(f, g)
     assert len(calls) == 6

@@ -1,11 +1,22 @@
 """Common zeros of ternary forms and local curve behaviour at a point."""
+import hashlib
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
+from conftest import EIGHT_LINES
 from schurlab.errors import ClaimError
 from schurlab.exact_math import QQ, vec_canonical
-from schurlab.polyring import (HomPoly, local_singularity, resolved_common_zeros,
-                               solve_pair)
+from schurlab.logbundle import build_logbundle
+from schurlab.polyring import (HomPoly, local_singularity, multivariate_gcd,
+                               resolved_common_zeros, solve_pair)
+from schurlab.polyring import zeros
 from schurlab.polyring.zeros import _solve
+from test_integral_kernels import cases, rand_form
+
+PINNED = Path(__file__).parent / "pinned" / "zero_loci.json"
 
 
 def vars3():
@@ -149,3 +160,76 @@ def test_locus_is_exactly_needs_a_resolved_zero_dimensional_locus():
     assert not curve.zero_dimensional
     assert curve.points == canonical([(1, 0, 0)])
     assert not curve.is_exactly(curve.points)
+
+
+def seeded_coprime_pairs():
+    """Three pairs of forms of degrees 1 to 3 per seed of cases(), over Q
+    and Q(sqrt s), kept when both are nonzero and coprime."""
+    for k, rng, field in cases():
+        for j in range(3):
+            f = rand_form(rng, field, 3, 1 + (k + j) % 3)
+            g = rand_form(rng, field, 3, 1 + (k // 3 + 2 * j) % 3)
+            if not (f.is_zero() or g.is_zero() or multivariate_gcd(f, g).degree):
+                yield f, g
+
+
+def form_record(p):
+    """The degree of a form and the SHA-256 of its serialized coefficients,
+    which run to thousands of digits."""
+    return [p.degree, hashlib.sha256(json.dumps(p.serialize()).encode()).hexdigest()]
+
+
+def pair_record(ps):
+    return {"shear": list(ps.shear),
+            "points": [[c.serialize() for c in p] for p in ps.points],
+            "unresolved_forms": [form_record(p) for p in ps.unresolved_forms],
+            "base_roots": [[[a.serialize(), b.serialize()], m] for (a, b), m in ps.base_roots]}
+
+
+def eight_line_record():
+    """The 8-line jumping locus as resolved_common_zeros gives it, and the
+    solution of the one minor pair it is solved from."""
+    pairs = []
+    solve = zeros.solve_pair
+
+    def recorded(f, g):
+        pairs.append(solve(f, g))
+        return pairs[-1]
+
+    zeros.solve_pair = recorded
+    try:
+        minors = build_logbundle(QQ, EIGHT_LINES).monad.signed_minors()
+        locus = zeros.resolved_common_zeros(minors)
+    finally:
+        zeros.solve_pair = solve
+    return {"common_factor": locus.common_factor and form_record(locus.common_factor),
+            "points": [[c.serialize() for c in p] for p in locus.points],
+            "unresolved_forms": [form_record(p) for p in locus.unresolved_forms],
+            "pairs": [pair_record(ps) for ps in pairs]}
+
+
+def pinned_records():
+    return {"pairs": [pair_record(solve_pair(f, g)) for f, g in seeded_coprime_pairs()],
+            "eight_lines": eight_line_record()}
+
+
+def test_zero_loci_match_pinned():
+    """Points, unresolved forms and base roots of the seeded coprime pairs
+    and of the 8-line jumping locus, against the records in PINNED, written
+    by running this file as a script."""
+    pinned = json.loads(PINNED.read_text())
+    got = pinned_records()
+    assert len(got["pairs"]) == len(pinned["pairs"]) >= 100
+    for k, (record, want) in enumerate(zip(got["pairs"], pinned["pairs"])):
+        assert record == want, k
+    eight = pinned["eight_lines"]
+    assert eight["common_factor"] is None and len(eight["points"]) == 8
+    assert sorted(d for d, _ in eight["unresolved_forms"]) == [3, 4, 6, 12]
+    assert sum(m for (_, b), m in eight["pairs"][0]["base_roots"] if b == "0/1") == 4
+    assert got["eight_lines"] == eight
+
+
+if __name__ == "__main__":
+    PINNED.parent.mkdir(exist_ok=True)
+    PINNED.write_text(json.dumps(pinned_records(), indent=1) + "\n")
+    print(f"wrote {PINNED}", file=sys.stderr)
