@@ -10,7 +10,10 @@ first 2d-1 coordinates only.
 
 Kernels of this map at degrees d-1, d-2, d-3 have dimensions n-1, n, n-1
 with n = (d-1)^2, and coordinate contraction passes between them, producing
-three n x (n-1) matrices and three (n-1) x n matrices.  A one-dimensional
+three n x (n-1) matrices and three (n-1) x n matrices.  One table of
+monomial derivatives per degree (_derivative_table) gives both the map's
+columns and the contraction images, and the three matrices out of a kernel
+come from one elimination against the target basis.  A one-dimensional
 solution space ties the two triples together through a symmetric form; after
 normalization that form completes the matrices to monad data whose
 second-kind jumping curve has degree 2n-2, and the dual points of the
@@ -26,7 +29,7 @@ from .errors import ClaimError, PreconditionError
 from .exact_math import (Field, Matrix, Scalar, SymForm, sym_row,
                          vec_canonical)
 from .hulek_monad import MonadData
-from .polyring import HomPoly, monomials
+from .polyring import monomials
 
 Form = tuple[Scalar, Scalar, Scalar]
 
@@ -67,31 +70,36 @@ def check_general_position(field: Field, forms):
             raise PreconditionError("three of the forms are linearly dependent")
 
 
+def _derivative_table(m: int) -> list[tuple[int, int, int, int]]:
+    """Entries (r, k, c, r') with d/dx_k of monomial r of degree m equal to
+    c times monomial r' of degree m - 1, both indexed in monomials(3, .)
+    order; a monomial free of x_k has no entry for k."""
+    dst_idx = {e: r for r, e in enumerate(monomials(3, m - 1))}
+    return [(r, k, mu[k], dst_idx[mu[:k] + (mu[k] - 1,) + mu[k + 1:]])
+            for r, mu in enumerate(monomials(3, m)) for k in range(3) if mu[k]]
+
+
 def _contraction_kernel(field: Field, forms, relations: Matrix, m: int) -> list[tuple]:
     """Kernel of the weighted-contraction map at degree m, as reduced basis
-    vectors over the (monomial, relation) coordinate grid."""
+    vectors over the (monomial, relation) coordinate grid.  The column of
+    (monomial r, relation t) holds, at (monomial r', form j), the relation
+    weight of form j times the contraction of r against form j at r'."""
     dim_i = relations.rows
     count = len(forms)
     if m == 0:
         return [tuple(field.one if t == s else field.zero for t in range(dim_i))
                 for s in range(dim_i)]
-    src = monomials(3, m)
-    dst = monomials(3, m - 1)
-    dst_idx = {e: r for r, e in enumerate(dst)}
-    rows_n = len(dst) * (count - 1)
-    cols = []
-    for mu in src:
-        mu_poly = HomPoly.monomial(field, mu)
-        contractions = [mu_poly.contract(f) for f in forms]
-        for t in range(dim_i):
-            col = [field.zero] * rows_n
-            for j in range(count - 1):
+    rows_n = len(monomials(3, m - 1)) * (count - 1)
+    cols = [[field.zero] * rows_n for _ in range(len(monomials(3, m)) * dim_i)]
+    for r, k, c, rp in _derivative_table(m):
+        for j in range(count - 1):
+            a = forms[j][k] * c
+            if a.is_zero():
+                continue
+            for t in range(dim_i):
                 w = relations[t, j]
-                if w.is_zero():
-                    continue
-                for e, c in contractions[j].coeffs.items():
-                    col[dst_idx[e] * (count - 1) + j] = w * c
-            cols.append(col)
+                if not w.is_zero():
+                    cols[r * dim_i + t][rp * (count - 1) + j] = w * a
     kern = Matrix.from_cols(field, cols).kernel_basis()
     if not kern:
         return []
@@ -99,34 +107,27 @@ def _contraction_kernel(field: Field, forms, relations: Matrix, m: int) -> list[
     return [kmat.row(r) for r in range(kmat.rows)]
 
 
-def _contraction_matrix(field: Field, src_basis, dst_basis, dim_i: int,
-                        src_deg: int, k: int) -> Matrix:
-    """Matrix of coordinate contraction d/dx_k from the span of src_basis
+def _contraction_maps(field: Field, src_basis, dst_basis, dim_i: int,
+                      src_deg: int) -> list[Matrix]:
+    """The matrices of d/dx_0, d/dx_1, d/dx_2 from the span of src_basis
     (degree src_deg) to the span of dst_basis (degree src_deg - 1): the
-    coordinates of every image in dst_basis, from one elimination."""
-    src = monomials(3, src_deg)
-    dst = monomials(3, src_deg - 1)
-    dst_idx = {e: r for r, e in enumerate(dst)}
-    images = []
-    for vec in src_basis:
-        img = [field.zero] * (len(dst) * dim_i)
-        for mi, mu in enumerate(src):
-            if mu[k] == 0:
-                continue
-            nu = list(mu)
-            nu[k] -= 1
-            factor = field.scalar(mu[k])
+    coordinates of all 3 * len(src_basis) images in dst_basis, from one
+    elimination."""
+    size = len(monomials(3, src_deg - 1)) * dim_i
+    images = [[[field.zero] * size for _ in src_basis] for _ in range(3)]
+    for r, k, c, rp in _derivative_table(src_deg):
+        for vec, img in zip(src_basis, images[k]):
             for t in range(dim_i):
-                c = vec[mi * dim_i + t]
-                if not c.is_zero():
-                    img[dst_idx[tuple(nu)] * dim_i + t] = \
-                        img[dst_idx[tuple(nu)] * dim_i + t] + factor * c
-        images.append(img)
+                x = vec[r * dim_i + t]
+                if not x.is_zero():
+                    img[rp * dim_i + t] = x * c
     dst_mat = Matrix.from_cols(field, [list(v) for v in dst_basis])
-    sol = dst_mat.solve_columns(Matrix.from_cols(field, images))
+    sol = dst_mat.solve_columns(Matrix.from_cols(field, sum(images, [])))
     if sol is None:
         raise ClaimError("contraction image left the target kernel")
-    return sol
+    dim = len(src_basis)
+    return [Matrix(field, [row[k * dim:(k + 1) * dim] for row in sol.data])
+            for k in range(3)]
 
 
 def recover_cup_form(field: Field, a_maps, b_maps) -> tuple[SymForm, Matrix]:
@@ -202,11 +203,8 @@ def build_logbundle(field: Field, forms) -> LogBundle:
         raise ClaimError(f"kernel dimensions {(len(h_basis), len(m_basis), len(hp_basis))} "
                          f"differ from expected {(n - 1, n, n - 1)}")
 
-    dim_i = relations.rows
-    a_maps = [_contraction_matrix(field, h_basis, m_basis, dim_i, d - 1, k)
-              for k in range(3)]
-    b_maps = [_contraction_matrix(field, m_basis, hp_basis, dim_i, d - 2, k)
-              for k in range(3)]
+    a_maps = _contraction_maps(field, h_basis, m_basis, relations.rows, d - 1)
+    b_maps = _contraction_maps(field, m_basis, hp_basis, relations.rows, d - 2)
     form, _ident = recover_cup_form(field, a_maps, b_maps)
     monad = MonadData(a_maps, form)
     if not monad.compatibility_ok():

@@ -21,7 +21,7 @@ ClaimError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, count
+from itertools import combinations, product
 from math import comb, factorial
 
 from ..errors import ClaimError, PreconditionError
@@ -183,15 +183,6 @@ def gcd_many(polys: list[HomPoly]) -> HomPoly:
     return g
 
 
-def _shear_candidates():
-    yield (0, 0)
-    for n in count(1):
-        for c in range(-n, n + 1):
-            for cp in range(-n, n + 1):
-                if max(abs(c), abs(cp)) == n:
-                    yield (c, cp)
-
-
 def _sheared(p: HomPoly, shear) -> tuple[int, dict]:
     """(den, ints): p(x0 + c x2, x1 + c' x2, x2) for the shear (c, c') is
     ints[e] / den at each exponent e, expanded by the binomial theorem from
@@ -222,10 +213,15 @@ def _unshear(p: HomPoly, shear) -> HomPoly:
 
 def _find_shear(f: HomPoly, g: HomPoly):
     """The first shear (c, c') at which neither form vanishes at (c, c', 1),
-    each value a combination of the form's cleared coefficients."""
+    each value a combination of the form's cleared coefficients, ring by
+    ring in max(|c|, |c'|).  With D = deg f + deg g, a nonzero f*g(c, c', 1)
+    has degree at most D in each of c, c', so it cannot vanish on the grid
+    max(|c|, |c'|) <= ceil(D/2), whose sides have more than D points."""
     ring = integral_ring(f.field.s)
     cleared = [(p.coeffs, clear_denominators(p.field, p.coeffs.values())[1]) for p in (f, g)]
-    for c, cp in _shear_candidates():
+    bound = (f.degree + g.degree + 1) // 2
+    grid = product(range(-bound, bound + 1), repeat=2)
+    for c, cp in sorted(grid, key=lambda e: max(map(abs, e))):
         if all(ring.combine(cs, [c ** e0 * cp ** e1 for e0, e1, _ in exps]) != ring.zero
                for exps, cs in cleared):
             return (c, cp)
@@ -255,7 +251,8 @@ def solve_pair(f: HomPoly, g: HomPoly) -> PairSolution:
     restriction reads: at the integer nodes for the eliminant, at the base
     roots for the fibers."""
     assert f.nvars == 3 == g.nvars and f.field == g.field
-    assert not f.is_zero() and not g.is_zero()
+    if f.is_zero() or g.is_zero():
+        raise PreconditionError("solve_pair needs two nonzero forms")
     field, s = f.field, f.field.s
     ring = integral_ring(s)
     shear = _find_shear(f, g)

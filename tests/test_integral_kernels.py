@@ -20,13 +20,14 @@ from schurlab.errors import ClaimError, PreconditionError
 from schurlab.exact_math import Field, Matrix, QQ, vec_dot
 from schurlab.exact_math.matrices import clear_denominators, from_integral, integral_ring
 from schurlab.hulek_monad import MonadData
-from schurlab.logbundle import _contraction_matrix, build_logbundle
+from schurlab.logbundle import _contraction_maps, _derivative_table, build_logbundle
 from schurlab.polyring import (HomPoly, LinFormsMatrix, degree, factor_univar, monic,
                                monomials, multivariate_gcd, poly_det, solve_pair, trim,
                                univar_gcd)
 from schurlab.polyring import homopoly, zeros
 from schurlab.polyring.univar import subresultant_prs, univar_mul, univar_rem
 from schurlab.polyring.zeros import _at_node, _at_point, _find_shear, _pencil_table
+from test_logbundle import quadratic_field_bundle
 
 FIELDS = [QQ, Field(5), Field(-1), Field(-3)]
 CASES = 40
@@ -578,7 +579,53 @@ def test_monad_products_built_once(six_line_bundle, monkeypatch):
     assert len(products) == 9
 
 
-def test_contraction_matrices_take_one_solve_per_map(monkeypatch):
+def test_derivative_table_matches_partial():
+    for m in range(1, 6):
+        dst = monomials(3, m - 1)
+        table = {}
+        for r, k, c, rp in _derivative_table(m):
+            assert (r, k) not in table
+            table[r, k] = {dst[rp]: QQ.scalar(c)}
+        for r, mu in enumerate(monomials(3, m)):
+            for k in range(3):
+                assert table.get((r, k), {}) == HomPoly.monomial(QQ, mu).partial(k).coeffs
+
+
+def reference_contraction_matrix(field, src_basis, dst_basis, dim_i, src_deg, k):
+    """Matrix of d/dx_k from the span of src_basis (degree src_deg) to the
+    span of dst_basis, the images of one k solved on their own."""
+    src = monomials(3, src_deg)
+    dst = monomials(3, src_deg - 1)
+    dst_idx = {e: r for r, e in enumerate(dst)}
+    images = []
+    for vec in src_basis:
+        img = [field.zero] * (len(dst) * dim_i)
+        for mi, mu in enumerate(src):
+            if mu[k] == 0:
+                continue
+            nu = list(mu)
+            nu[k] -= 1
+            for t in range(dim_i):
+                at = dst_idx[tuple(nu)] * dim_i + t
+                img[at] = img[at] + field.scalar(mu[k]) * vec[mi * dim_i + t]
+        images.append(img)
+    dst_mat = Matrix.from_cols(field, [list(v) for v in dst_basis])
+    sol = dst_mat.solve_columns(Matrix.from_cols(field, images))
+    assert sol is not None
+    return sol
+
+
+def test_contraction_maps_match_per_map_reference(six_line_bundle, eight_line_bundle):
+    for lb in (six_line_bundle, eight_line_bundle, quadratic_field_bundle()):
+        dim_i = lb.relations.rows
+        for src, dst, deg, maps in ((lb.h_basis, lb.m_basis, lb.d - 1, lb.a_maps),
+                                    (lb.m_basis, lb.hp_basis, lb.d - 2, lb.b_maps)):
+            reference = [reference_contraction_matrix(lb.field, src, dst, dim_i, deg, k)
+                         for k in range(3)]
+            assert _contraction_maps(lb.field, src, dst, dim_i, deg) == reference == maps
+
+
+def test_contraction_maps_take_one_solve_per_target_basis(monkeypatch):
     solves = []
     solve_columns = Matrix.solve_columns
 
@@ -588,7 +635,7 @@ def test_contraction_matrices_take_one_solve_per_map(monkeypatch):
 
     monkeypatch.setattr(Matrix, "solve_columns", counted)
     lb = build_logbundle(QQ, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (1, 4, 9)])
-    # three maps H -> M, three M -> H', then the dual identification
-    assert solves[:6] == [(4, 3)] * 3 + [(3, 4)] * 3 and len(solves) == 7
+    # the three maps H -> M, the three M -> H', then the dual identification
+    assert solves[:2] == [(4, 9), (3, 12)] and len(solves) == 3
     with pytest.raises(ClaimError, match="left the target kernel"):
-        _contraction_matrix(QQ, lb.h_basis, lb.m_basis[1:], lb.relations.rows, lb.d - 1, 0)
+        _contraction_maps(QQ, lb.h_basis, lb.m_basis[1:], lb.relations.rows, lb.d - 1)

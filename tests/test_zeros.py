@@ -1,19 +1,21 @@
 """Common zeros of ternary forms and local curve behaviour at a point."""
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import EIGHT_LINES
-from schurlab.errors import ClaimError
+from schurlab.errors import ClaimError, PreconditionError
 from schurlab.exact_math import QQ, vec_canonical
 from schurlab.logbundle import build_logbundle
 from schurlab.polyring import (HomPoly, local_singularity, multivariate_gcd,
                                resolved_common_zeros, solve_pair)
 from schurlab.polyring import zeros
-from schurlab.polyring.zeros import _solve
+from schurlab.polyring.zeros import _find_shear, _solve
 from test_integral_kernels import cases, rand_form
 
 PINNED = Path(__file__).parent / "pinned" / "zero_loci.json"
@@ -61,6 +63,27 @@ def test_solve_refuses_a_common_factor():
     x, y, z = vars3()
     with pytest.raises(ClaimError, match="system is not zero-dimensional"):
         _solve([x * (y + z), y * (y + z)])
+
+
+def test_solve_pair_refuses_a_zero_form():
+    x, y, z = vars3()
+    zero = HomPoly.zero(QQ, 3, 2)
+    for f, g in ((zero, x), (x, zero)):
+        with pytest.raises(PreconditionError, match="two nonzero forms"):
+            solve_pair(f, g)
+        # no shear makes a zero form nonzero, and the search ends on its grid
+        with pytest.raises(ClaimError, match="no admissible shear"):
+            _find_shear(f, g)
+
+
+def test_solve_pair_refuses_a_zero_form_without_asserts():
+    # python -O strips asserts; a zero form must still be refused at once
+    script = ("from test_zeros import test_solve_pair_refuses_a_zero_form\n"
+              "test_solve_pair_refuses_a_zero_form()\n")
+    tests = Path(__file__).parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
+    assert done.returncode == 0
 
 
 def test_three_generators_zero_dimensional():
