@@ -9,7 +9,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 
 from ..errors import PreconditionError
 from ..exact_math import Field, Matrix, SymForm
@@ -27,8 +26,12 @@ def canonical_json(doc) -> str:
 
 
 def atomic_write(path: str, text: str) -> None:
+    """Write text to a fresh file beside path, then rename it over path.  The
+    file is created with mode 0o666, so the umask sets its permissions as it
+    would for a plain open."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".schurlab-")
+    tmp = os.path.join(directory, f".schurlab-{os.getpid()}-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

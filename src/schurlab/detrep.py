@@ -81,7 +81,7 @@ class DetRep:
         """Line over input point k: left kernel of the pencil there."""
         line = self.monad.at(self.points[k]).left
         if line.dim != 1:
-            raise ClaimError("right kernel over an input point is not a line")
+            raise ClaimError("left kernel over an input point is not a line")
         return line
 
     def b_line(self, k: int) -> ProjSubspace:
@@ -89,7 +89,7 @@ class DetRep:
         pencil there."""
         pencil = self.monad.at(self.points[k])
         if len(pencil.right) != 1:
-            raise ClaimError("left kernel over an input point is not a single point")
+            raise ClaimError("right kernel over an input point is not a single point")
         if pencil.contracted.dim != 1:
             raise ClaimError("contracted kernel over an input point is not a line")
         return pencil.contracted

@@ -35,6 +35,11 @@ take integral dot products; the one division per entry happens when
 from_integral makes it a Scalar.  IntegralRing is the one owner of the
 arithmetic of Z and Z[sqrt(s)], for these kernels and for those of
 polyring.  Vectors are plain tuples of Scalars.
+
+Width rule: a Matrix with rows takes its width from them; one with no rows
+keeps the width it is given (from_cols passes the number of columns).  So
+the general path covers empty systems: the kernel of no equations in k
+unknowns is the identity basis, and the rref of no vectors has no pivots.
 """
 from __future__ import annotations
 
@@ -372,15 +377,16 @@ def _certified_rref(field: Field, rows):
 class Matrix:
     __slots__ = ("field", "rows", "cols", "data")
 
-    def __init__(self, field: Field, data):
+    def __init__(self, field: Field, data, cols: int = 0):
+        """cols is the width of a matrix with no rows; rows set their own."""
         data = tuple(tuple(field.coerce(x) for x in row) for row in data)
         if data:
-            w = len(data[0])
-            if any(len(r) != w for r in data):
+            cols = len(data[0])
+            if any(len(r) != cols for r in data):
                 raise PreconditionError("ragged matrix rows")
         self.field = field
         self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
+        self.cols = cols
         self.data = data
 
     @classmethod
@@ -394,7 +400,7 @@ class Matrix:
 
     @classmethod
     def from_cols(cls, field: Field, cols) -> Matrix:
-        return cls(field, list(zip(*cols))) if cols else cls(field, [])
+        return cls(field, list(zip(*cols)), len(cols))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -407,15 +413,16 @@ class Matrix:
         return tuple(self.data[i][j] for i in range(self.rows))
 
     def transpose(self) -> Matrix:
-        return Matrix(self.field, list(zip(*self.data)) if self.data else [])
+        return Matrix(self.field, list(zip(*self.data)) or [()] * self.cols, self.rows)
 
     def __add__(self, other: Matrix) -> Matrix:
         assert (self.rows, self.cols) == (other.rows, other.cols)
-        return Matrix(self.field, [vec_add(r, s) for r, s in zip(self.data, other.data)])
+        return Matrix(self.field, [vec_add(r, s) for r, s in zip(self.data, other.data)],
+                      self.cols)
 
     def scale(self, c) -> Matrix:
         c = self.field.coerce(c)
-        return Matrix(self.field, [vec_scale(c, r) for r in self.data])
+        return Matrix(self.field, [vec_scale(c, r) for r in self.data], self.cols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -423,9 +430,10 @@ class Matrix:
             field = self.field
             dot = integral_ring(field.s).dot
             left = [clear_denominators(field, r) for r in self.data]
-            right = [clear_denominators(field, c) for c in zip(*other.data)]
+            right = [clear_denominators(field, c)
+                     for c in list(zip(*other.data)) or [()] * other.cols]
             return Matrix(field, [[from_integral(field, dot(r, c), lr * lc)
-                                   for lc, c in right] for lr, r in left])
+                                   for lc, c in right] for lr, r in left], other.cols)
         return NotImplemented
 
     def apply(self, v):
@@ -440,7 +448,7 @@ class Matrix:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.field == other.field
-                and self.data == other.data)
+                and self.cols == other.cols and self.data == other.data)
 
     def rref(self) -> tuple[Matrix, tuple[int, ...]]:
         """Reduced row echelon form and pivot columns, certified as in the
@@ -449,7 +457,7 @@ class Matrix:
         z, o = field.zero, field.one
         out = [[z] * self.cols for _ in range(self.rows)]
         if not self.rows or not self.cols:
-            return Matrix(field, out), ()
+            return Matrix(field, out, self.cols), ()
         rows = [clear_denominators(field, row)[1] for row in self.data]
         pivots, columns = _certified_rref(field, rows)
         for i, pc in enumerate(pivots):

@@ -25,11 +25,8 @@ class ProjSubspace:
         for v in vectors:
             if len(v) != ambient + 1:
                 raise PreconditionError("cone vector length does not match ambient dimension")
-        if vectors:
-            R, pivots = Matrix(field, vectors).rref()
-            basis = tuple(R.data[i] for i in range(len(pivots)))
-        else:
-            basis = ()
+        R, pivots = Matrix(field, vectors, ambient + 1).rref()
+        basis = tuple(R.data[i] for i in range(len(pivots)))
         self.field = field
         self.ambient = ambient
         self.basis = basis
@@ -57,20 +54,12 @@ class ProjSubspace:
 
     def annihilator_basis(self):
         """Basis of {covectors xi : xi(u) = 0 for all u in the cone}."""
-        if not self.basis:
-            z, o = self.field.zero, self.field.one
-            n = self.ambient + 1
-            return [tuple(o if i == j else z for j in range(n)) for i in range(n)]
-        return Matrix(self.field, self.basis).kernel_basis()
+        return Matrix(self.field, self.basis, self.ambient + 1).kernel_basis()
 
     @classmethod
     def from_equations(cls, field: Field, ambient: int, covectors) -> ProjSubspace:
         """Common zero locus of linear functionals."""
-        covectors = list(covectors)
-        if not covectors:
-            n = ambient + 1
-            return cls(field, ambient, Matrix.identity(field, n).data)
-        return cls(field, ambient, Matrix(field, covectors).kernel_basis())
+        return cls(field, ambient, Matrix(field, covectors, ambient + 1).kernel_basis())
 
     def meet(self, other: ProjSubspace) -> ProjSubspace:
         self._require_same_space(other)

@@ -293,10 +293,7 @@ def compatible_form_space(field: Field, maps) -> list[Matrix]:
             # (A_i^T X A_j)[c][cp] - (A_i^T X A_j)[cp][c]
             rows.append(sym_row(n, lambda u, v: (Ai[u, c] * Aj[v, cp]
                                                  - Ai[u, cp] * Aj[v, c])))
-    if not rows:
-        kern = Matrix.identity(field, len(sym_pairs(n))).data
-    else:
-        kern = Matrix(field, rows).kernel_basis()
+    kern = Matrix(field, rows, len(sym_pairs(n))).kernel_basis()
     return [SymForm.from_pairs(field, n, vec).matrix for vec in kern]
 
 

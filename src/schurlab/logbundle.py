@@ -86,9 +86,6 @@ def _contraction_kernel(field: Field, forms, relations: Matrix, m: int) -> list[
     weight of form j times the contraction of r against form j at r'."""
     dim_i = relations.rows
     count = len(forms)
-    if m == 0:
-        return [tuple(field.one if t == s else field.zero for t in range(dim_i))
-                for s in range(dim_i)]
     rows_n = len(monomials(3, m - 1)) * (count - 1)
     cols = [[field.zero] * rows_n for _ in range(len(monomials(3, m)) * dim_i)]
     for r, k, c, rp in _derivative_table(m):
@@ -101,9 +98,7 @@ def _contraction_kernel(field: Field, forms, relations: Matrix, m: int) -> list[
                 if not w.is_zero():
                     cols[r * dim_i + t][rp * (count - 1) + j] = w * a
     kern = Matrix.from_cols(field, cols).kernel_basis()
-    if not kern:
-        return []
-    kmat, _ = Matrix(field, [list(v) for v in kern]).rref()
+    kmat, _ = Matrix(field, kern).rref()
     return [kmat.row(r) for r in range(kmat.rows)]
 
 

@@ -218,32 +218,6 @@ class HomPoly:
             total = add(total, reduce(mul, map(operator.getitem, tables, exp), c))
         return from_integral(field, total, den * pden ** self.degree)
 
-    def partial(self, i: int) -> HomPoly:
-        """d/dx_i."""
-        if self.degree == 0:
-            raise PreconditionError("derivative of a degree-0 polynomial")
-        out = {}
-        for exp, c in self.coeffs.items():
-            if exp[i] == 0:
-                continue
-            ne = list(exp)
-            ne[i] -= 1
-            out[tuple(ne)] = c * exp[i]
-        return HomPoly(self.field, self.nvars, self.degree - 1, out)
-
-    def contract(self, direction) -> HomPoly:
-        """Directional derivative along a constant covector: sum_i f_i d/dx_i."""
-        direction = [self.field.coerce(x) for x in direction]
-        if len(direction) != self.nvars:
-            raise PreconditionError("direction length does not match variable count")
-        if self.degree == 0:
-            raise PreconditionError("contraction of a degree-0 polynomial")
-        out = HomPoly.zero(self.field, self.nvars, self.degree - 1)
-        for i, f in enumerate(direction):
-            if not f.is_zero():
-                out = out + self.partial(i).scale(f)
-        return out
-
     def substitute(self, targets: list[HomPoly]) -> HomPoly:
         """Substitute x_i -> targets[i]; all targets share one ring and the
         nonzero ones one degree e, giving a homogeneous result of degree m*e."""
@@ -495,8 +469,6 @@ def _poly_det_direct(grid) -> HomPoly:
     nv = grid[0][0].nvars
     if n == 1:
         return grid[0][0]
-    if n == 2:
-        return grid[0][0] * grid[1][1] - grid[0][1] * grid[1][0]
     deg = sum(grid[i][i].degree for i in range(n))
     out = HomPoly.zero(field, nv, deg)
     for j in range(n):

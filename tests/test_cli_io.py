@@ -136,6 +136,22 @@ def test_cubic_boolean_scalar_rejected(entry, tmp_path, capsys):
                      "message": "scalar entries must be strings, got bool"}
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o002], ids=oct)
+def test_out_certificate_permissions_follow_the_umask(umask, tmp_path, capsys):
+    target = tmp_path / "cert.json"
+    plain = tmp_path / "plain"
+    old = os.umask(umask)
+    try:
+        code = main(["cubic", "--in", write(tmp_path, "bad.json", {"points": []}),
+                     "--out", str(target), "--format", "structured"])
+        plain.write_text("")
+    finally:
+        os.umask(old)
+    assert code == 2
+    assert target.stat().st_mode & 0o777 == plain.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "cert.json", "plain"]
+
+
 def test_oversized_extension_modulus_rejected_quickly(tmp_path):
     # a 17-digit prime: trial division for squarefreeness would not finish
     doc = dict(HEXAD, field={"type": "quadratic", "s": 100000000000000003})

@@ -8,6 +8,7 @@ import pytest
 from schurlab.detrep import build_detrep, double_six, line_on_hypersurface
 from schurlab.errors import ClaimError, PreconditionError
 from schurlab.exact_math import QQ, Field, Matrix, ProjSubspace, vec_canonical
+from schurlab.hulek_monad import MonadData, pencil_at
 from schurlab.polyring import HomPoly, LinFormsMatrix, sorted_points
 from schurlab.schurform import induced_monad
 from test_golden import CLEBSCH_HEXAD
@@ -58,6 +59,21 @@ def test_base_points_recovered(std_rep):
 def test_induced_monad_is_owned_by_the_rep(std_rep):
     assert induced_monad(std_rep) is std_rep.monad
     assert std_rep.recover_points() is std_rep.monad.jumping_points()
+
+
+def test_line_checks_name_their_kernels(std_rep, monkeypatch):
+    # at a point off the hexad the pencil has full rank: its left kernel is
+    # a point and its right kernel is zero, so each check refuses it and
+    # names the kernel it read
+    generic = pencil_at(std_rep.monad.maps, (1, 2, 5))
+    assert (generic.left.dim, len(generic.right)) == (0, 0)
+    monkeypatch.setattr(MonadData, "at", lambda self, z: generic)
+    with pytest.raises(ClaimError) as left:
+        std_rep.a_line(0)
+    assert str(left.value) == "left kernel over an input point is not a line"
+    with pytest.raises(ClaimError) as right:
+        std_rep.b_line(0)
+    assert str(right.value) == "right kernel over an input point is not a single point"
 
 
 def test_ab_lines_on_surface_and_disjointness(std_rep):

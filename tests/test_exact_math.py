@@ -191,6 +191,35 @@ def test_empty_subspace():
     p = ProjSubspace.from_point(QQ, (1, 1, 0, 0))
     assert e.join(p) == p
     assert p.meet(ProjSubspace.from_point(QQ, (0, 0, 1, 1))).dim == -1
+    # the empty cone is annihilated by every covector, so its annihilator
+    # is the identity basis and its polar the image of the form
+    identity = [tuple(QQ.scalar(int(i == j)) for j in range(4)) for i in range(4)]
+    assert e.annihilator_basis() == identity
+    whole = ProjSubspace(QQ, 3, identity)
+    assert ProjSubspace.from_equations(QQ, 3, []) == whole
+    assert e.polar(SymForm.from_rows(QQ, [[0, 1, 0, 0], [1, 0, 0, 0],
+                                          [0, 0, 2, 1], [0, 0, 1, 1]])) == whole
+    degenerate = SymForm.from_rows(QQ, [[1, 1, 0, 0], [1, 1, 0, 0],
+                                        [0, 0, 0, 0], [0, 0, 0, 3]])
+    assert e.polar(degenerate) == ProjSubspace(QQ, 3, [(1, 1, 0, 0), (0, 0, 0, 1)])
+
+
+def test_matrix_keeps_its_width_with_no_rows():
+    # a system of no equations in 4 unknowns has the identity kernel basis
+    kern = Matrix(QQ, [], 4).kernel_basis()
+    assert kern == [tuple(QQ.scalar(int(i == j)) for j in range(4)) for i in range(4)]
+    empty = Matrix.from_cols(QQ, [[]] * 3)
+    assert (empty.rows, empty.cols) == (0, 3)
+    assert empty.kernel_basis() == [v[:3] for v in kern[:3]]
+    tall = empty.transpose()
+    assert (tall.rows, tall.cols) == (3, 0)
+    assert tall.transpose() == empty != Matrix(QQ, [], 4)
+    assert tall.left_kernel_basis() == empty.kernel_basis()
+    assert empty.rref()[0].cols == 3 and empty.rref()[1] == ()
+    # products keep the outer shape: (3 x 0)(0 x 3) is the 3 x 3 zero matrix
+    assert tall * empty == Matrix(QQ, [[0] * 3] * 3)
+    product = empty * Matrix(QQ, [[1, 2], [3, 4], [5, 6]])
+    assert (product.rows, product.cols) == (0, 2)
 
 
 def test_vec_canonical_scaling():

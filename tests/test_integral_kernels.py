@@ -15,6 +15,7 @@ points with zero coordinates and denominators up to 10^12.
 import random
 
 import pytest
+import sympy
 
 from schurlab.errors import ClaimError, PreconditionError
 from schurlab.exact_math import Field, Matrix, QQ, vec_dot
@@ -579,16 +580,19 @@ def test_monad_products_built_once(six_line_bundle, monkeypatch):
     assert len(products) == 9
 
 
-def test_derivative_table_matches_partial():
+def test_derivative_table_matches_sympy_diff():
+    xs = sympy.symbols("x0:3")
     for m in range(1, 6):
         dst = monomials(3, m - 1)
         table = {}
         for r, k, c, rp in _derivative_table(m):
             assert (r, k) not in table
-            table[r, k] = {dst[rp]: QQ.scalar(c)}
+            table[r, k] = {dst[rp]: c}
         for r, mu in enumerate(monomials(3, m)):
             for k in range(3):
-                assert table.get((r, k), {}) == HomPoly.monomial(QQ, mu).partial(k).coeffs
+                d = sympy.diff(sympy.prod(x ** e for x, e in zip(xs, mu)), xs[k])
+                want = dict(sympy.Poly(d, *xs).terms()) if d != 0 else {}
+                assert table.get((r, k), {}) == want
 
 
 def reference_contraction_matrix(field, src_basis, dst_basis, dim_i, src_deg, k):
