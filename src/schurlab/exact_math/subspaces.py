@@ -5,19 +5,31 @@ F^(N+1); equality of subspaces is literal equality of those canonical bases.
 The empty subspace has an empty basis.  Subspaces of complementary dimension,
 such as two lines of P^3, meet when one determinant vanishes; incident reads
 it by Laplace expansion from each subspace's Grassmann (Plucker)
-coordinates, computed once.
+coordinates, computed once, over a table of (column set, complement, parity)
+terms kept per shape.  The annihilator is read off the echelon basis with no
+further elimination, and a subspace keeps its polar for the last form it was
+polarized in, so a line polarized twice in one form is eliminated once.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from ..errors import PreconditionError
-from .matrices import Matrix, SymForm, clear_denominators, integral_det, integral_ring
+from .matrices import (Matrix, SymForm, clear_denominators, echelon_kernel, integral_det,
+                       integral_ring)
 from .scalars import Field
 
 
+@lru_cache(maxsize=None)
+def _laplace_terms(n: int, k: int) -> tuple:
+    """(S, complement of S, sum S odd) for each k-subset S of range(n)."""
+    return tuple((cols, tuple(j for j in range(n) if j not in cols), sum(cols) % 2 == 1)
+                 for cols in combinations(range(n), k))
+
+
 class ProjSubspace:
-    __slots__ = ("field", "ambient", "basis", "_grassmann")
+    __slots__ = ("field", "ambient", "basis", "_grassmann", "_polar")
 
     def __init__(self, field: Field, ambient: int, vectors):
         """ambient: projective dimension N; vectors: spanning set in F^(N+1)."""
@@ -31,6 +43,7 @@ class ProjSubspace:
         self.ambient = ambient
         self.basis = basis
         self._grassmann = None
+        self._polar = None
 
     @classmethod
     def from_point(cls, field: Field, coords) -> ProjSubspace:
@@ -53,8 +66,11 @@ class ProjSubspace:
         return ProjSubspace(self.field, self.ambient, list(self.basis) + list(other.basis))
 
     def annihilator_basis(self):
-        """Basis of {covectors xi : xi(u) = 0 for all u in the cone}."""
-        return Matrix(self.field, self.basis, self.ambient + 1).kernel_basis()
+        """Basis of {covectors xi : xi(u) = 0 for all u in the cone}, read off
+        the echelon basis: the pivot of each row is its first nonzero entry."""
+        pivots = tuple(next(j for j, x in enumerate(v) if not x.is_zero())
+                       for v in self.basis)
+        return echelon_kernel(self.field, self.basis, pivots, self.ambient + 1)
 
     @classmethod
     def from_equations(cls, field: Field, ambient: int, covectors) -> ProjSubspace:
@@ -89,11 +105,11 @@ class ProjSubspace:
         if len(self.basis) + len(other.basis) != n:
             raise PreconditionError("incidence needs subspaces of complementary dimension")
         ring = integral_ring(self.field.s)
-        theirs = other._coordinates()
+        mine, theirs = self._coordinates(), other._coordinates()
         total = ring.zero
-        for cols, mine in self._coordinates().items():
-            term = ring.mul(mine, theirs[tuple(j for j in range(n) if j not in cols)])
-            total = ring.sub(total, term) if sum(cols) % 2 else ring.add(total, term)
+        for cols, rest, odd in _laplace_terms(n, len(self.basis)):
+            term = ring.mul(mine[cols], theirs[rest])
+            total = ring.sub(total, term) if odd else ring.add(total, term)
         return total == ring.zero
 
     def contains(self, other: ProjSubspace) -> bool:
@@ -104,11 +120,16 @@ class ProjSubspace:
 
     def polar(self, form: SymForm) -> ProjSubspace:
         """Span of {B(xi) : xi annihilates the cone}.  For nondegenerate B
-        this is the orthogonal complement; degenerate B is permitted."""
+        this is the orthogonal complement; degenerate B is permitted.  The
+        result is kept for the last form given."""
         if form.dim != self.ambient + 1:
             raise PreconditionError("form dimension does not match ambient space")
-        images = [form.matrix.apply(xi) for xi in self.annihilator_basis()]
-        return ProjSubspace(self.field, self.ambient, images)
+        if self._polar is None or self._polar[0] != form:
+            # B is symmetric, so the rows of (annihilator basis) * B are the B(xi)
+            covectors = Matrix(self.field, self.annihilator_basis(), self.ambient + 1)
+            images = (covectors * form.matrix).data
+            self._polar = (form, ProjSubspace(self.field, self.ambient, images))
+        return self._polar[1]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ProjSubspace) and self.field == other.field

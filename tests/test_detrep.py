@@ -8,9 +8,9 @@ import pytest
 from schurlab.detrep import build_detrep, double_six, line_on_hypersurface
 from schurlab.errors import ClaimError, PreconditionError
 from schurlab.exact_math import QQ, Field, Matrix, ProjSubspace, vec_canonical
-from schurlab.hulek_monad import MonadData, pencil_at
+from schurlab.hulek_monad import MonadData, orthogonality_report, pencil_at
 from schurlab.polyring import HomPoly, LinFormsMatrix, sorted_points
-from schurlab.schurform import induced_monad
+from schurlab.schurform import induced_monad, polarity_swaps_sextuples
 from test_golden import CLEBSCH_HEXAD
 from test_properties import reference_incident
 
@@ -126,6 +126,25 @@ def test_double_six_incidences_take_no_elimination(std_rep, monkeypatch):
     monkeypatch.setattr(Matrix, "rref", refuse)
     assert ds.verify_double_six()
     assert ds.verify_c_incidences()
+
+
+def test_orthogonality_reports_reuse_the_sextuple_polars(std_rep, monkeypatch):
+    # the polarity check polarizes each b-line in the kernel form; the report
+    # at the same hexad point reads that polar again, and its one elimination
+    # is the containment test in the left kernel
+    rep = build_detrep(QQ, std_rep.points)
+    assert polarity_swaps_sextuples(rep, rep.monad.form)
+    rref = Matrix.rref
+    calls = []
+
+    def counted(self):
+        calls.append((self.rows, self.cols))
+        return rref(self)
+
+    monkeypatch.setattr(Matrix, "rref", counted)
+    reports = [orthogonality_report(rep.monad, z) for z in rep.points]
+    assert all(r.passed and r.equality for r in reports)
+    assert calls == [(4, 4)] * 6
 
 
 def test_coconic_hexad_rejected():

@@ -1,6 +1,10 @@
 """Exact scalars, matrices, symmetric forms, and projective subspaces."""
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -220,6 +224,10 @@ def test_matrix_keeps_its_width_with_no_rows():
     assert tall * empty == Matrix(QQ, [[0] * 3] * 3)
     product = empty * Matrix(QQ, [[1, 2], [3, 4], [5, 6]])
     assert (product.rows, product.cols) == (0, 2)
+    # a matrix with no columns, or a row vector times one with no rows, gives
+    # the zero vector of the outer length
+    assert Matrix(QQ, [[], []]).apply(()) == (QQ.zero, QQ.zero)
+    assert Matrix(QQ, [], 2).apply_left(()) == (QQ.zero, QQ.zero)
 
 
 def test_vec_canonical_scaling():
@@ -326,6 +334,23 @@ def elimination_mismatches(m: Matrix, b=None) -> list[str]:
 P61 = 2 ** 61 - 1
 
 
+@pytest.fixture
+def modular_core(monkeypatch):
+    """Sends every nonempty rref through _certified_rref, the modular core
+    that larger systems take, and records its calls."""
+    from schurlab.exact_math import matrices
+    core = matrices._certified_rref
+    calls = []
+
+    def counted(field, rows):
+        calls.append(len(rows))
+        return core(field, rows)
+
+    monkeypatch.setattr(matrices, "SMALL_SYSTEM_CELLS", 0)
+    monkeypatch.setattr(matrices, "_certified_rref", counted)
+    return calls
+
+
 @pytest.mark.parametrize("rows", [
     [], [[], []], [[0, 0], [0, 0]], [[P61]], [[P61, 1]], [[P61, 1], [1, 0]],
     [[3 * P61, 6 * P61], [P61, 5 * P61]],
@@ -334,12 +359,13 @@ P61 = 2 ** 61 - 1
     [[Fraction(1, P61), 1, 0], [0, Fraction(P61, 7), P61 * (P61 - 2)]],
 ], ids=["empty", "no-columns", "zero", "p", "p-1", "p-1-square", "multiples-of-p",
         "later-pivot-mod-p", "large-entries"])
-def test_core_agrees_with_reference_where_the_first_prime_misleads(rows):
+def test_core_agrees_with_reference_where_the_first_prime_misleads(rows, modular_core):
     m = Matrix.from_rows(QQ, rows)
     assert elimination_mismatches(m, [QQ.scalar(k + 1) for k in range(m.rows)]) == []
+    assert modular_core or not m.rows
 
 
-def test_reductions_of_sqrt_s_that_disagree_are_dropped():
+def test_reductions_of_sqrt_s_that_disagree_are_dropped(modular_core):
     # r - sqrt(5) vanishes under sqrt(5) -> r modulo the first prime but not
     # under sqrt(5) -> -r, so that prime gives two pivot sets
     f = Field(5)
@@ -349,9 +375,10 @@ def test_reductions_of_sqrt_s_that_disagree_are_dropped():
     assert m.rref()[1] == (0,)
     assert elimination_mismatches(m, [f.one, f.one]) == []
     assert elimination_mismatches(Matrix.from_rows(f, [[x, 1], [1, x]]), [f.one, x]) == []
+    assert modular_core
 
 
-def test_wrong_reconstruction_is_never_returned(monkeypatch):
+def test_wrong_reconstruction_is_never_returned(monkeypatch, modular_core):
     from schurlab.errors import ClaimError
     from schurlab.exact_math import matrices
     honest = matrices._reconstruct
@@ -390,3 +417,33 @@ def test_inexact_fraction_free_division_raises():
         _exact_quotient(7, 2, None)
     with pytest.raises(ClaimError):
         _exact_quotient((1, 0), (1, 1), 5)
+
+
+def test_inexact_division_in_the_small_path_raises(monkeypatch):
+    # one entry per row is corrupted after the first pivot, so a division by
+    # that pivot at the next one is no longer exact
+    from schurlab.exact_math import matrices
+    update = matrices._bareiss_update
+
+    def corrupt(row, piv, k, start, prev, s):
+        update(row, piv, k, start, prev, s)
+        if k == 0:
+            row[-1] += 1
+
+    monkeypatch.setattr(matrices, "_bareiss_update", corrupt)
+    m = Matrix.from_rows(QQ, [[2, 1, 1], [1, 1, 1], [1, 2, 3]])
+    assert m.rows * m.cols <= matrices.SMALL_SYSTEM_CELLS
+    with pytest.raises(ClaimError, match="inexact division"):
+        m.rref()
+
+
+def test_inexact_division_in_the_small_path_raises_without_asserts():
+    # python -O strips asserts; the division check must still end in ClaimError
+    script = ("import pytest\n"
+              "from test_exact_math import test_inexact_division_in_the_small_path_raises\n"
+              "with pytest.MonkeyPatch.context() as mp:\n"
+              "    test_inexact_division_in_the_small_path_raises(mp)\n")
+    tests = Path(__file__).parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=120)
+    assert done.returncode == 0

@@ -4,9 +4,11 @@ Each suite runs at least one hundred cases from a fixed seed and returns the
 list of case indices that violated the property; the tests assert emptiness.
 """
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import factorial, gcd, isqrt
+from unittest.mock import patch
 
 import sympy
 from sympy.polys.rings import PolyRing
@@ -14,6 +16,7 @@ from sympy.polys.rings import PolyRing
 from schurlab.errors import ClaimError, PreconditionError
 from schurlab.exact_math import (Field, Matrix, ProjSubspace, QQ, Scalar, SymForm,
                                  sym_pairs, sym_row, vec_canonical, vec_dot)
+from schurlab.exact_math import matrices
 from schurlab.exact_math.matrices import from_integral
 from schurlab.hulek_monad import MonadData, select_compatible_form, validate_monad
 from schurlab.logbundle import _derivative_table
@@ -509,12 +512,26 @@ def scalar_arithmetic_suite(cases=4 * CASES, seed=1111):
     return bad
 
 
+def both_elimination_paths(m: Matrix, b) -> list[str]:
+    """elimination_mismatches of m with every rref taken by fraction-free
+    Gauss-Jordan, then with every one taken by the modular core."""
+    bad = []
+    for path, bound in (("fraction-free", sys.maxsize), ("modular", 0)):
+        with patch.object(matrices, "SMALL_SYSTEM_CELLS", bound):
+            bad += [f"{path} {name}" for name in elimination_mismatches(m, b)]
+    return bad
+
+
 def elimination_suite(cases=CASES, seed=909):
-    """rref, rank, kernel_basis, solve, det and inverse of the certified core
-    agree with the reference Gauss-Jordan over Q, Q(sqrt 5), Q(sqrt -1) and
-    Q(sqrt -3): random shapes up to 6 x 7, empty and zero matrices, rank
-    deficiency from repeated combinations of rows, and entries with large
-    numerators and denominators."""
+    """rref, rank, kernel_basis, solve, det and inverse agree with the
+    reference Gauss-Jordan over Q, Q(sqrt 5), Q(sqrt -1) and Q(sqrt -3), by
+    fraction-free Gauss-Jordan and by the modular core alike: random shapes
+    up to 6 x 7, empty and zero matrices, rank deficiency from repeated
+    combinations of rows, and entries with large numerators and
+    denominators; then, per field, a 12 x 12 whose last three rows combine
+    the others, above the size bound of the fraction-free path, with
+    numerators and denominators up to 10^12 over Q and up to 1000 in each
+    part over the quadratic fields."""
     rng = random.Random(seed)
     fields = [QQ, QSQRT5, Field(-1), Field(-3)]
     bad = []
@@ -533,7 +550,19 @@ def elimination_suite(cases=CASES, seed=909):
         if case % 11 == 0:
             data = [[field.zero] * cols for _ in range(rows)]
         b = [field.scalar(rng.randint(-5, 5)) for _ in range(rows)]
-        if elimination_mismatches(Matrix.from_rows(field, data), b):
+        if both_elimination_paths(Matrix.from_rows(field, data), b):
+            bad.append(case)
+    for case, field in enumerate(fields, start=cases):
+        bound = 10 ** 12 if field is QQ else 1000
+        data = [[field.scalar(rand_scalar(rng, bound).u,
+                              0 if field is QQ else rand_scalar(rng, bound).u)
+                 for _ in range(12)] for _ in range(9)]
+        for _ in range(3):
+            c, d = rand_scalar(rng).u, rand_scalar(rng).u
+            data.append([x * c + y * d for x, y in zip(data[rng.randrange(9)], data[-1])])
+        m = Matrix.from_rows(field, data)
+        b = [field.scalar(rng.randint(-5, 5)) for _ in range(12)]
+        if m.rows * m.cols <= matrices.SMALL_SYSTEM_CELLS or both_elimination_paths(m, b):
             bad.append(case)
     return bad
 
