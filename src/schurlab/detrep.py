@@ -165,12 +165,10 @@ def build_detrep(field: Field, points) -> DetRep:
         raise PreconditionError("exactly six plane points with three coordinates required")
     _check_hexad(field, pts)
 
-    ev = evaluation_matrix(field, pts, 3)
-    kern = ev.kernel_basis()
+    kern = ProjSubspace.from_equations(field, 9, evaluation_matrix(field, pts, 3).data).basis
     if len(kern) != 4:
         raise PreconditionError("points do not impose independent conditions on cubics")
-    kmat, _ = Matrix(field, [list(v) for v in kern]).rref()
-    cubics = [HomPoly.from_coefficient_vector(field, 3, 3, kmat.row(r)) for r in range(4)]
+    cubics = [HomPoly.from_coefficient_vector(field, 3, 3, v) for v in kern]
 
     # relations sum_{a,b} t[i][a][b] z_a C_b(z) = 0 among the twelve quartics
     quart = monomials(3, 4)
@@ -184,12 +182,10 @@ def build_detrep(field: Field, points) -> DetRep:
                 ee[a] += 1
                 col[idx[tuple(ee)]] = c
             cols.append(col)
-    rel = Matrix.from_cols(field, cols)
-    rkern = rel.kernel_basis()
+    rkern = ProjSubspace.from_equations(field, 11, zip(*cols)).basis
     if len(rkern) != 3:
         raise ClaimError(f"expected 3 independent relations, found {len(rkern)}")
-    rmat, _ = Matrix(field, [list(v) for v in rkern]).rref()
-    tensor = tuple(tuple(tuple(rmat[i, a * 4 + b] for b in range(4)) for a in range(3))
+    tensor = tuple(tuple(tuple(rkern[i][a * 4 + b] for b in range(4)) for a in range(3))
                    for i in range(3))
 
     target_mats = [Matrix(field, [[tensor[i][a][b] for a in range(3)] for i in range(3)])

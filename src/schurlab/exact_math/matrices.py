@@ -43,11 +43,14 @@ unverified.
 Determinants use Bareiss's fraction-free elimination (fraction_free) over
 the same row-cleared integral entries, with the row update of the small
 Gauss-Jordan path; the same routine gives polyring all signed maximal
-minors of a grid at once.  Products clear each row of the left factor and each column of the right factor and
-take integral dot products; the one division per entry happens when
-from_integral makes it a Scalar.  IntegralRing is the one owner of the
-arithmetic of Z and Z[sqrt(s)], for these kernels and for those of
-polyring.  Vectors are plain tuples of Scalars.
+minors of a grid at once.  Products clear each row of the left factor and
+each column of the right factor and take integral dot products; the one
+division per entry happens when from_integral makes it a Scalar.
+IntegralRing is the one owner of the arithmetic of Z and Z[sqrt(s)], for
+these kernels and for those of polyring.  Vectors are plain tuples of
+Scalars.  An echelon basis is read with no elimination: echelon_kernel gives
+kernel_basis its free-column basis, and echelon_coordinates the coordinates
+at the leading columns, checked by one integral product.
 
 Width rule: a Matrix with rows takes its width from them; one with no rows
 keeps the width it is given (from_cols passes the number of columns).  So
@@ -451,6 +454,15 @@ def echelon_kernel(field: Field, rows, pivots, cols: int) -> list[tuple[Scalar, 
     return out
 
 
+def echelon_coordinates(field: Field, basis, vectors):
+    """Coordinates of vectors in a reduced row echelon basis, one row per
+    vector, read at its leading columns; None when a vector is off the span."""
+    target = Matrix(field, vectors)
+    leads = [next(j for j, x in enumerate(v) if not x.is_zero()) for v in basis]
+    coords = Matrix(field, [[v[j] for j in leads] for v in target.data], len(leads))
+    return coords if (coords * Matrix(field, basis, target.cols)).data == target.data else None
+
+
 class Matrix:
     __slots__ = ("field", "rows", "cols", "data")
 
@@ -560,9 +572,6 @@ class Matrix:
         on the reduced echelon form)."""
         R, pivots = self.rref()
         return echelon_kernel(self.field, R.data, pivots, self.cols)
-
-    def left_kernel_basis(self) -> list[tuple[Scalar, ...]]:
-        return self.transpose().kernel_basis()
 
     def det(self) -> Scalar:
         """Bareiss elimination over the row-cleared integral entries."""

@@ -1,14 +1,17 @@
 """Projective linear subspaces, stored as canonical cone bases.
 
 A ProjSubspace of P^N keeps a reduced-echelon basis of its affine cone in
-F^(N+1); equality of subspaces is literal equality of those canonical bases.
-The empty subspace has an empty basis.  Subspaces of complementary dimension,
-such as two lines of P^3, meet when one determinant vanishes; incident reads
-it by Laplace expansion from each subspace's Grassmann (Plucker)
-coordinates, computed once, over a table of (column set, complement, parity)
-terms kept per shape.  The annihilator is read off the echelon basis with no
-further elimination, and a subspace keeps its polar for the last form it was
-polarized in, so a line polarized twice in one form is eliminated once.
+F^(N+1); equality of subspaces is literal equality of those canonical bases,
+and the empty subspace has an empty basis.  from_equations owns canonical
+kernels: the free-column kernel basis of the column-reversed system, read
+back in the original order, is already echelon, so it takes one elimination.
+The annihilator (echelon_kernel) and coordinates, hence containment
+(echelon_coordinates), are read off the echelon basis.  Complementary
+subspaces, such as two lines of P^3, meet when one determinant vanishes;
+incident reads it by Laplace expansion from each subspace's Grassmann
+(Plucker) coordinates, computed once, over a table of (column set,
+complement, parity) terms kept per shape.  A subspace keeps its polar for
+the last form given, so a line polarized twice in one form is eliminated once.
 """
 from __future__ import annotations
 
@@ -16,8 +19,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from ..errors import PreconditionError
-from .matrices import (Matrix, SymForm, clear_denominators, echelon_kernel, integral_det,
-                       integral_ring)
+from .matrices import (Matrix, SymForm, clear_denominators, echelon_coordinates,
+                       echelon_kernel, integral_det, integral_ring)
 from .scalars import Field
 
 
@@ -38,12 +41,12 @@ class ProjSubspace:
             if len(v) != ambient + 1:
                 raise PreconditionError("cone vector length does not match ambient dimension")
         R, pivots = Matrix(field, vectors, ambient + 1).rref()
-        basis = tuple(R.data[i] for i in range(len(pivots)))
-        self.field = field
-        self.ambient = ambient
-        self.basis = basis
-        self._grassmann = None
-        self._polar = None
+        self._set_basis(field, ambient, R.data[:len(pivots)])
+
+    def _set_basis(self, field: Field, ambient: int, basis):
+        """Take basis, a reduced echelon basis of the cone, as it is."""
+        self.field, self.ambient, self.basis = field, ambient, tuple(basis)
+        self._grassmann = self._polar = None
 
     @classmethod
     def from_point(cls, field: Field, coords) -> ProjSubspace:
@@ -74,8 +77,12 @@ class ProjSubspace:
 
     @classmethod
     def from_equations(cls, field: Field, ambient: int, covectors) -> ProjSubspace:
-        """Common zero locus of linear functionals."""
-        return cls(field, ambient, Matrix(field, covectors, ambient + 1).kernel_basis())
+        """Common zero locus of linear functionals: each free-column kernel
+        vector of the column-reversed system, reversed back, last one first."""
+        flipped = Matrix(field, [tuple(c)[::-1] for c in covectors], ambient + 1)
+        out = cls.__new__(cls)
+        out._set_basis(field, ambient, [v[::-1] for v in reversed(flipped.kernel_basis())])
+        return out
 
     def meet(self, other: ProjSubspace) -> ProjSubspace:
         self._require_same_space(other)
@@ -113,10 +120,9 @@ class ProjSubspace:
         return total == ring.zero
 
     def contains(self, other: ProjSubspace) -> bool:
-        """This (echelon, hence independent) basis stacked on other's keeps
-        its rank."""
+        """Other's basis has coordinates in this echelon basis."""
         self._require_same_space(other)
-        return Matrix(self.field, self.basis + other.basis).rank() == len(self.basis)
+        return echelon_coordinates(self.field, self.basis, other.basis) is not None
 
     def polar(self, form: SymForm) -> ProjSubspace:
         """Span of {B(xi) : xi annihilates the cone}.  For nondegenerate B

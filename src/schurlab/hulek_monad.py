@@ -46,7 +46,7 @@ class PencilPoint:
 
     @cached_property
     def left(self) -> ProjSubspace:
-        return ProjSubspace(self.az.field, self.az.cols, self.az.left_kernel_basis())
+        return ProjSubspace.from_equations(self.az.field, self.az.cols, self.az.transpose().data)
 
     @cached_property
     def contracted(self) -> ProjSubspace:
@@ -284,7 +284,8 @@ def determinantal_degree(n1: int, n2: int, r: int) -> int:
 
 def compatible_form_space(field: Field, maps) -> list[Matrix]:
     """Basis of the space of symmetric matrices X with every A_i^T X A_j
-    symmetric, i < j."""
+    symmetric, i < j: the free-column kernel basis, not the echelon one,
+    because select_compatible_form's subset sums pick the printed form."""
     n = maps[0].rows
     rows = []
     for i, j in combinations(range(3), 2):

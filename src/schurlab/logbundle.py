@@ -12,12 +12,12 @@ Kernels of this map at degrees d-1, d-2, d-3 have dimensions n-1, n, n-1
 with n = (d-1)^2, and coordinate contraction passes between them, producing
 three n x (n-1) matrices and three (n-1) x n matrices.  One table of
 monomial derivatives per degree (_derivative_table) gives both the map's
-columns and the contraction images, and the three matrices out of a kernel
-come from one elimination against the target basis.  A one-dimensional
-solution space ties the two triples together through a symmetric form; after
-normalization that form completes the matrices to monad data whose
-second-kind jumping curve has degree 2n-2, and the dual points of the
-arrangement lines are jumping points of it.
+columns and the contraction images; each kernel basis is echelon, so the
+three matrices out of a kernel are read as coordinates in the target basis.
+A one-dimensional solution space ties the two triples together through a
+symmetric form; after normalization that form completes the matrices to
+monad data whose second-kind jumping curve has degree 2n-2, and the dual
+points of the arrangement lines are jumping points of it.
 """
 from __future__ import annotations
 
@@ -26,8 +26,8 @@ from itertools import combinations
 from math import comb
 
 from .errors import ClaimError, PreconditionError
-from .exact_math import (Field, Matrix, Scalar, SymForm, sym_row,
-                         vec_canonical)
+from .exact_math import Field, Matrix, ProjSubspace, Scalar, SymForm, sym_row, vec_canonical
+from .exact_math.matrices import echelon_coordinates
 from .hulek_monad import MonadData
 from .polyring import monomials
 
@@ -97,17 +97,15 @@ def _contraction_kernel(field: Field, forms, relations: Matrix, m: int) -> list[
                 w = relations[t, j]
                 if not w.is_zero():
                     cols[r * dim_i + t][rp * (count - 1) + j] = w * a
-    kern = Matrix.from_cols(field, cols).kernel_basis()
-    kmat, _ = Matrix(field, kern).rref()
-    return [kmat.row(r) for r in range(kmat.rows)]
+    return list(ProjSubspace.from_equations(field, len(cols) - 1, zip(*cols)).basis)
 
 
 def _contraction_maps(field: Field, src_basis, dst_basis, dim_i: int,
                       src_deg: int) -> list[Matrix]:
     """The matrices of d/dx_0, d/dx_1, d/dx_2 from the span of src_basis
     (degree src_deg) to the span of dst_basis (degree src_deg - 1): the
-    coordinates of all 3 * len(src_basis) images in dst_basis, from one
-    elimination."""
+    coordinates of all 3 * len(src_basis) images in the echelon dst_basis,
+    read with no elimination."""
     size = len(monomials(3, src_deg - 1)) * dim_i
     images = [[[field.zero] * size for _ in src_basis] for _ in range(3)]
     for r, k, c, rp in _derivative_table(src_deg):
@@ -116,13 +114,11 @@ def _contraction_maps(field: Field, src_basis, dst_basis, dim_i: int,
                 x = vec[r * dim_i + t]
                 if not x.is_zero():
                     img[rp * dim_i + t] = x * c
-    dst_mat = Matrix.from_cols(field, [list(v) for v in dst_basis])
-    sol = dst_mat.solve_columns(Matrix.from_cols(field, sum(images, [])))
-    if sol is None:
+    coords = echelon_coordinates(field, dst_basis, sum(images, []))
+    if coords is None:
         raise ClaimError("contraction image left the target kernel")
     dim = len(src_basis)
-    return [Matrix(field, [row[k * dim:(k + 1) * dim] for row in sol.data])
-            for k in range(3)]
+    return [Matrix.from_cols(field, coords.data[k * dim:(k + 1) * dim]) for k in range(3)]
 
 
 def recover_cup_form(field: Field, a_maps, b_maps) -> tuple[SymForm, Matrix]:
@@ -184,11 +180,10 @@ def build_logbundle(field: Field, forms) -> LogBundle:
     d = len(fs) // 2
     check_general_position(field, fs)
 
-    coeff = Matrix(field, [[fs[j][i] for j in range(2 * d)] for i in range(3)])
-    kern = coeff.kernel_basis()
+    kern = ProjSubspace.from_equations(field, 2 * d - 1, zip(*fs)).basis
     if len(kern) != 2 * d - 3:
         raise ClaimError("relation space has unexpected dimension")
-    relations, _ = Matrix(field, [list(v) for v in kern]).rref()
+    relations = Matrix(field, kern)
 
     n = (d - 1) ** 2
     h_basis = _contraction_kernel(field, fs, relations, d - 1)

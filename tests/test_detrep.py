@@ -130,8 +130,8 @@ def test_double_six_incidences_take_no_elimination(std_rep, monkeypatch):
 
 def test_orthogonality_reports_reuse_the_sextuple_polars(std_rep, monkeypatch):
     # the polarity check polarizes each b-line in the kernel form; the report
-    # at the same hexad point reads that polar again, and its one elimination
-    # is the containment test in the left kernel
+    # at the same hexad point reads that polar again, and tests its
+    # containment in the left kernel by coordinates, with no elimination
     rep = build_detrep(QQ, std_rep.points)
     assert polarity_swaps_sextuples(rep, rep.monad.form)
     rref = Matrix.rref
@@ -144,7 +144,25 @@ def test_orthogonality_reports_reuse_the_sextuple_polars(std_rep, monkeypatch):
     monkeypatch.setattr(Matrix, "rref", counted)
     reports = [orthogonality_report(rep.monad, z) for z in rep.points]
     assert all(r.passed and r.equality for r in reports)
-    assert calls == [(4, 4)] * 6
+    assert calls == []
+
+
+def test_detrep_and_double_six_eliminate_each_kernel_once(std_rep, monkeypatch):
+    # one elimination per canonical kernel basis: the cubics (6 x 10), the
+    # relations (15 x 12) and the kernel-route form (9 x 10); at each point
+    # the right kernel of a(z) (4 x 3) and its left kernel (3 x 4); the six
+    # contracted spaces (3 x 4) and the fifteen c-lines (2 x 4)
+    rref = Matrix.rref
+    calls = []
+
+    def counted(self):
+        calls.append((self.rows, self.cols))
+        return rref(self)
+
+    monkeypatch.setattr(Matrix, "rref", counted)
+    double_six(build_detrep(QQ, std_rep.points))
+    assert calls == ([(6, 10), (15, 12), (9, 10)] + [(4, 3), (3, 4)] * 6
+                     + [(3, 4)] * 6 + [(2, 4)] * 15)
 
 
 def test_coconic_hexad_rejected():
@@ -168,7 +186,7 @@ def reference_lines(rep, k):
         [Matrix(field, [[maps[a][b, i] for b in range(4)] for i in range(3)])
          for a in range(3)]).evaluate(rep.points[k])
     a_line = ProjSubspace(field, 3, grid.kernel_basis())
-    (phi,) = grid.left_kernel_basis()
+    (phi,) = grid.transpose().kernel_basis()
     contracted = Matrix(field, [[sum((phi[i] * maps[a][b, i] for i in range(3)),
                                      field.zero) for b in range(4)]
                                 for a in range(3)])

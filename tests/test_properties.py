@@ -17,7 +17,7 @@ from schurlab.errors import ClaimError, PreconditionError
 from schurlab.exact_math import (Field, Matrix, ProjSubspace, QQ, Scalar, SymForm,
                                  sym_pairs, sym_row, vec_canonical, vec_dot)
 from schurlab.exact_math import matrices
-from schurlab.exact_math.matrices import from_integral
+from schurlab.exact_math.matrices import echelon_coordinates, from_integral
 from schurlab.hulek_monad import MonadData, select_compatible_form, validate_monad
 from schurlab.logbundle import _derivative_table
 from schurlab.polyring import (HomPoly, LinFormsMatrix, gram, lagrange_coeffs,
@@ -108,7 +108,7 @@ def kernel_annihilation_suite(cases=CASES, seed=202):
         ok = True
         for v in m.kernel_basis():
             ok = ok and all(c.is_zero() for c in m.apply(v))
-        for v in m.left_kernel_basis():
+        for v in m.transpose().kernel_basis():
             ok = ok and all(c.is_zero() for c in m.apply_left(v))
         if cols == rows - 1:
             # a grid of linear forms that is m at (1, 0, 0) and drops rank
@@ -512,29 +512,26 @@ def scalar_arithmetic_suite(cases=4 * CASES, seed=1111):
     return bad
 
 
-def both_elimination_paths(m: Matrix, b) -> list[str]:
-    """elimination_mismatches of m with every rref taken by fraction-free
+def on_both_paths(check, *args) -> list[str]:
+    """The names check(*args) returns with every rref taken by fraction-free
     Gauss-Jordan, then with every one taken by the modular core."""
     bad = []
     for path, bound in (("fraction-free", sys.maxsize), ("modular", 0)):
         with patch.object(matrices, "SMALL_SYSTEM_CELLS", bound):
-            bad += [f"{path} {name}" for name in elimination_mismatches(m, b)]
+            bad += [f"{path} {name}" for name in check(*args)]
     return bad
 
 
-def elimination_suite(cases=CASES, seed=909):
-    """rref, rank, kernel_basis, solve, det and inverse agree with the
-    reference Gauss-Jordan over Q, Q(sqrt 5), Q(sqrt -1) and Q(sqrt -3), by
-    fraction-free Gauss-Jordan and by the modular core alike: random shapes
-    up to 6 x 7, empty and zero matrices, rank deficiency from repeated
-    combinations of rows, and entries with large numerators and
-    denominators; then, per field, a 12 x 12 whose last three rows combine
-    the others, above the size bound of the fraction-free path, with
-    numerators and denominators up to 10^12 over Q and up to 1000 in each
-    part over the quadratic fields."""
+def elimination_cases(cases=CASES, seed=909):
+    """(matrix, right-hand side) pairs over Q, Q(sqrt 5), Q(sqrt -1) and
+    Q(sqrt -3): random shapes up to 6 x 7, empty and zero matrices, rank
+    deficiency from repeated combinations of rows, and entries with large
+    numerators and denominators; then, per field, a 12 x 12 whose last three
+    rows combine the others, above the size bound of the fraction-free path,
+    with numerators and denominators up to 10^12 over Q and up to 1000 in
+    each part over the quadratic fields."""
     rng = random.Random(seed)
     fields = [QQ, QSQRT5, Field(-1), Field(-3)]
-    bad = []
     for case in range(cases):
         field = fields[case % 4]
         rows, cols = rng.randint(0, 6), rng.randint(0, 7)
@@ -550,9 +547,8 @@ def elimination_suite(cases=CASES, seed=909):
         if case % 11 == 0:
             data = [[field.zero] * cols for _ in range(rows)]
         b = [field.scalar(rng.randint(-5, 5)) for _ in range(rows)]
-        if both_elimination_paths(Matrix.from_rows(field, data), b):
-            bad.append(case)
-    for case, field in enumerate(fields, start=cases):
+        yield Matrix.from_rows(field, data), b
+    for field in fields:
         bound = 10 ** 12 if field is QQ else 1000
         data = [[field.scalar(rand_scalar(rng, bound).u,
                               0 if field is QQ else rand_scalar(rng, bound).u)
@@ -560,11 +556,61 @@ def elimination_suite(cases=CASES, seed=909):
         for _ in range(3):
             c, d = rand_scalar(rng).u, rand_scalar(rng).u
             data.append([x * c + y * d for x, y in zip(data[rng.randrange(9)], data[-1])])
-        m = Matrix.from_rows(field, data)
-        b = [field.scalar(rng.randint(-5, 5)) for _ in range(12)]
-        if m.rows * m.cols <= matrices.SMALL_SYSTEM_CELLS or both_elimination_paths(m, b):
+        yield Matrix.from_rows(field, data), [field.scalar(rng.randint(-5, 5)) for _ in range(12)]
+
+
+def elimination_suite(cases=CASES, seed=909):
+    """rref, rank, kernel_basis, solve, det and inverse agree with the
+    reference Gauss-Jordan on every elimination_cases matrix, by
+    fraction-free Gauss-Jordan and by the modular core alike; the 12 x 12
+    cases must be above the size bound."""
+    bad = []
+    for case, (m, b) in enumerate(elimination_cases(cases, seed)):
+        small = case >= cases and m.rows * m.cols <= matrices.SMALL_SYSTEM_CELLS
+        if small or on_both_paths(elimination_mismatches, m, b):
             bad.append(case)
     return bad
+
+
+def echelon_mismatches(m: Matrix, rng) -> list[str]:
+    """The checks of echelon reading on m that fail: from_equations against
+    the nonzero rows of the rref of m's kernel basis (two eliminations), and
+    echelon_coordinates against solve_columns on combinations of that basis,
+    then on one of them moved off the span along a non-leading column."""
+    field, cols = m.field, m.cols
+    bad = []
+    kernel = m.kernel_basis()
+    R, pivots = Matrix(field, kernel, cols).rref()
+    basis = ProjSubspace.from_equations(field, cols - 1, m.data).basis
+    if basis != R.data[:len(pivots)]:
+        bad.append("from_equations")
+    weights = [[rng.randint(-3, 3) for _ in basis] for _ in range(2)]
+    inside = [tuple(sum((v[j] * w for v, w in zip(basis, ws)), field.zero)
+                    for j in range(cols)) for ws in weights]
+    solved = Matrix(field, basis, cols).transpose().solve_columns(
+        Matrix.from_cols(field, inside))
+    coords = echelon_coordinates(field, basis, inside)
+    if coords is None or solved is None or coords.transpose().data != solved.data:
+        bad.append("echelon_coordinates")
+    off = [j for j in range(cols) if j not in pivots]
+    if off:
+        moved = list(inside[0])
+        moved[rng.choice(off)] += field.one
+        if echelon_coordinates(field, basis, [inside[1], moved]) is not None:
+            bad.append("echelon_coordinates off the span")
+    return bad
+
+
+def echelon_reading_suite(cases=CASES, seed=909):
+    """echelon_mismatches, on both elimination paths, on every
+    elimination_cases matrix with at least one column (full column rank,
+    rank-deficient and zero ones among them), then on the systems of no
+    equations in 1, 5 and 12 unknowns over Q, Q(sqrt 5) and Q(sqrt -3)."""
+    rng = random.Random(seed + 1)
+    systems = [m for m, _ in elimination_cases(cases, seed) if m.cols]
+    systems += [Matrix(field, [], cols) for field in (QQ, QSQRT5, Field(-3))
+                for cols in (1, 5, 12)]
+    return [k for k, m in enumerate(systems) if on_both_paths(echelon_mismatches, m, rng)]
 
 
 def rand_symmetric(rng, field, n):
@@ -771,6 +817,10 @@ def test_scalar_arithmetic_matches_fraction_pairs():
 
 def test_certified_elimination_matches_reference():
     assert elimination_suite() == []
+
+
+def test_echelon_reading_matches_two_eliminations():
+    assert echelon_reading_suite() == []
 
 
 def test_incidence_matches_meet():
