@@ -124,8 +124,7 @@ def _monad_core_claims(run: Run, monad: MonadData) -> None:
 
 
 def cmd_cubic(run: Run, doc: dict) -> None:
-    field = parse_field(doc.get("field", {"type": "rational"}))
-    run.field = field
+    field = run.field
     raw = doc.get("points")
     if not isinstance(raw, list) or len(raw) != 6:
         raise PreconditionError("cubic input needs a list of exactly six points")
@@ -164,8 +163,7 @@ def cmd_cubic(run: Run, doc: dict) -> None:
 
 
 def cmd_logbundle(run: Run, doc: dict) -> None:
-    field = parse_field(doc.get("field", {"type": "rational"}))
-    run.field = field
+    field = run.field
     raw = doc.get("lines")
     if not isinstance(raw, list):
         raise PreconditionError("logbundle input needs a list of lines")
@@ -199,8 +197,7 @@ def cmd_logbundle(run: Run, doc: dict) -> None:
 
 
 def cmd_monad(run: Run, doc: dict) -> None:
-    field = parse_field(doc.get("field", {"type": "rational"}))
-    run.field = field
+    field = run.field
     raw = doc.get("maps")
     if not isinstance(raw, list) or len(raw) != 3:
         raise PreconditionError("monad input needs exactly three matrices")
@@ -283,6 +280,7 @@ def main(argv=None) -> int:
         else:
             doc = _load_input(args.input_path)
             run.input_doc = doc
+            run.field = parse_field(doc.get("field", {"type": "rational"}))
             {"cubic": cmd_cubic, "logbundle": cmd_logbundle,
              "monad": cmd_monad}[args.command](run, doc)
     except PreconditionError as exc:

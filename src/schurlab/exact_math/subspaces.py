@@ -6,33 +6,24 @@ and the empty subspace has an empty basis.  from_equations owns canonical
 kernels: the free-column kernel basis of the column-reversed system, read
 back in the original order, is already echelon, so it takes one elimination.
 The annihilator (echelon_kernel) and coordinates, hence containment
-(echelon_coordinates), are read off the echelon basis.  Complementary
-subspaces, such as two lines of P^3, meet when one determinant vanishes;
-incident reads it by Laplace expansion from each subspace's Grassmann
-(Plucker) coordinates, computed once, over a table of (column set,
-complement, parity) terms kept per shape.  A subspace keeps its polar for
-the last form given, so a line polarized twice in one form is eliminated once.
+(echelon_coordinates), are read off the echelon basis.  Two lines of P^3
+meet when the Plucker pairing of their coordinates vanishes (incident);
+each line computes its six coordinates once, from its basis rows cleared to
+Z or Z[sqrt(s)].  A subspace keeps its polar for the last form given, so a
+line polarized twice in one form is eliminated once.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 
 from ..errors import PreconditionError
 from .matrices import (Matrix, SymForm, clear_denominators, echelon_coordinates,
-                       echelon_kernel, integral_det, integral_ring)
+                       echelon_kernel, integral_ring)
 from .scalars import Field
 
 
-@lru_cache(maxsize=None)
-def _laplace_terms(n: int, k: int) -> tuple:
-    """(S, complement of S, sum S odd) for each k-subset S of range(n)."""
-    return tuple((cols, tuple(j for j in range(n) if j not in cols), sum(cols) % 2 == 1)
-                 for cols in combinations(range(n), k))
-
-
 class ProjSubspace:
-    __slots__ = ("field", "ambient", "basis", "_grassmann", "_polar")
+    __slots__ = ("field", "ambient", "basis", "_plucker", "_polar")
 
     def __init__(self, field: Field, ambient: int, vectors):
         """ambient: projective dimension N; vectors: spanning set in F^(N+1)."""
@@ -46,7 +37,7 @@ class ProjSubspace:
     def _set_basis(self, field: Field, ambient: int, basis):
         """Take basis, a reduced echelon basis of the cone, as it is."""
         self.field, self.ambient, self.basis = field, ambient, tuple(basis)
-        self._grassmann = self._polar = None
+        self._plucker = self._polar = None
 
     @classmethod
     def from_point(cls, field: Field, coords) -> ProjSubspace:
@@ -89,35 +80,29 @@ class ProjSubspace:
         eqs = self.annihilator_basis() + other.annihilator_basis()
         return ProjSubspace.from_equations(self.field, self.ambient, eqs)
 
-    def _coordinates(self) -> dict:
-        """The k x k minors of the basis rows cleared to Z or Z[sqrt(s)], by
-        column subset: Grassmann coordinates up to one nonzero factor,
-        computed on first use and kept."""
-        if self._grassmann is None:
-            rows = [clear_denominators(self.field, v)[1] for v in self.basis]
-            self._grassmann = {
-                cols: integral_det([[r[j] for j in cols] for r in rows], self.field.s)
-                for cols in combinations(range(self.ambient + 1), len(rows))}
-        return self._grassmann
+    def _coordinates(self) -> tuple:
+        """Plucker coordinates p_ij = u_i*v_j - u_j*v_i of a line's basis rows
+        u, v cleared to Z or Z[sqrt(s)], for ij = 01, 02, 03, 12, 13, 23:
+        the line's up to one nonzero factor, computed on first use and kept."""
+        if self._plucker is None:
+            ring = integral_ring(self.field.s)
+            u, v = (clear_denominators(self.field, w)[1] for w in self.basis)
+            self._plucker = tuple(ring.sub(ring.mul(u[i], v[j]), ring.mul(u[j], v[i]))
+                                  for i, j in combinations(range(4), 2))
+        return self._plucker
 
     def incident(self, other: ProjSubspace) -> bool:
-        """Complementary subspaces (basis sizes summing to ambient + 1) meet
-        exactly when the square stack of their bases is singular; others end
-        in PreconditionError.  Laplace expansion along this basis gives that
-        determinant, up to sign, as the sum over column subsets S of
-        (-1)^(sum S) g(S) g'(S^c) of the two Grassmann coordinates; for two
-        lines of P^3 it is the Plucker pairing."""
+        """Two lines of P^3 meet exactly when the determinant of their stacked
+        bases vanishes, which is the Plucker pairing
+        p01*q23 - p02*q13 + p03*q12 + p12*q03 - p13*q02 + p23*q01.  Any other
+        shape ends in PreconditionError."""
         self._require_same_space(other)
-        n = self.ambient + 1
-        if len(self.basis) + len(other.basis) != n:
-            raise PreconditionError("incidence needs subspaces of complementary dimension")
+        if self.ambient != 3 or len(self.basis) != 2 or len(other.basis) != 2:
+            raise PreconditionError("incidence is defined for two lines of P^3")
         ring = integral_ring(self.field.s)
-        mine, theirs = self._coordinates(), other._coordinates()
-        total = ring.zero
-        for cols, rest, odd in _laplace_terms(n, len(self.basis)):
-            term = ring.mul(mine[cols], theirs[rest])
-            total = ring.sub(total, term) if odd else ring.add(total, term)
-        return total == ring.zero
+        p, q = self._coordinates(), other._coordinates()
+        plus = ring.dot((p[0], p[2], p[3], p[5]), (q[5], q[3], q[2], q[0]))
+        return plus == ring.dot((p[1], p[4]), (q[4], q[1]))
 
     def contains(self, other: ProjSubspace) -> bool:
         """Other's basis has coordinates in this echelon basis."""

@@ -21,7 +21,7 @@ eliminant and at the base roots for the fibers.
 """
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
 import sympy
 
@@ -194,19 +194,17 @@ def _low_degree_factors(m: list[Scalar]) -> list[tuple[list[Scalar], int]]:
     return [([(b - r) / 2, m[2]], 1), ([(b + r) / 2, m[2]], 1)]
 
 
-def _rational_factors(field: Field, coeffs) -> list[tuple[list[Scalar], int]]:
-    """Factors over Q of a polynomial whose coefficients are rational (b = 0
-    over Q(sqrt(s))), as monic polynomials over the field, with
-    multiplicities.  The rational parts are cleared to one primitive integer
-    polynomial, which ``sympy.sqf_list`` splits into squarefree parts; a part
-    of degree 1 is irreducible as it stands, and ``sympy.factor_list``
-    factors each other part on its own (Yun, "On square-free decomposition
-    algorithms", SYMSAC 1976).  A factor's multiplicity is its part's times
-    the one factor_list gives.  The parts of a true decomposition are
-    coprime, so a factor met in two of them is a ClaimError; the product is
-    re-checked by ``factor_univar``."""
-    den = lcm(*(c.u.denominator for c in coeffs))
-    ints = [c.u.numerator * (den // c.u.denominator) for c in coeffs]
+def _rational_factors(field: Field, ints) -> list[tuple[list[Scalar], int]]:
+    """Factors over Q of a polynomial given by its integer coefficients, as
+    clear_denominators gives them, as monic polynomials over the field, with
+    multiplicities.  Its content is divided out, and ``sympy.sqf_list``
+    splits the primitive part into squarefree parts; a part of degree 1 is
+    irreducible as it stands, and ``sympy.factor_list`` factors each other
+    part on its own (Yun, "On square-free decomposition algorithms", SYMSAC
+    1976).  A factor's multiplicity is its part's times the one factor_list
+    gives.  The parts of a true decomposition are coprime, so a factor met
+    in two of them is a ClaimError; the product is re-checked by
+    ``factor_univar``."""
     content = gcd(*ints)
     poly = sympy.Poly([x // content for x in reversed(ints)], _T, domain=sympy.ZZ)
     factors = {}
@@ -235,9 +233,9 @@ def _norm_factors(field: Field, h: list[Scalar]) -> list[list[Scalar]]:
     that is when 2c is the difference of a root of q and a root of its
     conjugate; such a gcd is shifted back and tried again at the next k.
     At most deg(h)^2 values of k fail, k = 0 among them for every q with
-    rational coefficients.  Each norm is factored by ``_rational_factors``,
-    squarefree parts first; h itself needs no squarefree part, since the
-    gcds read each distinct factor once."""
+    rational coefficients.  Each norm is cleared to integers and factored by
+    ``_rational_factors``, squarefree parts first; h itself needs no
+    squarefree part, since the gcds read each distinct factor once."""
     n = len(h) - 1
     factors, pending = [], [h]
     for j in range(n * n + 1):
@@ -248,7 +246,8 @@ def _norm_factors(field: Field, h: list[Scalar]) -> list[list[Scalar]]:
                 retry.append(q)
                 continue
             moved = _taylor_shift(q, shift)
-            for p, _ in _rational_factors(field, univar_mul(moved, [c.conjugate() for c in moved])):
+            norm = clear_denominators(field, univar_mul(moved, [c.conjugate() for c in moved]))[1]
+            for p, _ in _rational_factors(field, [a for a, _ in norm]):
                 g = univar_gcd(field, moved, p)
                 if len(g) == 1:
                     raise ClaimError("a factor of the norm is prime to the polynomial: "
@@ -264,7 +263,7 @@ def factor_univar(field: Field, coeffs) -> tuple[Scalar, list[tuple[list[Scalar]
     """Factor into irreducibles over the field.  Returns (unit, [(factor, mult)]),
     factors monic of degree >= 1 sorted by degree, then coefficients, so the
     unit is the leading coefficient.  Degree <= 2 is settled in closed form;
-    above it sympy factors over QQ by squarefree parts
+    above it sympy factors the cleared input over QQ by squarefree parts
     (``_rational_factors``), and over Q(sqrt(s)) ``_norm_factors`` finds the
     factors and exact division their multiplicities.  One integral re-check
     serves both fields: the input and each factor are cleared to Z or
@@ -277,10 +276,11 @@ def factor_univar(field: Field, coeffs) -> tuple[Scalar, list[tuple[list[Scalar]
     if not coeffs:
         raise PreconditionError("factoring the zero polynomial")
     unit = coeffs[-1]
+    target = clear_denominators(field, coeffs)[1]
     if len(coeffs) <= 3:
         factors = _low_degree_factors(monic(coeffs))
     elif field.is_rational:
-        factors = _rational_factors(field, coeffs)
+        factors = _rational_factors(field, target)
     else:
         rest, factors = coeffs, []
         for fac in _norm_factors(field, monic(coeffs)):
@@ -291,7 +291,6 @@ def factor_univar(field: Field, coeffs) -> tuple[Scalar, list[tuple[list[Scalar]
                 quo, rem = univar_divmod(rest, fac)
             factors.append((fac, mult))
     ring = integral_ring(field.s)
-    target = clear_denominators(field, coeffs)[1]
     prod = [ring.one]
     for fac, mult in factors:
         cleared = clear_denominators(field, fac)[1]

@@ -1,6 +1,7 @@
 """Determinantal cubic surfaces from plane hexads and their line geometry."""
 import dataclasses
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -126,6 +127,22 @@ def test_double_six_incidences_take_no_elimination(std_rep, monkeypatch):
     monkeypatch.setattr(Matrix, "rref", refuse)
     assert ds.verify_double_six()
     assert ds.verify_c_incidences()
+
+
+def test_double_six_incidences_take_no_determinant(std_rep, monkeypatch):
+    # each incidence is the Plucker pairing of six coordinates per line, so
+    # a fresh double six, whose lines have no coordinates yet, checks all
+    # its incidences with no Bareiss determinant in any module
+    ds = double_six(build_detrep(QQ, std_rep.points))
+    calls = []
+    for module in [m for name, m in sys.modules.items() if name.startswith("schurlab")]:
+        det = getattr(module, "integral_det", None)
+        if det is not None:
+            monkeypatch.setattr(module, "integral_det",
+                                lambda rows, s, det=det: calls.append(rows) or det(rows, s))
+    assert ds.verify_double_six()
+    assert ds.verify_c_incidences()
+    assert calls == []
 
 
 def test_orthogonality_reports_reuse_the_sextuple_polars(std_rep, monkeypatch):

@@ -1,14 +1,14 @@
 """Worked instances: each report card must be fully green."""
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
 
 from schurlab.exact_math import QQ, Field, Matrix, ProjSubspace
-from schurlab.families import (EXAMPLES, _cross_join_line, _even_permutations,
-                               _line_from_equations, _orbit_of_line,
-                               _pair_by_disjointness, _quadrics_through_lines,
+from schurlab.families import (EXAMPLES, _cross_join_line, _line_from_equations,
+                               _orbit_of_line, _pair_by_disjointness, _quadrics_through_lines,
                                bring_instance, clebsch_instance,
                                hulsbergen_instance_4, hulsbergen_instance_5,
                                n2_instance, schwarzenberger_detect,
@@ -103,11 +103,18 @@ def test_builders_deterministic():
 # now reads off a permutation or an evaluation
 
 
+def even_permutations():
+    """The 60 permutations of range(5) with an even number of inversions."""
+    return [p for p in permutations(range(5))
+            if sum(p[i] > p[j] for i in range(5) for j in range(i + 1, 5)) % 2 == 0]
+
+
 def reference_orbit_of_line(field, eqs):
     """The even-permutation orbit of the line cut by two covectors on
-    5-space and the all-ones covector, one kernel per permuted system."""
+    5-space and the all-ones covector, one kernel per permuted system over
+    all 60 even permutations."""
     seen = {}
-    for p in _even_permutations():
+    for p in even_permutations():
         permuted = []
         for cov in eqs:
             out = [None] * 5

@@ -27,6 +27,7 @@ from test_exact_math import elimination_mismatches
 from test_integral_kernels import reference_lagrange_coeffs
 
 QSQRT5 = Field(5)
+QSQRT_3 = Field(-3)
 
 CASES = 120
 
@@ -673,21 +674,20 @@ def reference_incident(first, second) -> bool:
 
 
 def incidence_suite(cases=CASES, seed=707):
-    """On complementary pairs (two lines, a point and a plane, or the empty
-    subspace and P^3, sharing vectors so that meeting pairs occur) incident
-    agrees with the stacked rank and with the meet; a nonempty
-    non-complementary pair raises PreconditionError.  contains agrees with
-    the meet and with containing each basis point, empty subspaces
-    included."""
+    """On pairs of lines of P^3 over Q, Q(sqrt 5) and Q(sqrt -3), sharing
+    vectors so that meeting pairs occur, incident agrees with the stacked
+    rank and with the meet, and both meeting and skew pairs occur; a pair of
+    any other shape raises PreconditionError.  contains agrees with the meet and with containing
+    each basis point, empty subspaces included."""
     rng = random.Random(seed)
-    bad = []
+    bad, met = [], 0
     for case in range(cases):
-        field = QSQRT5 if case % 4 == 3 else QQ
-        size = case % 5
-        left = rand_subspace_of_size(rng, field, size)
-        shared = left.basis[:rng.randint(0, min(size, 4 - size))]
-        right = rand_subspace_of_size(rng, field, 4 - size, shared)
+        field = (QQ, QSQRT5, QSQRT_3)[case % 3]
+        left = rand_subspace_of_size(rng, field, 2)
+        shared = left.basis[:rng.randint(0, 2)]
+        right = rand_subspace_of_size(rng, field, 2, shared)
         meets = left.meet(right).dim >= 0
+        met += meets
         ok = left.incident(right) == right.incident(left) == meets
         ok = ok and reference_incident(left, right) == meets
 
@@ -695,7 +695,7 @@ def incidence_suite(cases=CASES, seed=707):
         shared = first.basis[:rng.randint(0, len(first.basis))]
         second = rand_subspace(rng, field, shared)
         meet = first.meet(second)
-        if len(first.basis) + len(second.basis) not in (0, 4):
+        if (len(first.basis), len(second.basis)) != (2, 2):
             try:
                 first.incident(second)
                 ok = False
@@ -707,6 +707,8 @@ def incidence_suite(cases=CASES, seed=707):
         ok = ok and all(first.contains(p) == (first.meet(p) == p) for p in points)
         if not ok:
             bad.append(case)
+    if not 0 < met < cases:
+        bad.append(f"{met} of {cases} line pairs meet")
     return bad
 
 
